@@ -26,7 +26,6 @@ from .backtest import (
     run_backtest,
     sharpe_ratio,
 )
-from .eigen import jacobi_eigh
 from .errors import (
     DegenerateAssetError,
     DegenerateDegreeError,
@@ -96,7 +95,7 @@ __all__ = [
     "CutObjective", "Partition", "cut_value", "objective_value",
     "rayleigh_quotient", "partition_indicator", "fiedler_vector",
     "spectral_bisect", "brute_force_min_cut", "bipartition_count",
-    "iter_bipartitions", "jacobi_eigh",
+    "iter_bipartitions",
     # trees
     "LeafSelection", "CutPolicy", "CutTreeNode", "CutTree", "build_cut_tree",
     "select_leaf", "induced_subgraph", "leaf_edge_budget", "edge_budget_trace",

@@ -36,7 +36,7 @@ from .market_graph import (
     simple_returns,
 )
 from .spectral import CutObjective
-from .tree import CutPolicy, CutTree, build_cut_tree, edge_budget_trace, leaf_edge_budget
+from .tree import CutPolicy, build_cut_tree, edge_budget_trace, leaf_edge_budget
 
 __all__ = [
     "StrategyKind",
@@ -204,20 +204,12 @@ def _strategy_weights(spec: StrategySpec, est: _InSampleEstimates,
     wv = asset_weights(tree, allocate(tree, spec.scheme))
     meta = {
         "k_performed": tree.k_performed,
-        "lambda2_trace": _lambda2_trace(tree),
+        "lambda2_trace": [node.lambda2_at_split for node in tree.splits()],
         "leaf_edge_budget": leaf_edge_budget(tree),
         "edge_budget_trace": edge_budget_trace(tree),
         "leaf_sizes": [leaf.size for leaf in tree.leaves()],
     }
     return wv, meta
-
-
-def _lambda2_trace(tree: CutTree) -> list:
-    internal = sorted(
-        (node for node in tree.nodes.values() if not node.is_leaf),
-        key=lambda node: node.children[0],
-    )
-    return [node.lambda2_at_split for node in internal]
 
 
 def run_backtest(prices: PriceMatrix, config: BacktestConfig) -> BacktestReport:
@@ -254,18 +246,16 @@ def run_backtest(prices: PriceMatrix, config: BacktestConfig) -> BacktestReport:
         wealth = np.empty(port.size + 1)
         wealth[0] = 1.0
         np.cumprod(1.0 + port, out=wealth[1:])
-        mean = float(port.mean())
-        std = float(port.std(ddof=1))
-        degenerate = std == 0.0
-        sharpe = None if degenerate else float(
-            np.sqrt(config.annualization_factor) * mean / std
-        )
+        try:
+            sharpe, degenerate = sharpe_ratio(port, config.annualization_factor), False
+        except DegenerateSeriesError:
+            sharpe, degenerate = None, True
         results.append(StrategyResult(
             label=spec.label,
             weights=wv,
             wealth_curve=wealth,
-            mean_return=mean,
-            std_return=std,
+            mean_return=float(port.mean()),
+            std_return=float(port.std(ddof=1)),
             sharpe=sharpe,
             sharpe_degenerate=degenerate,
             metadata=meta,

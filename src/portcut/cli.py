@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -38,13 +37,20 @@ from .serialization import (
 from .spectral import CutObjective
 from .tree import CutPolicy, LeafSelection, build_cut_tree
 
-__all__ = ["main", "console_main", "cmd_cut", "cmd_allocate", "cmd_backtest", "RunManifest"]
+__all__ = ["main", "console_main", "cmd_cut", "cmd_allocate", "cmd_backtest"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 
 STRATEGY_TOKENS = ("ew", "mv", "cutn-as1", "cutn-as2", "cutv-as1", "cutv-as2")
+
+# Per-command options in every run manifest; null where a command has none.
+MANIFEST_OPTION_KEYS = (
+    "objective", "max_cuts", "lambda2_threshold", "leaf_selection", "min_leaf_size",
+    "scheme", "split_index", "split_date", "strategies", "mv_ridge",
+    "annualization_factor",
+)
 
 
 class _UsageError(Exception):
@@ -56,35 +62,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise _UsageError(f"{self.prog}: {message}")
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Echo of the resolved configuration plus a digest of the input."""
-
-    command: str
-    input_path: str
-    date_column: str
-    missing_policy: str
-    drop_degenerate: bool
-    n_rows: int
-    n_assets: int
-    first_date: str
-    last_date: str
-    dropped_rows: int
-    dropped_assets: List[str]
-    objective: Optional[str] = None
-    max_cuts: Optional[int] = None
-    lambda2_threshold: Optional[float] = None
-    leaf_selection: Optional[str] = None
-    min_leaf_size: Optional[int] = None
-    scheme: Optional[str] = None
-    split_index: Optional[int] = None
-    split_date: Optional[str] = None
-    strategies: Optional[List[str]] = None
-    mv_ridge: Optional[float] = None
-    annualization_factor: Optional[float] = None
-    version: str = __version__
 
 
 def _add_input_flags(parser: argparse.ArgumentParser) -> None:
@@ -147,8 +124,11 @@ def _write(text: str, destination: str) -> None:
     if destination == "-":
         sys.stdout.write(text)
     else:
-        with open(destination, "w") as handle:
-            handle.write(text)
+        try:
+            with open(destination, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise InvalidInputError(f"cannot write output file: {exc}") from exc
 
 
 def _load_prices(args) -> Tuple[PriceMatrix, IngestReport]:
@@ -197,8 +177,9 @@ def _policy_from_args(args) -> CutPolicy:
     )
 
 
-def _manifest_base(args, command: str, matrix: PriceMatrix,
-                   report: IngestReport) -> dict:
+def _manifest(args, command: str, matrix: PriceMatrix, report: IngestReport,
+              **options) -> dict:
+    """Echo of the resolved configuration plus a digest of the input."""
     return {
         "command": command,
         "input_path": args.prices,
@@ -211,6 +192,9 @@ def _manifest_base(args, command: str, matrix: PriceMatrix,
         "last_date": matrix.timestamps[-1],
         "dropped_rows": len(report.dropped_rows),
         "dropped_assets": list(report.dropped_assets),
+        **dict.fromkeys(MANIFEST_OPTION_KEYS),
+        **options,
+        "version": __version__,
     }
 
 
@@ -221,14 +205,14 @@ def cmd_cut(args) -> int:
     )
     tree = build_cut_tree(graph, _policy_from_args(args), CutObjective(args.objective))
     payload = tree_to_dict(tree)
-    payload["manifest"] = asdict(RunManifest(
-        **_manifest_base(args, "cut", matrix, report),
+    payload["manifest"] = _manifest(
+        args, "cut", matrix, report,
         objective=args.objective,
         max_cuts=args.max_cuts,
         lambda2_threshold=args.lambda2_threshold,
         leaf_selection=args.leaf_selection,
         min_leaf_size=args.min_leaf_size,
-    ))
+    )
     _write(canonical_json(payload), args.output)
     return EXIT_OK
 
@@ -310,8 +294,8 @@ def cmd_backtest(args) -> int:
         mv_ridge=args.mv_ridge,
     )
     result = run_backtest(matrix, config)
-    manifest = asdict(RunManifest(
-        **_manifest_base(args, "backtest", matrix, report),
+    manifest = _manifest(
+        args, "backtest", matrix, report,
         max_cuts=args.max_cuts,
         lambda2_threshold=args.lambda2_threshold,
         leaf_selection=args.leaf_selection,
@@ -321,7 +305,7 @@ def cmd_backtest(args) -> int:
         strategies=list(tokens),
         mv_ridge=args.mv_ridge,
         annualization_factor=args.annualization,
-    ))
+    )
     _write(canonical_json(report_to_dict(result, manifest)), args.output)
     if args.wealth_csv:
         _write(wealth_to_csv(result), args.wealth_csv)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
@@ -84,9 +85,9 @@ def ingest_prices_with_report(spec: PriceCsvSpec) -> Tuple[PriceMatrix, IngestRe
     Raises
     ------
     InvalidInputError
-        Missing file, missing/duplicated columns, unparseable or nonpositive
-        cells (named by line and column), non-increasing dates, or a missing
-        cell under the ERROR policy.
+        Missing file, missing/duplicated columns, unparseable, non-finite or
+        nonpositive cells (named by line and column), non-increasing dates,
+        or a missing cell under the ERROR policy.
     InsufficientDataError
         Fewer than two usable rows, or no asset columns after drops.
     """
@@ -139,9 +140,10 @@ def ingest_prices_with_report(spec: PriceCsvSpec) -> Tuple[PriceMatrix, IngestRe
                     raise InvalidInputError(
                         f"{path}:{line_no}: unparseable price {cell!r} in column {column!r}"
                     ) from None
-                if value <= 0.0:
+                if not 0.0 < value < math.inf:
+                    problem = "nonpositive" if value <= 0.0 else "non-finite"
                     raise InvalidInputError(
-                        f"{path}:{line_no}: nonpositive price {value!r} in column {column!r}"
+                        f"{path}:{line_no}: {problem} price {cell!r} in column {column!r}"
                     )
                 values.append(value)
             rows.append(values)

@@ -13,8 +13,8 @@ from enum import Enum
 from typing import Iterator, Optional
 
 import numpy as np
+import scipy.linalg
 
-from .eigen import jacobi_eigh
 from .errors import (
     DegenerateDegreeError,
     DegenerateVolumeError,
@@ -194,7 +194,7 @@ def fiedler_vector(graph: MarketGraph, objective: CutObjective):
     DegenerateDegreeError
         Volume objective with zero-degree vertices.
     NumericalFailureError
-        Eigensolver non-convergence, or a residual exceeding
+        LAPACK eigensolver failure, or a residual exceeding
         1e-8 * max|L| (verified before returning).
     """
     n = graph.n_vertices
@@ -204,18 +204,26 @@ def fiedler_vector(graph: MarketGraph, objective: CutObjective):
     lmax = float(np.max(np.abs(lap)))
 
     if objective is CutObjective.NORMALIZED:
-        evals, evecs = jacobi_eigh(lap)
-        lam2 = float(evals[1])
-        u2 = evecs[:, 1].copy()
-        residual = float(np.max(np.abs(lap @ u2 - lam2 * u2)))
+        matrix = lap
     else:
         dead = np.flatnonzero(graph.degrees <= 0.0)
         if dead.size:
             raise DegenerateDegreeError(dead.tolist())
         inv_sqrt_d = 1.0 / np.sqrt(graph.degrees)
-        sym = inv_sqrt_d[:, None] * lap * inv_sqrt_d[None, :]
-        evals, evecs = jacobi_eigh(sym)
-        lam2 = float(evals[1])
+        matrix = inv_sqrt_d[:, None] * lap * inv_sqrt_d[None, :]
+    try:
+        evals, evecs = scipy.linalg.eigh(matrix, subset_by_index=[0, 1])
+    except scipy.linalg.LinAlgError as exc:
+        raise NumericalFailureError(
+            f"eigensolver failed on {n} vertices ({objective.value}): {exc}",
+            diagnostics={"n": n, "objective": objective.value},
+        ) from exc
+    lam2 = float(evals[1])
+
+    if objective is CutObjective.NORMALIZED:
+        u2 = evecs[:, 1].copy()
+        residual = float(np.max(np.abs(lap @ u2 - lam2 * u2)))
+    else:
         u2 = inv_sqrt_d * evecs[:, 1]
         u2 = u2 / np.sqrt(float(u2 @ (graph.degrees * u2)))
         residual = float(np.max(np.abs(lap @ u2 - lam2 * graph.degrees * u2)))

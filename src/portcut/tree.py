@@ -100,6 +100,15 @@ class CutTree:
     def leaves(self) -> List[CutTreeNode]:
         return [self.nodes[i] for i in self.leaf_ids]
 
+    def splits(self) -> List[CutTreeNode]:
+        """Internal nodes in the order they were split.
+
+        Children receive consecutive ids at split time, so ordering internal
+        nodes by their first child id reconstructs the build sequence.
+        """
+        return sorted((node for node in self.nodes.values() if not node.is_leaf),
+                      key=lambda node: node.children[0])
+
     @property
     def n_assets(self) -> int:
         return len(self.nodes[self.root_id].members)
@@ -229,22 +238,14 @@ def leaf_edge_budget(tree: CutTree) -> int:
 
 
 def edge_budget_trace(tree: CutTree) -> List[int]:
-    """Edge budget after 0, 1, ..., k_performed cuts.
-
-    Children receive consecutive ids at split time, so replaying internal
-    nodes ordered by their first child id reconstructs the build sequence.
-    """
-    internal = sorted(
-        (node for node in tree.nodes.values() if not node.is_leaf),
-        key=lambda node: node.children[0],
-    )
+    """Edge budget after 0, 1, ..., k_performed cuts, replaying `CutTree.splits`."""
     sizes = {tree.root_id: tree.nodes[tree.root_id].size}
 
     def budget() -> int:
         return sum(s * (s + 1) // 2 for s in sizes.values())
 
     trace = [budget()]
-    for node in internal:
+    for node in tree.splits():
         del sizes[node.id]
         for child in node.children:
             sizes[child] = tree.nodes[child].size

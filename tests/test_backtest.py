@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import portcut.backtest
+
 from portcut import (
     AllocationScheme,
     BacktestConfig,
@@ -129,6 +131,22 @@ class TestRunBacktest:
         assert res.sharpe is None
         assert res.sharpe_degenerate
         assert res.ok
+
+    def test_sharpe_from_sharpe_ratio(self, monkeypatch):
+        prices, _ = block_factor_market([3, 3], 30, seed=5)
+        config = BacktestConfig(split_index=10, strategies=(EW,))
+        res = run_backtest(prices, config).result("ew")
+        port = np.diff(prices.prices, axis=0)[10:] / prices.prices[10:-1] @ res.weights.weights
+        assert res.sharpe == pytest.approx(sharpe_ratio(port, 252.0), rel=1e-12)
+
+        def flat(series, annualization):
+            raise DegenerateSeriesError("flat")
+
+        monkeypatch.setattr(portcut.backtest, "sharpe_ratio", flat)
+        res = run_backtest(prices, config).result("ew")
+        assert res.ok
+        assert res.sharpe is None
+        assert res.sharpe_degenerate
 
     def test_no_look_ahead(self):
         prices, _ = block_factor_market([4, 5], 60, seed=11)

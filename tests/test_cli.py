@@ -3,6 +3,9 @@ import json
 import numpy as np
 import pytest
 
+import portcut
+import portcut.cli
+
 from portcut import (
     AllocationScheme,
     CutObjective,
@@ -278,6 +281,21 @@ class TestExitCodes:
     def test_success_zero(self, market_csv, capsys):
         assert main(["cut", market_csv, "--max-cuts", "0"]) == 0
 
+    @pytest.mark.parametrize("flag", ["-o", "--wealth-csv", "--svg"])
+    def test_unwritable_output_exits_2(self, market_csv, tmp_path, flag, capsys):
+        target = str(tmp_path / "no-such-dir" / "out")
+        if flag == "-o":
+            argv = ["cut", market_csv, "--max-cuts", "1", "-o", target]
+        else:
+            argv = ["backtest", market_csv, "--split-index", "20",
+                    "--strategies", "ew", "-o", str(tmp_path / "r.json"), flag, target]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "InvalidInputError"
+        assert "no-such-dir" in payload["message"]
+
 
 class TestDropDegenerate:
     def test_flag_drops_flat_asset(self, tmp_path, capsys):
@@ -294,3 +312,38 @@ class TestDropDegenerate:
         payload = json.loads(capsys.readouterr().out)
         assert payload["asset_ids"] == ["m", "o"]
         assert "flat" in payload["manifest"]["dropped_assets"]
+
+
+class TestManifest:
+    BASE_KEYS = ["command", "input_path", "date_column", "missing_policy",
+                 "drop_degenerate", "n_rows", "n_assets", "first_date", "last_date",
+                 "dropped_rows", "dropped_assets"]
+    OPTION_KEYS = ["objective", "max_cuts", "lambda2_threshold", "leaf_selection",
+                   "min_leaf_size", "scheme", "split_index", "split_date", "strategies",
+                   "mv_ridge", "annualization_factor", "version"]
+
+    def test_cut_manifest_keys_and_nulls(self, market_csv, capsys):
+        assert main(["cut", market_csv, "--max-cuts", "1"]) == 0
+        manifest = json.loads(capsys.readouterr().out)["manifest"]
+        assert sorted(manifest) == sorted(self.BASE_KEYS + self.OPTION_KEYS)
+        assert manifest["objective"] == "cutn"
+        assert manifest["max_cuts"] == 1
+        for key in ("scheme", "split_index", "split_date", "strategies",
+                    "mv_ridge", "annualization_factor", "lambda2_threshold"):
+            assert manifest[key] is None
+        assert manifest["version"] == portcut.__version__
+
+    def test_backtest_manifest_keys_and_nulls(self, market_csv, capsys):
+        assert main(["backtest", market_csv, "--split-index", "20",
+                     "--strategies", "ew,mv"]) == 0
+        manifest = json.loads(capsys.readouterr().out)["manifest"]
+        assert sorted(manifest) == sorted(self.BASE_KEYS + self.OPTION_KEYS)
+        assert manifest["objective"] is None
+        assert manifest["scheme"] is None
+        assert manifest["strategies"] == ["ew", "mv"]
+        assert manifest["split_index"] == 20
+        assert manifest["annualization_factor"] == 252.0
+
+    def test_cli_exports(self):
+        assert portcut.cli.__all__ == [
+            "main", "console_main", "cmd_cut", "cmd_allocate", "cmd_backtest"]

@@ -110,6 +110,16 @@ class TestMalformedInput:
             ingest_prices(PriceCsvSpec(path=write(tmp_path, text)))
         assert "aaa" in str(exc.value)
 
+    @pytest.mark.parametrize("token", ["inf", "1e400", "-inf", "+nan"])
+    def test_non_finite_price_named(self, tmp_path, token):
+        text = f"date,aaa,bbb\n2020-01-01,100,50\n2020-01-02,101,{token}\n"
+        with pytest.raises(InvalidInputError) as exc:
+            ingest_prices(PriceCsvSpec(path=write(tmp_path, text)))
+        message = str(exc.value)
+        assert ":3:" in message
+        assert "column 'bbb'" in message
+        assert repr(token) in message
+
     def test_non_monotone_dates(self, tmp_path):
         text = "date,aaa\n2020-01-02,100\n2020-01-01,101\n"
         with pytest.raises(InvalidInputError) as exc:

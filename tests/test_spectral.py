@@ -1,5 +1,8 @@
+import json
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,8 +12,10 @@ from portcut import (
     DegenerateVolumeError,
     InvalidInputError,
     InvalidPartitionError,
+    NumericalFailureError,
     SizeLimitError,
     bipartition_count,
+    block_factor_market,
     brute_force_min_cut,
     cut_value,
     fiedler_vector,
@@ -21,12 +26,14 @@ from portcut import (
     rayleigh_quotient,
     spectral_bisect,
 )
+from portcut.cli import main
 
 from conftest import (
     complete_random_graph,
     graph_from_edges,
     partition_sets,
     planted_two_block_graph,
+    write_prices_csv,
 )
 
 CUTN = CutObjective.NORMALIZED
@@ -192,6 +199,28 @@ class TestFiedlerVector:
         g = market_graph_from_weights(np.zeros((1, 1)))
         with pytest.raises(InvalidInputError):
             fiedler_vector(g, CUTN)
+
+    @pytest.mark.parametrize("objective", [CUTN, CUTV])
+    def test_lapack_failure_is_numerical_failure(self, objective, figure_cut_graph,
+                                                 monkeypatch):
+        monkeypatch.setattr(scipy.linalg, "eigh", _failing_eigh)
+        with pytest.raises(NumericalFailureError) as exc:
+            fiedler_vector(figure_cut_graph, objective)
+        assert exc.value.diagnostics == {"n": 8, "objective": objective.value}
+
+    def test_lapack_failure_exits_2_on_cli(self, tmp_path, monkeypatch, capsys):
+        prices, _ = block_factor_market([3, 3], 40, seed=3)
+        path = tmp_path / "prices.csv"
+        write_prices_csv(path, prices)
+        monkeypatch.setattr(scipy.linalg, "eigh", _failing_eigh)
+        assert main(["cut", str(path), "--max-cuts", "1"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "NumericalFailureError"
+
+
+def _failing_eigh(*args, **kwargs):
+    raise scipy.linalg.LinAlgError("simulated LAPACK failure")
 
 
 class TestSpectralBisect:

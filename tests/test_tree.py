@@ -269,3 +269,17 @@ class TestEdgeBudget:
         assert trace[0] == 36
         assert all(b < a for a, b in zip(trace, trace[1:]))
         assert trace[-1] == leaf_edge_budget(tree)
+
+    def test_splits_replay_build_order(self, nested_block_graph):
+        tree = build_cut_tree(nested_block_graph,
+                              CutPolicy(max_cuts=4, min_leaf_size=1))
+        splits = tree.splits()
+        assert len(splits) == tree.k_performed
+        assert splits[0].id == tree.root_id
+        assert [node.children[0] for node in splits] == [1, 3, 5, 7]
+
+    def test_splits_ignore_node_insertion_order(self):
+        tree = chain_tree([(0,), (1,), (2,), (3,)])
+        tree.nodes = dict(reversed(list(tree.nodes.items())))
+        assert [node.id for node in tree.splits()] == [0, 2, 4]
+        assert edge_budget_trace(tree) == [10, 7, 5, 4]
