@@ -151,18 +151,19 @@ def ingest_prices_with_report(spec: PriceCsvSpec) -> Tuple[PriceMatrix, IngestRe
     dropped_assets: List[str] = []
     dropped_rows: List[str] = []
     if spec.missing_policy is MissingPolicy.DROP_ASSETS:
-        keep = [j for j in range(len(asset_ids))
-                if all(row[j] is not None for row in rows)]
-        dropped_assets = [asset_ids[j] for j in range(len(asset_ids)) if j not in keep]
+        complete = [all(row[j] is not None for row in rows)
+                    for j in range(len(asset_ids))]
+        keep = [j for j, ok in enumerate(complete) if ok]
+        dropped_assets = [a for a, ok in zip(asset_ids, complete) if not ok]
         asset_ids = [asset_ids[j] for j in keep]
         rows = [[row[j] for j in keep] for row in rows]
         if not asset_ids:
             raise InsufficientDataError(f"{path}: every asset column has missing cells")
     elif spec.missing_policy is MissingPolicy.DROP_ROWS:
-        keep_rows = [i for i, row in enumerate(rows) if all(v is not None for v in row)]
-        dropped_rows = [dates[i] for i in range(len(rows)) if i not in keep_rows]
-        rows = [rows[i] for i in keep_rows]
-        dates = [dates[i] for i in keep_rows]
+        complete = [all(v is not None for v in row) for row in rows]
+        dropped_rows = [d for d, ok in zip(dates, complete) if not ok]
+        rows = [row for row, ok in zip(rows, complete) if ok]
+        dates = [d for d, ok in zip(dates, complete) if ok]
 
     if len(rows) < 2:
         raise InsufficientDataError(

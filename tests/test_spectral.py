@@ -359,3 +359,89 @@ class TestOracleAgreement:
             print(f"{objective.value}: spectral/oracle disagreements at seeds "
                   f"{disagreements}")
         assert matches >= 95
+
+    @pytest.mark.parametrize("objective", [CUTN, CUTV])
+    @pytest.mark.parametrize("n", [12, 16, 20])
+    def test_planted_blocks_agree_at_large_n(self, n, objective):
+        disagreements = []
+        for seed in range(10):
+            g, _ = planted_two_block_graph(np.random.default_rng(seed), n)
+            spectral = spectral_bisect(g, objective)
+            oracle = brute_force_min_cut(g, objective)
+            if partition_sets(spectral.side_of) != partition_sets(oracle.side_of):
+                disagreements.append(seed)
+        assert disagreements == [], (
+            f"N={n} {objective.value}: spectral/oracle disagreements at seeds "
+            f"{disagreements}")
+
+
+def _reference_min_cut(graph, objective):
+    """The per-candidate loop `brute_force_min_cut` replaced, kept as its reference."""
+    n = graph.n_vertices
+    best_side = None
+    best_obj = np.inf
+    for mask in range(1, 2 ** (n - 1)):
+        side = np.ones(n, dtype=int)
+        for bit in range(n - 1):
+            if mask >> bit & 1:
+                side[bit + 1] = 2
+        try:
+            obj = objective_value(graph, side, objective)
+        except DegenerateVolumeError:
+            continue
+        if obj < best_obj or (obj == best_obj and best_side is not None
+                              and tuple(side) < tuple(best_side)):
+            best_obj = obj
+            best_side = side
+    return best_side, best_obj
+
+
+def _rounded_graph(rng, n):
+    """Weights on a 0.1 grid, so many cuts tie in exact arithmetic."""
+    w = np.triu(np.round(rng.uniform(0.0, 1.0, size=(n, n)), 1), 1)
+    return market_graph_from_weights(w + w.T)
+
+
+def _uniform_graph(rng, n):
+    """Every bipartition ties in exact arithmetic, under both objectives.
+
+    The weight is inexact in binary, so the tied values round differently
+    under different summation orders.
+    """
+    weight = float(rng.choice([0.1, 0.3, 0.7]))
+    return market_graph_from_weights(np.where(np.eye(n) == 1, 0.0, weight))
+
+
+class TestBruteForceMatchesReference:
+    @pytest.mark.parametrize("objective", [CUTN, CUTV])
+    @pytest.mark.parametrize("make_graph", [complete_random_graph, _rounded_graph,
+                                            _uniform_graph])
+    def test_same_side_and_bit_identical_objective(self, make_graph, objective):
+        for n in range(2, 13):
+            for seed in range(2):
+                g = make_graph(np.random.default_rng(1000 * n + seed), n)
+                side, obj = _reference_min_cut(g, objective)
+                part = brute_force_min_cut(g, objective)
+                assert part.side_of.tolist() == side.tolist(), (n, seed)
+                assert part.objective_value == obj, (n, seed)
+                assert part.objective_value == objective_value(g, part.side_of, objective)
+
+    @pytest.mark.parametrize("isolated", [0, 3])
+    def test_cutv_skips_zero_volume_side(self, isolated):
+        others = [v for v in range(4) if v != isolated]
+        g = graph_from_edges(4, [(others[0], others[1], 0.9), (others[1], others[2], 0.8),
+                                 (others[0], others[2], 0.7)])
+        alone = frozenset({isolated})
+        for side in iter_bipartitions(4):
+            if alone in partition_sets(side):
+                with pytest.raises(DegenerateVolumeError):
+                    objective_value(g, side, CUTV)
+        part = brute_force_min_cut(g, CUTV)
+        assert alone not in partition_sets(part.side_of)
+        assert part.v1 > 0.0 and part.v2 > 0.0
+        side, obj = _reference_min_cut(g, CUTV)
+        assert part.side_of.tolist() == side.tolist()
+        assert part.objective_value == obj
+        # CutN has no volume to lose: the isolated vertex alone is the zero cut.
+        assert partition_sets(brute_force_min_cut(g, CUTN).side_of) == {
+            alone, frozenset(others)}
