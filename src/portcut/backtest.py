@@ -8,6 +8,7 @@ recorded per strategy and never abort the others.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Tuple
@@ -170,54 +171,13 @@ def sharpe_ratio(series, annualization: float) -> float:
     return float(np.sqrt(annualization) * x.mean() / std)
 
 
-class _InSampleEstimates:
-    """Covariance and market graph computed lazily from in-sample returns."""
-
-    def __init__(self, in_returns: ReturnsMatrix):
-        self.returns = in_returns
-        self._sigma = None
-        self._graph = None
-
-    @property
-    def sigma(self):
-        if self._sigma is None:
-            self._sigma = sample_covariance(self.returns)
-        return self._sigma
-
-    @property
-    def graph(self):
-        if self._graph is None:
-            self._graph = market_graph_from_covariance(
-                self.sigma, asset_ids=self.returns.asset_ids
-            )
-        return self._graph
-
-
-def _strategy_weights(spec: StrategySpec, est: _InSampleEstimates,
-                      config: BacktestConfig) -> tuple[WeightVector, dict]:
-    if spec.kind is StrategyKind.EW:
-        return equal_weights(est.returns.n_assets), {}
-    if spec.kind is StrategyKind.MV:
-        wv = min_variance_weights(est.sigma, ridge=config.mv_ridge)
-        return wv, {"condition_estimate": wv.condition_estimate, "ridge": config.mv_ridge}
-    tree = build_cut_tree(est.graph, spec.policy, spec.objective)
-    wv = asset_weights(tree, allocate(tree, spec.scheme))
-    meta = {
-        "k_performed": tree.k_performed,
-        "lambda2_trace": [node.lambda2_at_split for node in tree.splits()],
-        "leaf_edge_budget": leaf_edge_budget(tree),
-        "edge_budget_trace": edge_budget_trace(tree),
-        "leaf_sizes": [leaf.size for leaf in tree.leaves()],
-    }
-    return wv, meta
-
-
 def run_backtest(prices: PriceMatrix, config: BacktestConfig) -> BacktestReport:
     """Estimate weights in-sample, hold them fixed, and compound out-sample.
 
     Per strategy, the wealth curve starts at 1 and multiplies by
     (1 + w . r(t)) for every out-sample return row; mean, standard deviation
-    and Sharpe ratio describe the out-sample portfolio returns. A strategy
+    and Sharpe ratio describe the out-sample portfolio returns. Strategies
+    with the same objective and cut policy share one cut tree. A strategy
     whose estimation fails is reported with its error and the rest proceed.
     """
     all_returns = simple_returns(prices)
@@ -229,12 +189,41 @@ def run_backtest(prices: PriceMatrix, config: BacktestConfig) -> BacktestReport:
         )
     in_returns = ReturnsMatrix(all_returns.returns[:t_star], all_returns.asset_ids)
     out_returns = ReturnsMatrix(all_returns.returns[t_star:], all_returns.asset_ids)
-    est = _InSampleEstimates(in_returns)
+
+    # Each in-sample estimate is computed at most once, on first use. Failures
+    # are not cached: every strategy that needs a failing estimate reports the
+    # same error.
+    @functools.cache
+    def sigma():
+        return sample_covariance(in_returns)
+
+    @functools.cache
+    def graph():
+        return market_graph_from_covariance(sigma(), asset_ids=in_returns.asset_ids)
+
+    @functools.cache
+    def cut_tree(objective, policy):
+        return build_cut_tree(graph(), policy, objective)
 
     results = []
     for spec in config.strategies:
         try:
-            wv, meta = _strategy_weights(spec, est, config)
+            if spec.kind is StrategyKind.EW:
+                wv, meta = equal_weights(in_returns.n_assets), {}
+            elif spec.kind is StrategyKind.MV:
+                wv = min_variance_weights(sigma(), ridge=config.mv_ridge)
+                meta = {"condition_estimate": wv.condition_estimate,
+                        "ridge": config.mv_ridge}
+            else:
+                tree = cut_tree(spec.objective, spec.policy)
+                wv = asset_weights(tree, allocate(tree, spec.scheme))
+                meta = {
+                    "k_performed": tree.k_performed,
+                    "lambda2_trace": [node.lambda2_at_split for node in tree.splits()],
+                    "leaf_edge_budget": leaf_edge_budget(tree),
+                    "edge_budget_trace": edge_budget_trace(tree),
+                    "leaf_sizes": [leaf.size for leaf in tree.leaves()],
+                }
         except PortfolioCutError as exc:
             results.append(StrategyResult(
                 label=spec.label,

@@ -306,11 +306,14 @@ def cmd_backtest(args) -> int:
         mv_ridge=args.mv_ridge,
         annualization_factor=args.annualization,
     )
-    _write(canonical_json(report_to_dict(result, manifest)), args.output)
+    # Render every output before writing any, so a rendering error leaves no file.
+    outputs = [(canonical_json(report_to_dict(result, manifest)), args.output)]
     if args.wealth_csv:
-        _write(wealth_to_csv(result), args.wealth_csv)
+        outputs.append((wealth_to_csv(result), args.wealth_csv))
     if args.svg:
-        _write(wealth_to_svg(result), args.svg)
+        outputs.append((wealth_to_svg(result), args.svg))
+    for text, destination in outputs:
+        _write(text, destination)
     return EXIT_OK
 
 

@@ -115,8 +115,11 @@ def _validate_tree(tree: CutTree) -> None:
         raise InvalidInputError("leaves do not partition the root members")
     if len(tree.leaf_ids) != tree.k_performed + 1:
         raise InvalidInputError("leaf count does not match k_performed + 1")
-    if len(tree.asset_ids) != len(root_members):
-        raise InvalidInputError("asset_ids length does not match the root members")
+    if root_members != set(range(len(tree.asset_ids))):
+        raise InvalidInputError(
+            f"root members are not exactly 0..{len(tree.asset_ids) - 1} "
+            f"for {len(tree.asset_ids)} asset_ids"
+        )
 
 
 def weights_to_dict(asset_ids: Sequence[str], weights: WeightVector,

@@ -85,14 +85,6 @@ class Partition:
     lambda2: Optional[float] = None
     fiedler: Optional[np.ndarray] = None
 
-    @property
-    def side1(self) -> np.ndarray:
-        return np.flatnonzero(self.side_of == 1)
-
-    @property
-    def side2(self) -> np.ndarray:
-        return np.flatnonzero(self.side_of == 2)
-
 
 def _validate_side_of(graph: MarketGraph, side_of) -> np.ndarray:
     side = np.asarray(side_of, dtype=int)

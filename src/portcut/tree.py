@@ -94,9 +94,6 @@ class CutTree:
     leaf_ids: List[int]
     asset_ids: Tuple[str, ...] = ()
 
-    def node(self, node_id: int) -> CutTreeNode:
-        return self.nodes[node_id]
-
     def leaves(self) -> List[CutTreeNode]:
         return [self.nodes[i] for i in self.leaf_ids]
 

@@ -152,3 +152,18 @@ def write_prices_csv(path, prices: PriceMatrix, date_column: str = "date") -> No
     for stamp, row in zip(prices.timestamps, prices.prices):
         lines.append(stamp + "," + ",".join(repr(float(v)) for v in row))
     path.write_text("\n".join(lines) + "\n")
+
+
+def single_leaf_tree_doc(members, asset_ids) -> dict:
+    """A cut_tree document whose root is its only leaf."""
+    return {
+        "schema_version": 1,
+        "kind": "cut_tree",
+        "objective": "cutn",
+        "root_id": 0,
+        "k_performed": 0,
+        "leaf_ids": [0],
+        "asset_ids": list(asset_ids),
+        "nodes": [{"id": 0, "depth": 0, "members": list(members), "children": [],
+                   "lambda2_at_split": None, "is_leaf": True}],
+    }

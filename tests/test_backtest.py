@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -220,12 +222,18 @@ class TestRunBacktest:
         flat = [100.0] * 7
         moving = [100.0, 102.0, 99.0, 101.0, 104.0, 103.0, 106.0]
         prices = make_prices([moving, flat])
-        config = BacktestConfig(split_index=3, strategies=(EW, cut_spec()))
+        config = BacktestConfig(split_index=3, strategies=(
+            EW,
+            cut_spec(scheme=AllocationScheme.AS1),
+            cut_spec(scheme=AllocationScheme.AS2),
+        ))
         report = run_backtest(prices, config)
         assert report.result("ew").ok
-        cut = report.result("cutn-as2")
-        assert not cut.ok
-        assert cut.error_kind == "DegenerateAssetError"
+        as1, as2 = report.result("cutn-as1"), report.result("cutn-as2")
+        assert not as1.ok and not as2.ok
+        assert as1.error_kind == as2.error_kind == "DegenerateAssetError"
+        assert as1.error == as2.error
+        assert "a1" in as1.error
 
     def test_out_sample_dates_align_with_wealth(self):
         prices, _ = block_factor_market([3, 3], 20, seed=2)
@@ -234,6 +242,51 @@ class TestRunBacktest:
         assert len(report.out_sample_dates) == res.wealth_curve.size
         assert report.out_sample_dates[0] == prices.timestamps[8]
         assert report.out_sample_dates[-1] == prices.timestamps[-1]
+
+
+@pytest.fixture
+def build_counts(monkeypatch):
+    """Count calls of the in-sample estimators that run_backtest looks up."""
+    counts = Counter()
+    for name in ("sample_covariance", "market_graph_from_covariance", "build_cut_tree"):
+        def counted(*args, _name=name, _original=getattr(portcut.backtest, name),
+                    **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(portcut.backtest, name, counted)
+    return counts
+
+
+class TestInSamplePipeline:
+    def test_one_tree_per_objective_and_policy(self, build_counts):
+        prices, _ = block_factor_market([4, 5], 60, seed=11)
+        config = BacktestConfig(split_index=30, strategies=ALL_SIX, mv_ridge=1e-9)
+        report = run_backtest(prices, config)
+        assert all(res.ok for res in report.results)
+        assert build_counts == {"sample_covariance": 1,
+                                "market_graph_from_covariance": 1,
+                                "build_cut_tree": 2}
+        for objective in ("cutn", "cutv"):
+            as1 = report.result(f"{objective}-as1").metadata
+            as2 = report.result(f"{objective}-as2").metadata
+            assert as1 == as2
+            assert as1 is not as2
+            assert as1["leaf_sizes"] is not as2["leaf_sizes"]
+
+    def test_different_policies_build_separate_trees(self, build_counts):
+        prices, _ = block_factor_market([4, 5], 60, seed=11)
+        cutv = CutObjective.VOLUME_NORMALIZED
+        config = BacktestConfig(split_index=30, strategies=(
+            cut_spec(scheme=AllocationScheme.AS1, max_cuts=1),
+            cut_spec(scheme=AllocationScheme.AS2, max_cuts=3),
+            cut_spec(cutv, AllocationScheme.AS1, max_cuts=2),
+            cut_spec(cutv, AllocationScheme.AS2, max_cuts=2),
+        ))
+        report = run_backtest(prices, config)
+        assert build_counts["build_cut_tree"] == 3
+        assert report.result("cutn-as1").metadata["k_performed"] == 1
+        assert report.result("cutn-as2").metadata["k_performed"] == 3
+        assert report.result("cutv-as1").metadata["k_performed"] == 2
 
 
 class TestConfigValidation:

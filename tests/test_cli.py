@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from portcut import (
 )
 from portcut.cli import main
 
-from conftest import make_prices, write_prices_csv
+from conftest import make_prices, single_leaf_tree_doc, write_prices_csv
 
 
 @pytest.fixture
@@ -163,6 +164,23 @@ class TestAllocateCommand:
         bad.write_text('{"kind": "cut_tree", "schema_version": 1}')
         assert main(["allocate", "--tree", str(bad), "--scheme", "as1"]) == 2
 
+    def test_out_of_range_members_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(single_leaf_tree_doc([0, 1, 7], ["a", "b", "c"])))
+        assert main(["allocate", "--tree", str(bad), "--scheme", "as1"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "InvalidInputError"
+
+
+def duplicated_assets_csv(tmp_path):
+    """Three assets, two of them identical: MV without a ridge is singular."""
+    col = [100.0, 102.0, 99.0, 101.0, 104.0, 103.0, 106.0]
+    other = [50.0, 51.0, 49.5, 50.5, 52.0, 51.5, 53.0]
+    csv_path = tmp_path / "dup.csv"
+    write_prices_csv(csv_path, make_prices([col, col, other]))
+    return csv_path
+
 
 class TestBacktestCommand:
     def test_constant_prices_flat_wealth(self, tmp_path, capsys):
@@ -184,10 +202,7 @@ class TestBacktestCommand:
         assert all(line.endswith(",1.0") for line in rows[1:])
 
     def test_duplicated_assets_mv_fails_ew_survives(self, tmp_path, capsys):
-        col = [100.0, 102.0, 99.0, 101.0, 104.0, 103.0, 106.0]
-        other = [50.0, 51.0, 49.5, 50.5, 52.0, 51.5, 53.0]
-        csv_path = tmp_path / "dup.csv"
-        write_prices_csv(csv_path, make_prices([col, col, other]))
+        csv_path = duplicated_assets_csv(tmp_path)
         assert main(["backtest", str(csv_path), "--split-index", "3",
                      "--strategies", "ew,mv", "--mv-ridge", "0"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -195,6 +210,18 @@ class TestBacktestCommand:
         mv = payload["strategies"]["mv"]
         assert mv["status"] == "error"
         assert mv["error_kind"] == "SingularCovarianceError"
+
+    def test_failed_render_writes_no_output(self, tmp_path, capsys):
+        csv_path = duplicated_assets_csv(tmp_path)
+        report_path, wealth_path = tmp_path / "r.json", tmp_path / "w.csv"
+        assert main(["backtest", str(csv_path), "--split-index", "3",
+                     "--strategies", "mv", "--mv-ridge", "0",
+                     "-o", str(report_path), "--wealth-csv", str(wealth_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "InvalidInputError"
+        assert not report_path.exists()
+        assert not wealth_path.exists()
 
     def test_six_strategy_two_block_run(self, tmp_path, capsys):
         prices, _ = block_factor_market([8, 12], 400, seed=9)
@@ -246,7 +273,7 @@ class TestDeterminism:
         args = ["cut", market_csv, "--max-cuts", "3", "--min-leaf-size", "1"]
         assert main(args + ["-o", out1]) == 0
         assert main(args + ["-o", out2]) == 0
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
     def test_backtest_byte_identical(self, market_csv, tmp_path):
         out1, out2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
@@ -254,7 +281,7 @@ class TestDeterminism:
                 "--min-leaf-size", "1", "--mv-ridge", "1e-8"]
         assert main(args + ["-o", out1]) == 0
         assert main(args + ["-o", out2]) == 0
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
 
 class TestExitCodes:

@@ -25,6 +25,8 @@ from portcut.serialization import (
     weights_to_dict,
 )
 
+from conftest import single_leaf_tree_doc
+
 
 @pytest.fixture
 def built_tree(nested_block_graph):
@@ -85,6 +87,11 @@ class TestTreeDocument:
         doc["k_performed"] = doc["k_performed"] + 1
         with pytest.raises(InvalidInputError):
             tree_from_dict(doc)
+
+
+    def test_rejects_out_of_range_members(self):
+        with pytest.raises(InvalidInputError, match="root members"):
+            tree_from_dict(single_leaf_tree_doc([0, 1, 7], ["a", "b", "c"]))
 
 
 class TestWeightsDocuments:
