@@ -124,7 +124,7 @@ def asset_weights(tree: CutTree, cluster_weights: ClusterWeights) -> WeightVecto
     """
     if set(cluster_weights.per_leaf) != set(tree.leaf_ids):
         raise InvalidInputError("cluster weights do not match the tree's leaves")
-    weights = np.zeros(tree.n_assets)
+    weights = np.zeros(len(tree.asset_ids))
     for leaf_id, share in cluster_weights.per_leaf.items():
         members = tree.nodes[leaf_id].members
         weights[list(members)] = share / len(members)
@@ -153,8 +153,8 @@ def min_variance_weights(sigma: CovarianceMatrix, ridge: float = 0.0) -> WeightV
     DegenerateNormalizationError
         If the unnormalized weights sum to (almost) zero.
     """
-    if ridge < 0.0:
-        raise InvalidInputError("ridge must be nonnegative")
+    if not 0.0 <= ridge < np.inf:
+        raise InvalidInputError("ridge must be nonnegative and finite")
     a = sigma.sigma + ridge * np.eye(sigma.n_assets)
     cond = float(np.linalg.cond(a))
     if not np.isfinite(cond) or cond > MAX_CONDITION:

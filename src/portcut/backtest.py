@@ -100,10 +100,10 @@ class BacktestConfig:
         labels = [s.label for s in self.strategies]
         if len(set(labels)) != len(labels):
             raise InvalidInputError(f"duplicate strategy labels: {labels}")
-        if self.annualization_factor <= 0:
-            raise InvalidInputError("annualization_factor must be positive")
-        if self.mv_ridge < 0:
-            raise InvalidInputError("mv_ridge must be nonnegative")
+        if not 0.0 < self.annualization_factor < np.inf:
+            raise InvalidInputError("annualization_factor must be positive and finite")
+        if not 0.0 <= self.mv_ridge < np.inf:
+            raise InvalidInputError("mv_ridge must be nonnegative and finite")
 
 
 @dataclass

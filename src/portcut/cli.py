@@ -7,7 +7,9 @@ are emitted as one-line JSON objects on stderr so callers can parse them.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from typing import List, Optional, Sequence, Tuple
 
@@ -120,15 +122,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(text: str, destination: str) -> None:
-    if destination == "-":
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(destination, "w") as handle:
+def _write_outputs(*outputs: Tuple[str, str]) -> None:
+    """Write every ``(text, destination)`` pair, or no file at all.
+
+    Each file is written to a temp file in its target directory; the temp
+    files replace their targets only once all of them are written, and are
+    removed if any write fails. Standard output ('-') is written last.
+    """
+    staged: List[Tuple[str, str]] = []
+    try:
+        for i, (text, destination) in enumerate(outputs):
+            if destination == "-":
+                continue
+            head, tail = os.path.split(destination)
+            temp = os.path.join(head, f".{tail}.{os.getpid()}-{i}.tmp")
+            with open(temp, "x", encoding="utf-8") as handle:
+                staged.append((temp, destination))
                 handle.write(text)
-        except OSError as exc:
-            raise InvalidInputError(f"cannot write output file: {exc}") from exc
+        for temp, destination in staged:
+            os.replace(temp, destination)
+    except OSError as exc:
+        for temp, _ in staged:
+            with contextlib.suppress(OSError):
+                os.remove(temp)
+        raise InvalidInputError(f"cannot write output file: {exc}") from exc
+    for text, destination in outputs:
+        if destination == "-":
+            sys.stdout.write(text)
 
 
 def _load_prices(args) -> Tuple[PriceMatrix, IngestReport]:
@@ -213,27 +233,26 @@ def cmd_cut(args) -> int:
         leaf_selection=args.leaf_selection,
         min_leaf_size=args.min_leaf_size,
     )
-    _write(canonical_json(payload), args.output)
+    _write_outputs((canonical_json(payload), args.output))
     return EXIT_OK
 
 
 def cmd_allocate(args) -> int:
     try:
-        with open(args.tree) as handle:
+        with open(args.tree, encoding="utf-8") as handle:
             payload = json.load(handle)
     except OSError as exc:
         raise InvalidInputError(f"cannot read tree file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"tree file is not valid JSON: {exc}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InvalidInputError(f"tree file {args.tree} is not valid JSON: {exc}") from exc
     tree = tree_from_dict(payload)
     clusters = allocate(tree, AllocationScheme(args.scheme))
     weights = asset_weights(tree, clusters)
     if args.format == "csv":
-        _write(weights_to_csv(tree.asset_ids, weights), args.output)
+        text = weights_to_csv(tree.asset_ids, weights)
     else:
-        _write(canonical_json(
-            weights_to_dict(tree.asset_ids, weights, clusters.per_leaf)
-        ), args.output)
+        text = canonical_json(weights_to_dict(tree.asset_ids, weights, clusters.per_leaf))
+    _write_outputs((text, args.output))
     return EXIT_OK
 
 
@@ -312,8 +331,7 @@ def cmd_backtest(args) -> int:
         outputs.append((wealth_to_csv(result), args.wealth_csv))
     if args.svg:
         outputs.append((wealth_to_svg(result), args.svg))
-    for text, destination in outputs:
-        _write(text, destination)
+    _write_outputs(*outputs)
     return EXIT_OK
 
 

@@ -50,6 +50,12 @@ class PriceCsvSpec:
     delimiter: str = ","
     missing_policy: MissingPolicy = MissingPolicy.ERROR
 
+    def __post_init__(self):
+        if not isinstance(self.delimiter, str) or len(self.delimiter) != 1:
+            raise InvalidInputError(
+                f"delimiter must be exactly one character, got {self.delimiter!r}"
+            )
+
 
 @dataclass(frozen=True)
 class IngestReport:
@@ -73,6 +79,25 @@ def _is_missing(cell: str) -> bool:
     return cell.strip().lower() in MISSING_MARKERS
 
 
+def _decoded_rows(reader, path: Path):
+    """The reader's rows; text that is not UTF-8 or not CSV is named by line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise InvalidInputError(f"{path}:{reader.line_num}: {exc}") from None
+    except UnicodeDecodeError:
+        # The stream decodes ahead of the reader, so find the line in the bytes.
+        data = path.read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise InvalidInputError(
+                f"{path}:{line}: not UTF-8 text ({exc.reason})"
+            ) from None
+        raise
+
+
 def ingest_prices(spec: PriceCsvSpec) -> PriceMatrix:
     """Read a price CSV into a PriceMatrix; see `ingest_prices_with_report`."""
     matrix, _ = ingest_prices_with_report(spec)
@@ -85,19 +110,21 @@ def ingest_prices_with_report(spec: PriceCsvSpec) -> Tuple[PriceMatrix, IngestRe
     Raises
     ------
     InvalidInputError
-        Missing file, missing/duplicated columns, unparseable, non-finite or
-        nonpositive cells (named by line and column), non-increasing dates,
-        or a missing cell under the ERROR policy.
+        Missing file, bytes that are not UTF-8 or not CSV (named by line),
+        missing/duplicated columns, unparseable, non-finite or nonpositive
+        cells (named by line and column), non-increasing dates, or a missing
+        cell under the ERROR policy.
     InsufficientDataError
         Fewer than two usable rows, or no asset columns after drops.
     """
     path = Path(spec.path)
     if not path.is_file():
         raise InvalidInputError(f"price file not found: {path}")
-    with path.open(newline="") as handle:
+    with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle, delimiter=spec.delimiter)
+        rows_in = _decoded_rows(reader, path)
         try:
-            header = next(reader)
+            header = next(rows_in)
         except StopIteration:
             raise InvalidInputError(f"{path}: empty file, header row required") from None
         header = [h.strip() for h in header]
@@ -114,7 +141,7 @@ def ingest_prices_with_report(spec: PriceCsvSpec) -> Tuple[PriceMatrix, IngestRe
 
         dates: List[str] = []
         rows: List[List[Optional[float]]] = []
-        for line_no, row in enumerate(reader, start=2):
+        for line_no, row in enumerate(rows_in, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
             if len(row) != len(header):

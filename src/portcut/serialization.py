@@ -8,13 +8,13 @@ bytes.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from .allocation import WeightVector
 from .backtest import BacktestReport
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericalFailureError
 from .spectral import CutObjective
-from .tree import CutTree, CutTreeNode, edge_budget_trace, leaf_edge_budget
+from .tree import CutTree, edge_budget_trace, leaf_edge_budget
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -32,8 +32,16 @@ SCHEMA_VERSION = 1
 
 
 def canonical_json(payload) -> str:
-    """Deterministic JSON text: sorted keys, 2-space indent, trailing newline."""
-    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """Deterministic JSON text: sorted keys, 2-space indent, trailing newline.
+
+    NaN and infinities, which JSON cannot hold, raise `NumericalFailureError`.
+    """
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False,
+                          allow_nan=False)
+    except ValueError as exc:
+        raise NumericalFailureError(f"cannot emit JSON: {exc}") from exc
+    return text + "\n"
 
 
 def tree_to_dict(tree: CutTree) -> dict:
@@ -65,7 +73,11 @@ def tree_to_dict(tree: CutTree) -> dict:
 
 
 def tree_from_dict(payload: dict) -> CutTree:
-    """Rebuild a CutTree from its JSON document."""
+    """Rebuild a CutTree by replaying its internal nodes in first-child-id order.
+
+    The document is accepted only if its ``root_id``, ``k_performed``,
+    ``leaf_ids`` and nodes equal what `tree_to_dict` gives for the rebuilt tree.
+    """
     if not isinstance(payload, dict) or payload.get("kind") != "cut_tree":
         raise InvalidInputError("not a cut_tree document")
     if payload.get("schema_version") != SCHEMA_VERSION:
@@ -73,53 +85,27 @@ def tree_from_dict(payload: dict) -> CutTree:
             f"unsupported schema_version {payload.get('schema_version')!r}"
         )
     try:
-        objective = CutObjective(payload["objective"])
-        nodes: Dict[int, CutTreeNode] = {}
-        for entry in payload["nodes"]:
-            node = CutTreeNode(
-                id=int(entry["id"]),
-                members=tuple(int(m) for m in entry["members"]),
-                depth=int(entry["depth"]),
-                lambda2_at_split=(
-                    None if entry["lambda2_at_split"] is None
-                    else float(entry["lambda2_at_split"])
-                ),
-                children=tuple(int(c) for c in entry["children"]),
-            )
-            nodes[node.id] = node
-        tree = CutTree(
-            nodes=nodes,
-            root_id=int(payload["root_id"]),
-            k_performed=int(payload["k_performed"]),
-            objective=objective,
-            leaf_ids=[int(i) for i in payload["leaf_ids"]],
-            asset_ids=tuple(str(a) for a in payload["asset_ids"]),
-        )
+        asset_ids = tuple(str(a) for a in payload["asset_ids"])
+        nodes = sorted(payload["nodes"], key=lambda entry: entry["id"])
+        by_id = {entry["id"]: entry for entry in nodes}
+        if by_id[payload["root_id"]]["members"] != list(range(len(asset_ids))):
+            raise InvalidInputError(f"root members are not exactly 0..{len(asset_ids) - 1}")
+        tree = CutTree.root(asset_ids, CutObjective(payload["objective"]))
+        for entry in sorted((e for e in nodes if e["children"]),
+                            key=lambda e: e["children"][0]):
+            left, right = ([int(m) for m in by_id[child]["members"]]
+                           for child in entry["children"])
+            tree = tree.split(entry["id"], left, right, float(entry["lambda2_at_split"]))
     except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInputError(f"malformed cut_tree document: {exc}") from exc
-    _validate_tree(tree)
-    return tree
-
-
-def _validate_tree(tree: CutTree) -> None:
-    if tree.root_id not in tree.nodes:
-        raise InvalidInputError("root node missing from document")
-    root_members = set(tree.nodes[tree.root_id].members)
-    leaf_members: List[int] = []
-    for leaf_id in tree.leaf_ids:
-        node = tree.nodes.get(leaf_id)
-        if node is None or not node.is_leaf:
-            raise InvalidInputError(f"leaf id {leaf_id} is not a leaf of the document")
-        leaf_members.extend(node.members)
-    if len(leaf_members) != len(root_members) or set(leaf_members) != root_members:
-        raise InvalidInputError("leaves do not partition the root members")
-    if len(tree.leaf_ids) != tree.k_performed + 1:
-        raise InvalidInputError("leaf count does not match k_performed + 1")
-    if root_members != set(range(len(tree.asset_ids))):
+        raise InvalidInputError(f"malformed cut_tree document: {exc!r}") from exc
+    expected = tree_to_dict(tree)
+    document = dict(payload, nodes=nodes)
+    mismatched = [key for key in ("root_id", "k_performed", "leaf_ids", "nodes")
+                  if document.get(key) != expected[key]]
+    if mismatched:
         raise InvalidInputError(
-            f"root members are not exactly 0..{len(tree.asset_ids) - 1} "
-            f"for {len(tree.asset_ids)} asset_ids"
-        )
+            f"cut_tree {', '.join(mismatched)} disagree with the replayed splits")
+    return tree
 
 
 def weights_to_dict(asset_ids: Sequence[str], weights: WeightVector,

@@ -7,9 +7,10 @@ always yield K+1 leaves that partition the asset universe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,13 +55,13 @@ class CutPolicy:
     def __post_init__(self):
         if self.max_cuts < 0:
             raise InvalidInputError("max_cuts must be >= 0")
-        if self.lambda2_threshold is not None and not self.lambda2_threshold > 0:
-            raise InvalidInputError("lambda2_threshold must be positive when set")
+        if self.lambda2_threshold is not None and not 0 < self.lambda2_threshold < np.inf:
+            raise InvalidInputError("lambda2_threshold must be positive and finite when set")
         if self.min_leaf_size < 1:
             raise InvalidInputError("min_leaf_size must be >= 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CutTreeNode:
     """One node of a cut tree; members index into the root graph."""
 
@@ -79,20 +80,60 @@ class CutTreeNode:
         return len(self.members)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CutTree:
     """Binary tree of repeated portfolio cuts.
 
-    ``leaf_ids`` keeps dendrogram order: a split leaf is replaced in place by
-    its two children. Trees are built once and treated as immutable afterwards.
+    Trees are immutable: `CutTree.root` makes the uncut tree and
+    `CutTree.split` returns a new tree with one more cut. ``leaf_ids`` keeps
+    dendrogram order: a split leaf is replaced in place by its two children.
     """
 
-    nodes: Dict[int, CutTreeNode]
+    nodes: Mapping[int, CutTreeNode]
     root_id: int
-    k_performed: int
     objective: CutObjective
-    leaf_ids: List[int]
-    asset_ids: Tuple[str, ...] = ()
+    leaf_ids: Tuple[int, ...]
+    asset_ids: Tuple[str, ...]
+
+    @classmethod
+    def root(cls, asset_ids: Sequence[str], objective: CutObjective) -> CutTree:
+        """The uncut tree: one leaf holding every asset."""
+        asset_ids = tuple(asset_ids)
+        if not asset_ids:
+            raise InvalidInputError("a cut tree needs at least one asset")
+        root = CutTreeNode(id=0, members=tuple(range(len(asset_ids))), depth=0)
+        return cls(nodes=MappingProxyType({0: root}), root_id=0, objective=objective,
+                   leaf_ids=(0,), asset_ids=asset_ids)
+
+    def split(self, leaf_id: int, left: Sequence[int], right: Sequence[int],
+              lambda2: float) -> CutTree:
+        """A new tree in which leaf ``leaf_id`` is cut into ``left`` and ``right``.
+
+        The children get the next two ids, ``len(nodes)`` and ``len(nodes) + 1``,
+        so `splits` can replay the build order. Raises `InvalidInputError`
+        unless ``leaf_id`` is a leaf and the sides partition its members.
+        """
+        if leaf_id not in self.leaf_ids:
+            raise InvalidInputError(f"node {leaf_id!r} is not a leaf of the tree")
+        leaf = self.nodes[leaf_id]
+        left, right = tuple(left), tuple(right)
+        if not left or not right or sorted(left + right) != sorted(leaf.members):
+            raise InvalidInputError(
+                f"split sides must be nonempty and partition the members of leaf {leaf_id}"
+            )
+        left_id, right_id = len(self.nodes), len(self.nodes) + 1
+        nodes = dict(self.nodes)
+        nodes[leaf_id] = replace(leaf, children=(left_id, right_id),
+                                 lambda2_at_split=lambda2)
+        nodes[left_id] = CutTreeNode(id=left_id, members=left, depth=leaf.depth + 1)
+        nodes[right_id] = CutTreeNode(id=right_id, members=right, depth=leaf.depth + 1)
+        leaf_ids = tuple(child for i in self.leaf_ids
+                         for child in ((left_id, right_id) if i == leaf_id else (i,)))
+        return replace(self, nodes=MappingProxyType(nodes), leaf_ids=leaf_ids)
+
+    @property
+    def k_performed(self) -> int:
+        return len(self.leaf_ids) - 1
 
     def leaves(self) -> List[CutTreeNode]:
         return [self.nodes[i] for i in self.leaf_ids]
@@ -100,15 +141,11 @@ class CutTree:
     def splits(self) -> List[CutTreeNode]:
         """Internal nodes in the order they were split.
 
-        Children receive consecutive ids at split time, so ordering internal
-        nodes by their first child id reconstructs the build sequence.
+        `split` gives children consecutive ids, so ordering internal nodes by
+        their first child id reconstructs the build sequence.
         """
         return sorted((node for node in self.nodes.values() if not node.is_leaf),
                       key=lambda node: node.children[0])
-
-    @property
-    def n_assets(self) -> int:
-        return len(self.nodes[self.root_id].members)
 
 
 def induced_subgraph(graph: MarketGraph, members) -> MarketGraph:
@@ -176,21 +213,11 @@ def build_cut_tree(graph: MarketGraph, policy: CutPolicy,
         Propagated from the spectral machinery, annotated with the leaf
         whose cut failed.
     """
-    n = graph.n_vertices
-    if n < 2:
+    if graph.n_vertices < 2:
         raise InvalidInputError("cut tree needs a graph with at least 2 vertices")
 
-    root = CutTreeNode(id=0, members=tuple(range(n)), depth=0)
-    tree = CutTree(
-        nodes={0: root},
-        root_id=0,
-        k_performed=0,
-        objective=objective,
-        leaf_ids=[0],
-        asset_ids=graph.asset_ids,
-    )
+    tree = CutTree.root(graph.asset_ids, objective)
     ineligible: set = set()
-    next_id = 1
 
     while tree.k_performed < policy.max_cuts:
         leaf_id = select_leaf(tree, graph, policy, exclude=ineligible)
@@ -214,17 +241,7 @@ def build_cut_tree(graph: MarketGraph, policy: CutPolicy,
         if min(len(left), len(right)) < policy.min_leaf_size:
             ineligible.add(leaf_id)
             continue
-
-        child_left = CutTreeNode(id=next_id, members=left, depth=leaf.depth + 1)
-        child_right = CutTreeNode(id=next_id + 1, members=right, depth=leaf.depth + 1)
-        next_id += 2
-        tree.nodes[child_left.id] = child_left
-        tree.nodes[child_right.id] = child_right
-        leaf.children = (child_left.id, child_right.id)
-        leaf.lambda2_at_split = part.lambda2
-        pos = tree.leaf_ids.index(leaf_id)
-        tree.leaf_ids[pos:pos + 1] = [child_left.id, child_right.id]
-        tree.k_performed += 1
+        tree = tree.split(leaf_id, left, right, part.lambda2)
 
     return tree
 
@@ -236,15 +253,8 @@ def leaf_edge_budget(tree: CutTree) -> int:
 
 def edge_budget_trace(tree: CutTree) -> List[int]:
     """Edge budget after 0, 1, ..., k_performed cuts, replaying `CutTree.splits`."""
-    sizes = {tree.root_id: tree.nodes[tree.root_id].size}
-
-    def budget() -> int:
-        return sum(s * (s + 1) // 2 for s in sizes.values())
-
-    trace = [budget()]
+    budget = {node.id: node.size * (node.size + 1) // 2 for node in tree.nodes.values()}
+    trace = [budget[tree.root_id]]
     for node in tree.splits():
-        del sizes[node.id]
-        for child in node.children:
-            sizes[child] = tree.nodes[child].size
-        trace.append(budget())
+        trace.append(trace[-1] - budget[node.id] + sum(budget[c] for c in node.children))
     return trace

@@ -8,7 +8,6 @@ import pytest
 from portcut import (
     CutObjective,
     CutTree,
-    CutTreeNode,
     MarketGraph,
     PriceMatrix,
     market_graph_from_weights,
@@ -54,39 +53,18 @@ def planted_two_block_graph(rng: np.random.Generator, n: int):
 
 def random_cut_tree(rng: np.random.Generator, n_assets: int, k: int) -> CutTree:
     """A syntactically valid cut tree from random splits (no spectral work)."""
-    nodes = {0: CutTreeNode(id=0, members=tuple(range(n_assets)), depth=0)}
-    leaf_ids = [0]
-    next_id = 1
-    performed = 0
+    tree = CutTree.root([f"a{i}" for i in range(n_assets)], CutObjective.NORMALIZED)
     for _ in range(k):
-        splittable = [i for i in leaf_ids if nodes[i].size >= 2]
+        splittable = [leaf.id for leaf in tree.leaves() if leaf.size >= 2]
         if not splittable:
             break
-        leaf_id = int(rng.choice(splittable))
-        leaf = nodes[leaf_id]
+        leaf = tree.nodes[int(rng.choice(splittable))]
         cut_at = int(rng.integers(1, leaf.size))
         members = list(leaf.members)
         rng.shuffle(members)
-        left = CutTreeNode(id=next_id, members=tuple(sorted(members[:cut_at])),
-                           depth=leaf.depth + 1)
-        right = CutTreeNode(id=next_id + 1, members=tuple(sorted(members[cut_at:])),
-                            depth=leaf.depth + 1)
-        next_id += 2
-        nodes[left.id] = left
-        nodes[right.id] = right
-        leaf.children = (left.id, right.id)
-        leaf.lambda2_at_split = float(rng.uniform(0.0, 1.0))
-        pos = leaf_ids.index(leaf_id)
-        leaf_ids[pos:pos + 1] = [left.id, right.id]
-        performed += 1
-    return CutTree(
-        nodes=nodes,
-        root_id=0,
-        k_performed=performed,
-        objective=CutObjective.NORMALIZED,
-        leaf_ids=leaf_ids,
-        asset_ids=tuple(f"a{i}" for i in range(n_assets)),
-    )
+        tree = tree.split(leaf.id, sorted(members[:cut_at]), sorted(members[cut_at:]),
+                          float(rng.uniform(0.0, 1.0)))
+    return tree
 
 
 @pytest.fixture
@@ -167,3 +145,18 @@ def single_leaf_tree_doc(members, asset_ids) -> dict:
         "nodes": [{"id": 0, "depth": 0, "members": list(members), "children": [],
                    "lambda2_at_split": None, "is_leaf": True}],
     }
+
+
+TREE_DOC_DEFECTS = ("swapped-leaf-depths", "missing-children", "reversed-leaf-ids")
+
+
+def break_tree_doc(doc: dict, defect: str) -> dict:
+    """``doc`` with one tree invariant broken; it needs a depth-1 and a depth-2 leaf."""
+    if defect == "swapped-leaf-depths":
+        leaf_at = {node["depth"]: node for node in doc["nodes"] if node["is_leaf"]}
+        leaf_at[1]["depth"], leaf_at[2]["depth"] = 2, 1
+    elif defect == "missing-children":
+        doc["nodes"][0]["children"] = [98, 99]
+    else:
+        doc["leaf_ids"].reverse()
+    return doc

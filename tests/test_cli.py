@@ -23,7 +23,20 @@ from portcut import (
 )
 from portcut.cli import main
 
-from conftest import make_prices, single_leaf_tree_doc, write_prices_csv
+from conftest import (
+    TREE_DOC_DEFECTS,
+    break_tree_doc,
+    make_prices,
+    single_leaf_tree_doc,
+    write_prices_csv,
+)
+
+
+def one_json_error(stderr: str) -> dict:
+    """The single JSON line a failed command prints on stderr."""
+    lines = stderr.splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
 
 
 @pytest.fixture
@@ -164,6 +177,23 @@ class TestAllocateCommand:
         bad.write_text('{"kind": "cut_tree", "schema_version": 1}')
         assert main(["allocate", "--tree", str(bad), "--scheme", "as1"]) == 2
 
+    @pytest.mark.parametrize("defect", TREE_DOC_DEFECTS)
+    def test_tree_breaking_an_invariant_exits_2(self, nested_block_graph, tmp_path,
+                                                defect, capsys):
+        from portcut.serialization import tree_to_dict
+
+        tree = build_cut_tree(nested_block_graph, CutPolicy(max_cuts=2, min_leaf_size=1))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(break_tree_doc(tree_to_dict(tree), defect)))
+        assert main(["allocate", "--tree", str(bad), "--scheme", "as1"]) == 2
+        assert one_json_error(capsys.readouterr().err)["error"] == "InvalidInputError"
+
+    def test_non_utf8_tree_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"kind": "cut_tree\xff"}')
+        assert main(["allocate", "--tree", str(bad), "--scheme", "as1"]) == 2
+        assert "bad.json" in one_json_error(capsys.readouterr().err)["message"]
+
     def test_out_of_range_members_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(single_leaf_tree_doc([0, 1, 7], ["a", "b", "c"])))
@@ -222,6 +252,16 @@ class TestBacktestCommand:
         assert json.loads(err[0])["error"] == "InvalidInputError"
         assert not report_path.exists()
         assert not wealth_path.exists()
+
+    @pytest.mark.parametrize("report", ["r.json", "-"])
+    def test_failed_write_leaves_no_output(self, market_csv, tmp_path, report, capsys):
+        report_path = report if report == "-" else str(tmp_path / report)
+        assert main(["backtest", market_csv, "--split-index", "20", "-o", report_path,
+                     "--wealth-csv", str(tmp_path / "nodir" / "w.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "nodir" in one_json_error(captured.err)["message"]
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["prices.csv"]
 
     def test_six_strategy_two_block_run(self, tmp_path, capsys):
         prices, _ = block_factor_market([8, 12], 400, seed=9)
@@ -322,6 +362,20 @@ class TestExitCodes:
         payload = json.loads(err)
         assert payload["error"] == "InvalidInputError"
         assert "no-such-dir" in payload["message"]
+
+    @pytest.mark.parametrize("command, options", [
+        ("backtest", ["--split-index", "20", "--strategies", "ew", "--annualization", "nan"]),
+        ("backtest", ["--split-index", "20", "--strategies", "ew", "--annualization", "inf"]),
+        ("backtest", ["--split-index", "20", "--strategies", "mv", "--mv-ridge", "nan"]),
+        ("cut", ["--lambda2-threshold", "inf"]),
+        ("cut", ["--delimiter", ""]),
+        ("cut", ["--delimiter", ";;"]),
+    ])
+    def test_invalid_option_value_exits_2(self, market_csv, command, options, capsys):
+        assert main([command, market_csv, *options]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert one_json_error(captured.err)["error"] == "InvalidInputError"
 
 
 class TestDropDegenerate:

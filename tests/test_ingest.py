@@ -120,6 +120,25 @@ class TestMalformedInput:
         assert "column 'bbb'" in message
         assert repr(token) in message
 
+    @pytest.mark.parametrize("good_rows", [1, 3000])
+    def test_non_utf8_bytes_named_by_line(self, tmp_path, good_rows):
+        rows = "".join(f"t{i:05d},100\n" for i in range(good_rows))
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(f"date,aaa\n{rows}".encode() + b"t99999,1\xff\n")
+        with pytest.raises(InvalidInputError,
+                           match=rf"latin1\.csv:{good_rows + 2}: not UTF-8 text"):
+            ingest_prices(PriceCsvSpec(path=str(path)))
+
+    def test_oversized_field_named_by_line(self, tmp_path):
+        text = "date,aaa\n2020-01-01,100\n2020-01-02," + "x" * 140_000 + "\n"
+        with pytest.raises(InvalidInputError, match=r"\.csv:3: field larger"):
+            ingest_prices(PriceCsvSpec(path=write(tmp_path, text)))
+
+    @pytest.mark.parametrize("delimiter", ["", ";;"])
+    def test_delimiter_must_be_one_character(self, tmp_path, delimiter):
+        with pytest.raises(InvalidInputError, match="exactly one character"):
+            PriceCsvSpec(path=write(tmp_path, WELL_FORMED), delimiter=delimiter)
+
     def test_non_monotone_dates(self, tmp_path):
         text = "date,aaa\n2020-01-02,100\n2020-01-01,101\n"
         with pytest.raises(InvalidInputError) as exc:

@@ -25,12 +25,24 @@ from portcut.serialization import (
     weights_to_dict,
 )
 
-from conftest import single_leaf_tree_doc
+from conftest import (
+    TREE_DOC_DEFECTS,
+    break_tree_doc,
+    random_cut_tree,
+    single_leaf_tree_doc,
+)
 
 
 @pytest.fixture
 def built_tree(nested_block_graph):
     return build_cut_tree(nested_block_graph, CutPolicy(max_cuts=3, min_leaf_size=1))
+
+
+@pytest.fixture
+def two_depth_doc(nested_block_graph):
+    """Tree document with leaves at depths 1 and 2."""
+    tree = build_cut_tree(nested_block_graph, CutPolicy(max_cuts=2, min_leaf_size=1))
+    return tree_to_dict(tree)
 
 
 @pytest.fixture
@@ -88,10 +100,25 @@ class TestTreeDocument:
         with pytest.raises(InvalidInputError):
             tree_from_dict(doc)
 
-
     def test_rejects_out_of_range_members(self):
         with pytest.raises(InvalidInputError, match="root members"):
             tree_from_dict(single_leaf_tree_doc([0, 1, 7], ["a", "b", "c"]))
+
+    def test_rejects_tree_without_assets(self):
+        with pytest.raises(InvalidInputError, match="at least one asset"):
+            tree_from_dict(single_leaf_tree_doc([], []))
+
+    @pytest.mark.parametrize("defect", TREE_DOC_DEFECTS)
+    def test_rejects_documents_its_splits_do_not_rebuild(self, two_depth_doc, defect):
+        tree_from_dict(two_depth_doc)
+        with pytest.raises(InvalidInputError):
+            tree_from_dict(break_tree_doc(two_depth_doc, defect))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_tree_round_trip_equal(self, seed):
+        rng = np.random.default_rng(seed)
+        tree = random_cut_tree(rng, int(rng.integers(2, 30)), int(rng.integers(0, 12)))
+        assert tree_from_dict(tree_to_dict(tree)) == tree
 
 
 class TestWeightsDocuments:

@@ -1,3 +1,6 @@
+import dataclasses
+import operator
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,6 @@ from portcut import (
     CutObjective,
     CutPolicy,
     CutTree,
-    CutTreeNode,
     InvalidInputError,
     LeafSelection,
     build_cut_tree,
@@ -27,39 +29,14 @@ def leaves_as_sets(tree):
 def chain_tree(leaf_members):
     """Handcrafted tree: a chain of splits peeling off the given leaves."""
     leaf_members = [tuple(m) for m in leaf_members]
-    root_members = tuple(sorted(m for leaf in leaf_members for m in leaf))
-    nodes = {0: CutTreeNode(id=0, members=root_members, depth=0)}
-    leaf_ids = [0]
-    next_id = 1
-    parent = nodes[0]
-    remaining = list(leaf_members)
-    while len(remaining) > 1:
-        first = CutTreeNode(id=next_id, members=remaining[0],
-                            depth=parent.depth + 1)
-        if len(remaining) == 2:
-            second = CutTreeNode(id=next_id + 1, members=remaining[1],
-                                 depth=parent.depth + 1)
-        else:
-            rest = tuple(sorted(m for leaf in remaining[1:] for m in leaf))
-            second = CutTreeNode(id=next_id + 1, members=rest,
-                                 depth=parent.depth + 1)
-        nodes[first.id] = first
-        nodes[second.id] = second
-        parent.children = (first.id, second.id)
-        parent.lambda2_at_split = 0.1
-        pos = leaf_ids.index(parent.id)
-        leaf_ids[pos:pos + 1] = [first.id, second.id]
-        parent = second
-        next_id += 2
-        remaining = remaining[1:]
-    return CutTree(
-        nodes=nodes,
-        root_id=0,
-        k_performed=len(leaf_ids) - 1,
-        objective=CutObjective.NORMALIZED,
-        leaf_ids=leaf_ids,
-        asset_ids=tuple(f"a{i}" for i in root_members),
-    )
+    root_members = sorted(m for leaf in leaf_members for m in leaf)
+    tree = CutTree.root([f"a{i}" for i in root_members], CutObjective.NORMALIZED)
+    parent = tree.root_id
+    for i in range(len(leaf_members) - 1):
+        rest = tuple(sorted(m for leaf in leaf_members[i + 1:] for m in leaf))
+        tree = tree.split(parent, leaf_members[i], rest, 0.1)
+        parent = tree.nodes[parent].children[1]
+    return tree
 
 
 class TestInducedSubgraph:
@@ -137,7 +114,7 @@ class TestBuildCutTree:
     def test_zero_cuts_single_root_leaf(self, figure_cut_graph):
         tree = build_cut_tree(figure_cut_graph, CutPolicy(max_cuts=0))
         assert tree.k_performed == 0
-        assert tree.leaf_ids == [0]
+        assert tree.leaf_ids == (0,)
         assert tree.leaves()[0].members == tuple(range(8))
         assert tree.asset_ids == figure_cut_graph.asset_ids
 
@@ -235,6 +212,52 @@ class TestBuildCutTree:
             build_cut_tree(g, CutPolicy(max_cuts=1))
 
 
+class TestSplit:
+    def test_children_take_next_ids_and_the_leaf_place(self):
+        tree = chain_tree([(0, 1), (2, 3, 4)])
+        grown = tree.split(1, (1,), (0,), 0.25)
+        assert grown.leaf_ids == (3, 4, 2)
+        assert grown.k_performed == 2
+        assert grown.nodes[1].children == (3, 4)
+        assert grown.nodes[1].lambda2_at_split == 0.25
+        assert [grown.nodes[i].depth for i in (3, 4)] == [2, 2]
+        assert [grown.nodes[i].members for i in (3, 4)] == [(1,), (0,)]
+        assert tree.leaf_ids == (1, 2) and tree.nodes[1].is_leaf
+
+    @pytest.mark.parametrize("left, right", [
+        ((0, 1), (1, 2, 3)),
+        ((0, 1), (2,)),
+        ((0, 1), (2, 3, 4)),
+        ((), (0, 1, 2, 3)),
+        ((0, 1, 2, 3), ()),
+    ])
+    def test_rejects_sides_that_do_not_partition_the_leaf(self, left, right):
+        tree = CutTree.root(["a", "b", "c", "d"], CutObjective.NORMALIZED)
+        with pytest.raises(InvalidInputError):
+            tree.split(0, left, right, 0.1)
+
+    @pytest.mark.parametrize("node_id", [0, 5])
+    def test_rejects_a_node_that_is_not_a_leaf(self, node_id):
+        tree = chain_tree([(0,), (1, 2)])
+        with pytest.raises(InvalidInputError, match="not a leaf"):
+            tree.split(node_id, (0,), (1, 2), 0.1)
+
+    @pytest.mark.parametrize("field", ["nodes", "root_id", "leaf_ids", "asset_ids"])
+    def test_tree_fields_are_frozen(self, field):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(chain_tree([(0,), (1,), (2,)]), field, None)
+
+    @pytest.mark.parametrize("field", ["members", "depth", "lambda2_at_split", "children"])
+    def test_node_fields_are_frozen(self, field):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(chain_tree([(0,), (1,), (2,)]).nodes[0], field, None)
+
+    def test_nodes_mapping_is_read_only(self):
+        tree = chain_tree([(0,), (1,), (2,)])
+        with pytest.raises(TypeError):
+            operator.setitem(tree.nodes, 9, tree.nodes[0])
+
+
 class TestPolicyValidation:
     def test_negative_max_cuts(self):
         with pytest.raises(InvalidInputError):
@@ -280,6 +303,6 @@ class TestEdgeBudget:
 
     def test_splits_ignore_node_insertion_order(self):
         tree = chain_tree([(0,), (1,), (2,), (3,)])
-        tree.nodes = dict(reversed(list(tree.nodes.items())))
+        tree = dataclasses.replace(tree, nodes=dict(reversed(list(tree.nodes.items()))))
         assert [node.id for node in tree.splits()] == [0, 2, 4]
         assert edge_budget_trace(tree) == [10, 7, 5, 4]
