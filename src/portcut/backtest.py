@@ -27,6 +27,7 @@ from .errors import (
     DegenerateSeriesError,
     InsufficientDataError,
     InvalidInputError,
+    NumericalFailureError,
     PortfolioCutError,
 )
 from .market_graph import (
@@ -178,7 +179,8 @@ def run_backtest(prices: PriceMatrix, config: BacktestConfig) -> BacktestReport:
     (1 + w . r(t)) for every out-sample return row; mean, standard deviation
     and Sharpe ratio describe the out-sample portfolio returns. Strategies
     with the same objective and cut policy share one cut tree. A strategy
-    whose estimation fails is reported with its error and the rest proceed.
+    whose estimation fails, or whose out-sample wealth or statistics are not
+    finite, is reported with its error and the rest proceed.
     """
     all_returns = simple_returns(prices)
     t_total = all_returns.n_periods
@@ -224,6 +226,20 @@ def run_backtest(prices: PriceMatrix, config: BacktestConfig) -> BacktestReport:
                     "edge_budget_trace": edge_budget_trace(tree),
                     "leaf_sizes": [leaf.size for leaf in tree.leaves()],
                 }
+            # Overflow is checked below, so it fails this strategy only.
+            with np.errstate(over="ignore", invalid="ignore"):
+                port = portfolio_returns(wv, out_returns)
+                wealth = np.empty(port.size + 1)
+                wealth[0] = 1.0
+                np.cumprod(1.0 + port, out=wealth[1:])
+                mean, std = float(port.mean()), float(port.std(ddof=1))
+                try:
+                    sharpe, degenerate = sharpe_ratio(port, config.annualization_factor), False
+                except DegenerateSeriesError:
+                    sharpe, degenerate = None, True
+            if not (np.isfinite(wealth).all() and np.isfinite([mean, std, sharpe or 0.0]).all()):
+                raise NumericalFailureError(
+                    "out-sample wealth or return statistics are not finite")
         except PortfolioCutError as exc:
             results.append(StrategyResult(
                 label=spec.label,
@@ -231,20 +247,12 @@ def run_backtest(prices: PriceMatrix, config: BacktestConfig) -> BacktestReport:
                 error_kind=type(exc).__name__,
             ))
             continue
-        port = portfolio_returns(wv, out_returns)
-        wealth = np.empty(port.size + 1)
-        wealth[0] = 1.0
-        np.cumprod(1.0 + port, out=wealth[1:])
-        try:
-            sharpe, degenerate = sharpe_ratio(port, config.annualization_factor), False
-        except DegenerateSeriesError:
-            sharpe, degenerate = None, True
         results.append(StrategyResult(
             label=spec.label,
             weights=wv,
             wealth_curve=wealth,
-            mean_return=float(port.mean()),
-            std_return=float(port.std(ddof=1)),
+            mean_return=mean,
+            std_return=std,
             sharpe=sharpe,
             sharpe_degenerate=degenerate,
             metadata=meta,

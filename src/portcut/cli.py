@@ -8,9 +8,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import json
 import os
+import stat
 import sys
+import tempfile
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -125,30 +128,59 @@ def build_parser() -> argparse.ArgumentParser:
 def _write_outputs(*outputs: Tuple[str, str]) -> None:
     """Write every ``(text, destination)`` pair, or no file at all.
 
-    Each file is written to a temp file in its target directory; the temp
-    files replace their targets only once all of them are written, and are
-    removed if any write fails. Standard output ('-') is written last.
+    A destination that is missing or a regular file (after following
+    symlinks) is written to a temp file beside it; the temp files replace
+    their targets only once all of them are written, and are removed if
+    anything fails. Other destinations, such as devices and pipes, are opened
+    first and written after the replacements; standard output ('-') is last.
     """
     staged: List[Tuple[str, str]] = []
     try:
-        for i, (text, destination) in enumerate(outputs):
-            if destination == "-":
-                continue
-            head, tail = os.path.split(destination)
-            temp = os.path.join(head, f".{tail}.{os.getpid()}-{i}.tmp")
-            with open(temp, "x", encoding="utf-8") as handle:
-                staged.append((temp, destination))
+        with contextlib.ExitStack() as stack:
+            direct = []
+            for text, destination in outputs:
+                if destination == "-":
+                    continue
+                target = os.path.realpath(destination)
+                if os.path.exists(target) and not os.path.isfile(target):
+                    direct.append((text, stack.enter_context(
+                        open(target, "w", encoding="utf-8"))))
+                    continue
+                mode = _new_file_mode(target)
+                head, tail = os.path.split(target)
+                fd, temp = tempfile.mkstemp(dir=head, prefix=f".{tail}.", suffix=".tmp")
+                staged.append((temp, target))
+                with open(fd, "w", encoding="utf-8") as handle:
+                    handle.write(text)
+                os.chmod(temp, mode)
+            for temp, target in staged:
+                os.replace(temp, target)
+            for text, handle in direct:
                 handle.write(text)
-        for temp, destination in staged:
-            os.replace(temp, destination)
     except OSError as exc:
+        raise InvalidInputError(f"cannot write output file: {exc}") from exc
+    finally:
         for temp, _ in staged:
             with contextlib.suppress(OSError):
                 os.remove(temp)
-        raise InvalidInputError(f"cannot write output file: {exc}") from exc
     for text, destination in outputs:
         if destination == "-":
             sys.stdout.write(text)
+
+
+def _new_file_mode(target: str) -> int:
+    """Permission bits that writing ``target`` in place would leave it with.
+
+    An existing target keeps its bits and must be writable; a new one gets
+    the umask default.
+    """
+    if os.path.exists(target):
+        if not os.access(target, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), target)
+        return stat.S_IMODE(os.stat(target).st_mode)
+    umask = os.umask(0)
+    os.umask(umask)
+    return 0o666 & ~umask
 
 
 def _load_prices(args) -> Tuple[PriceMatrix, IngestReport]:

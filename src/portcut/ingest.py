@@ -80,22 +80,13 @@ def _is_missing(cell: str) -> bool:
 
 
 def _decoded_rows(reader, path: Path):
-    """The reader's rows; text that is not UTF-8 or not CSV is named by line."""
+    """The reader's rows; text that is not CSV or not UTF-8 is invalid input."""
     try:
         yield from reader
     except csv.Error as exc:
         raise InvalidInputError(f"{path}:{reader.line_num}: {exc}") from None
-    except UnicodeDecodeError:
-        # The stream decodes ahead of the reader, so find the line in the bytes.
-        data = path.read_bytes()
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line = data.count(b"\n", 0, exc.start) + 1
-            raise InvalidInputError(
-                f"{path}:{line}: not UTF-8 text ({exc.reason})"
-            ) from None
-        raise
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def ingest_prices(spec: PriceCsvSpec) -> PriceMatrix:
@@ -110,7 +101,8 @@ def ingest_prices_with_report(spec: PriceCsvSpec) -> Tuple[PriceMatrix, IngestRe
     Raises
     ------
     InvalidInputError
-        Missing file, bytes that are not UTF-8 or not CSV (named by line),
+        Missing file, bytes that are not UTF-8, text that is not CSV (named
+        by line),
         missing/duplicated columns, unparseable, non-finite or nonpositive
         cells (named by line and column), non-increasing dates, or a missing
         cell under the ERROR policy.

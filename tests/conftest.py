@@ -125,6 +125,14 @@ def make_prices(columns, asset_ids=None, timestamps=None) -> PriceMatrix:
     return PriceMatrix(prices=arr, asset_ids=ids, timestamps=stamps)
 
 
+def overflowing_prices() -> PriceMatrix:
+    """Two assets; after row 5, a0 alternates 1e-150/1e150, so holding it overflows."""
+    calm = [100.0, 102.0, 99.0, 101.0, 104.0, 103.0]
+    wild = calm + [1e-150, 1e150] * 3
+    other = [50.0, 51.0, 49.5, 50.5, 52.0, 51.5, 53.0, 52.0, 54.0, 53.5, 55.0, 54.0]
+    return make_prices([wild, other])
+
+
 def write_prices_csv(path, prices: PriceMatrix, date_column: str = "date") -> None:
     lines = [date_column + "," + ",".join(prices.asset_ids)]
     for stamp, row in zip(prices.timestamps, prices.prices):

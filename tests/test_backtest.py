@@ -24,7 +24,7 @@ from portcut import (
     sharpe_ratio,
 )
 
-from conftest import make_prices
+from conftest import make_prices, overflowing_prices
 
 EW = StrategySpec(kind=StrategyKind.EW)
 MV = StrategySpec(kind=StrategyKind.MV)
@@ -217,6 +217,20 @@ class TestRunBacktest:
         assert not mv.ok
         assert mv.error_kind == "SingularCovarianceError"
         assert mv.weights is None
+
+    def test_overflowing_wealth_fails_only_that_strategy(self, monkeypatch):
+        def other_asset_only(sigma, ridge=0.0):
+            return WeightVector(weights=np.array([0.0, 1.0]), scheme_tag="MV")
+
+        monkeypatch.setattr(portcut.backtest, "min_variance_weights", other_asset_only)
+        report = run_backtest(overflowing_prices(),
+                              BacktestConfig(split_index=5, strategies=(EW, MV)))
+        ew = report.result("ew")
+        assert ew.error_kind == "NumericalFailureError"
+        assert "not finite" in ew.error
+        mv = report.result("mv")
+        assert mv.ok
+        assert np.isfinite(mv.wealth_curve).all()
 
     def test_degenerate_asset_fails_cut_not_ew(self):
         flat = [100.0] * 7

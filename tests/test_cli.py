@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +29,7 @@ from conftest import (
     TREE_DOC_DEFECTS,
     break_tree_doc,
     make_prices,
+    overflowing_prices,
     single_leaf_tree_doc,
     write_prices_csv,
 )
@@ -263,6 +266,20 @@ class TestBacktestCommand:
         assert "nodir" in one_json_error(captured.err)["message"]
         assert sorted(path.name for path in tmp_path.iterdir()) == ["prices.csv"]
 
+    def test_overflowing_strategy_reported_as_error(self, tmp_path, capsys):
+        def reject(token):
+            raise ValueError(f"not JSON: {token}")
+
+        csv_path = tmp_path / "wild.csv"
+        write_prices_csv(csv_path, overflowing_prices())
+        assert main(["backtest", str(csv_path), "--split-index", "5",
+                     "--strategies", "ew"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        ew = json.loads(captured.out, parse_constant=reject)["strategies"]["ew"]
+        assert ew["status"] == "error"
+        assert ew["error_kind"] == "NumericalFailureError"
+
     def test_six_strategy_two_block_run(self, tmp_path, capsys):
         prices, _ = block_factor_market([8, 12], 400, seed=9)
         csv_path = tmp_path / "blocks.csv"
@@ -305,6 +322,75 @@ class TestBacktestCommand:
         rows = wealth_path.read_text().strip().splitlines()
         assert rows[0] == "date,ew,cutn-as2"
         assert len(rows) == 1 + 21  # wealth has T - t* + 1 = 21 points
+
+
+class TestOutputDestinations:
+    def test_symlink_written_through(self, market_csv, tmp_path):
+        real, link = tmp_path / "real.json", tmp_path / "link.json"
+        real.write_text("old\n")
+        link.symlink_to(real)
+        assert main(["cut", market_csv, "-o", str(link)]) == 0
+        assert link.is_symlink()
+        assert json.loads(real.read_text())["kind"] == "cut_tree"
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "link.json", "prices.csv", "real.json"]
+
+    def test_pipe_written_in_place(self, market_csv, tmp_path):
+        pipe, report = tmp_path / "pipe", tmp_path / "r.json"
+        os.mkfifo(pipe)
+        reader = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert main(["backtest", market_csv, "--split-index", "20",
+                         "-o", str(report), "--svg", str(pipe)]) == 0
+            assert os.read(reader, 1 << 20).startswith(b"<svg")
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(pipe.stat().st_mode)
+        assert "strategies" in json.loads(report.read_text())
+
+    def test_unwritable_special_target_leaves_no_output(self, market_csv, tmp_path,
+                                                        capsys):
+        report, folder = tmp_path / "r.json", tmp_path / "folder"
+        folder.mkdir()
+        assert main(["backtest", market_csv, "--split-index", "20",
+                     "-o", str(report), "--svg", str(folder)]) == 2
+        assert one_json_error(capsys.readouterr().err)["error"] == "InvalidInputError"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["folder", "prices.csv"]
+
+    def test_interrupted_write_leaves_no_temp_file(self, market_csv, tmp_path,
+                                                   monkeypatch):
+        def interrupt(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(portcut.cli.os, "replace", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            main(["cut", market_csv, "-o", str(tmp_path / "t.json")])
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["prices.csv"]
+
+    def test_existing_file_keeps_its_mode(self, market_csv, tmp_path):
+        out = tmp_path / "t.json"
+        out.write_text("old\n")
+        out.chmod(0o640)
+        assert main(["cut", market_csv, "-o", str(out)]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+
+    def test_new_file_mode_follows_umask(self, market_csv, tmp_path):
+        out = tmp_path / "t.json"
+        umask = os.umask(0o027)
+        try:
+            assert main(["cut", market_csv, "-o", str(out)]) == 0
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root may write read-only files")
+    def test_read_only_target_kept(self, market_csv, tmp_path, capsys):
+        out = tmp_path / "t.json"
+        out.write_text("old\n")
+        out.chmod(0o444)
+        assert main(["cut", market_csv, "-o", str(out)]) == 2
+        assert one_json_error(capsys.readouterr().err)["error"] == "InvalidInputError"
+        assert out.read_text() == "old\n"
 
 
 class TestDeterminism:
