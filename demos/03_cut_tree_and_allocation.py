@@ -9,9 +9,9 @@ asset receives the same share.
 import numpy as np
 
 from portcut import (
+    AllocationScheme,
     CutPolicy,
-    allocate_as1,
-    allocate_as2,
+    allocate,
     asset_weights,
     build_cut_tree,
     edge_budget_trace,
@@ -47,8 +47,8 @@ for node in tree.nodes.values():
 print("\nedge budget after each cut:", edge_budget_trace(tree))
 print("final budget:", leaf_edge_budget(tree), "vs 36 for the uncut graph")
 
-as1 = allocate_as1(tree)
-as2 = allocate_as2(tree)
+as1 = allocate(tree, AllocationScheme.AS1)
+as2 = allocate(tree, AllocationScheme.AS2)
 print("\ndepth scheme per leaf:", {k: round(v, 4) for k, v in as1.per_leaf.items()})
 print("flat scheme per leaf :", {k: round(v, 4) for k, v in as2.per_leaf.items()})
 print("each sums to", sum(as1.per_leaf.values()), "and", sum(as2.per_leaf.values()))

@@ -7,11 +7,8 @@ in/out-sample backtest against equal-weight and minimum-variance baselines.
 
 from .allocation import (
     AllocationScheme,
-    ClusterWeights,
     WeightVector,
     allocate,
-    allocate_as1,
-    allocate_as2,
     asset_weights,
     equal_weights,
     min_variance_weights,
@@ -22,7 +19,6 @@ from .backtest import (
     StrategyKind,
     StrategyResult,
     StrategySpec,
-    portfolio_returns,
     run_backtest,
     sharpe_ratio,
 )
@@ -44,7 +40,6 @@ from .ingest import (
     IngestReport,
     MissingPolicy,
     PriceCsvSpec,
-    ingest_prices,
     ingest_prices_with_report,
 )
 from .market_graph import (
@@ -64,7 +59,6 @@ from .spectral import (
     brute_force_min_cut,
     cut_value,
     fiedler_vector,
-    iter_bipartitions,
     objective_value,
     partition_indicator,
     rayleigh_quotient,
@@ -74,13 +68,10 @@ from .synthetic import block_factor_market
 from .tree import (
     CutPolicy,
     CutTree,
-    CutTreeNode,
     LeafSelection,
     build_cut_tree,
     edge_budget_trace,
-    induced_subgraph,
     leaf_edge_budget,
-    select_leaf,
 )
 
 __version__ = "0.1.0"
@@ -95,19 +86,17 @@ __all__ = [
     "CutObjective", "Partition", "cut_value", "objective_value",
     "rayleigh_quotient", "partition_indicator", "fiedler_vector",
     "spectral_bisect", "brute_force_min_cut", "bipartition_count",
-    "iter_bipartitions",
     # trees
-    "LeafSelection", "CutPolicy", "CutTreeNode", "CutTree", "build_cut_tree",
-    "select_leaf", "induced_subgraph", "leaf_edge_budget", "edge_budget_trace",
+    "LeafSelection", "CutPolicy", "CutTree", "build_cut_tree",
+    "leaf_edge_budget", "edge_budget_trace",
     # allocation
-    "AllocationScheme", "ClusterWeights", "WeightVector", "allocate",
-    "allocate_as1", "allocate_as2", "asset_weights", "equal_weights",
-    "min_variance_weights",
+    "AllocationScheme", "WeightVector", "allocate", "asset_weights",
+    "equal_weights", "min_variance_weights",
     # backtest
     "StrategyKind", "StrategySpec", "BacktestConfig", "StrategyResult",
-    "BacktestReport", "run_backtest", "portfolio_returns", "sharpe_ratio",
+    "BacktestReport", "run_backtest", "sharpe_ratio",
     # ingestion & synthetic data
-    "MissingPolicy", "PriceCsvSpec", "IngestReport", "ingest_prices",
+    "MissingPolicy", "PriceCsvSpec", "IngestReport",
     "ingest_prices_with_report", "block_factor_market",
     # errors
     "PortfolioCutError", "InvalidInputError", "InsufficientDataError",

@@ -27,8 +27,6 @@ __all__ = [
     "AllocationScheme",
     "ClusterWeights",
     "WeightVector",
-    "allocate_as1",
-    "allocate_as2",
     "allocate",
     "asset_weights",
     "equal_weights",
@@ -91,27 +89,21 @@ class WeightVector:
         return self.weights.size
 
 
-def allocate_as1(tree: CutTree) -> ClusterWeights:
-    """Depth scheme: a leaf cut K_i times from the root gets 1 / 2**K_i.
-
-    The leaves of a binary cut tree satisfy sum(2**-depth) == 1 exactly, so
-    no renormalization is needed.
-    """
-    shares = {leaf.id: 2.0 ** (-leaf.depth) for leaf in tree.leaves()}
-    return ClusterWeights(per_leaf=shares, scheme_tag="AS1")
-
-
-def allocate_as2(tree: CutTree) -> ClusterWeights:
-    """Flat scheme: every one of the K+1 leaves gets 1 / (K+1)."""
-    k = tree.k_performed
-    shares = {leaf.id: 1.0 / (k + 1) for leaf in tree.leaves()}
-    return ClusterWeights(per_leaf=shares, scheme_tag="AS2")
-
-
 def allocate(tree: CutTree, scheme: AllocationScheme) -> ClusterWeights:
+    """Per-leaf capital shares of the tree under ``scheme``.
+
+    AS1, the depth scheme: a leaf cut K_i times from the root gets
+    1 / 2**K_i. The leaves of a binary cut tree satisfy sum(2**-depth) == 1
+    exactly, so no renormalization is needed.
+
+    AS2, the flat scheme: every one of the K+1 leaves gets 1 / (K+1).
+    """
+    leaves = tree.leaves()
     if scheme is AllocationScheme.AS1:
-        return allocate_as1(tree)
-    return allocate_as2(tree)
+        shares = {leaf.id: 2.0 ** (-leaf.depth) for leaf in leaves}
+    else:
+        shares = {leaf.id: 1.0 / len(leaves) for leaf in leaves}
+    return ClusterWeights(per_leaf=shares, scheme_tag=scheme.name)
 
 
 def asset_weights(tree: CutTree, cluster_weights: ClusterWeights) -> WeightVector:

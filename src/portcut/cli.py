@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import errno
 import json
 import os
@@ -16,12 +17,10 @@ import sys
 import tempfile
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from . import __version__
 from .allocation import AllocationScheme, allocate, asset_weights
 from .backtest import BacktestConfig, StrategyKind, StrategySpec, run_backtest
-from .errors import DegenerateAssetError, InvalidInputError, PortfolioCutError
+from .errors import DegenerateAssetError, InsufficientDataError, InvalidInputError, PortfolioCutError
 from .ingest import IngestReport, MissingPolicy, PriceCsvSpec, ingest_prices_with_report, timestamp_sort_key
 from .market_graph import (
     PriceMatrix,
@@ -196,26 +195,24 @@ def _load_prices(args) -> Tuple[PriceMatrix, IngestReport]:
         if dropped:
             print(f"dropped zero-variance asset(s): {', '.join(dropped)}",
                   file=sys.stderr)
-            report = IngestReport(
-                n_rows=matrix.n_rows,
-                n_assets=matrix.n_assets,
-                dropped_rows=report.dropped_rows,
-                dropped_assets=report.dropped_assets + tuple(dropped),
-            )
+            report = dataclasses.replace(
+                report, dropped_assets=report.dropped_assets + tuple(dropped))
     return matrix, report
 
 
 def _drop_degenerate(matrix: PriceMatrix) -> Tuple[PriceMatrix, List[str]]:
-    sigma = sample_covariance(simple_returns(matrix)).sigma
-    keep = np.flatnonzero(np.diag(sigma) > 0.0)
-    dropped = [matrix.asset_ids[i] for i in range(matrix.n_assets) if i not in keep]
+    returns = simple_returns(matrix).returns
+    if returns.shape[0] < 2:
+        raise InsufficientDataError("need at least 2 return rows for a sample covariance")
+    keep = returns.var(axis=0, ddof=1) > 0.0
+    dropped = [a for a, ok in zip(matrix.asset_ids, keep) if not ok]
     if not dropped:
         return matrix, []
-    if keep.size == 0:
+    if not keep.any():
         raise DegenerateAssetError(dropped, "every asset has zero variance")
     return PriceMatrix(
         prices=matrix.prices[:, keep],
-        asset_ids=tuple(matrix.asset_ids[i] for i in keep),
+        asset_ids=tuple(a for a, ok in zip(matrix.asset_ids, keep) if ok),
         timestamps=matrix.timestamps,
     ), dropped
 

@@ -25,7 +25,6 @@ __all__ = [
     "MissingPolicy",
     "PriceCsvSpec",
     "IngestReport",
-    "ingest_prices",
     "ingest_prices_with_report",
     "timestamp_sort_key",
 ]
@@ -59,10 +58,8 @@ class PriceCsvSpec:
 
 @dataclass(frozen=True)
 class IngestReport:
-    """What ingestion dropped and what survived."""
+    """Which rows (by date) and asset columns ingestion dropped."""
 
-    n_rows: int
-    n_assets: int
     dropped_rows: Tuple[str, ...]
     dropped_assets: Tuple[str, ...]
 
@@ -87,12 +84,6 @@ def _decoded_rows(reader, path: Path):
         raise InvalidInputError(f"{path}:{reader.line_num}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise InvalidInputError(f"{path}: not UTF-8 text ({exc.reason})") from None
-
-
-def ingest_prices(spec: PriceCsvSpec) -> PriceMatrix:
-    """Read a price CSV into a PriceMatrix; see `ingest_prices_with_report`."""
-    matrix, _ = ingest_prices_with_report(spec)
-    return matrix
 
 
 def ingest_prices_with_report(spec: PriceCsvSpec) -> Tuple[PriceMatrix, IngestReport]:
@@ -208,8 +199,6 @@ def ingest_prices_with_report(spec: PriceCsvSpec) -> Tuple[PriceMatrix, IngestRe
         timestamps=tuple(dates),
     )
     report = IngestReport(
-        n_rows=matrix.n_rows,
-        n_assets=matrix.n_assets,
         dropped_rows=tuple(dropped_rows),
         dropped_assets=tuple(dropped_assets),
     )

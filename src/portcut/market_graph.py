@@ -8,7 +8,8 @@ the weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,6 +31,8 @@ def _as_float_array(values, name: str, ndim: int) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != ndim:
         raise InvalidInputError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
+    if arr.size == 0:
+        raise InvalidInputError(f"{name} must be nonempty, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError(f"{name} contains non-finite entries")
     return arr
@@ -128,7 +131,7 @@ class CovarianceMatrix:
         n, m = sigma.shape
         if n != m:
             raise InvalidInputError(f"sigma must be square, got {sigma.shape}")
-        scale = np.max(np.abs(sigma)) if sigma.size else 0.0
+        scale = np.max(np.abs(sigma))
         if scale > 0 and np.max(np.abs(sigma - sigma.T)) > 1e-12 * scale:
             raise InvalidInputError("sigma is not symmetric to 1e-12 relative tolerance")
         object.__setattr__(self, "sigma", sigma)
@@ -140,32 +143,35 @@ class CovarianceMatrix:
 
 @dataclass(frozen=True)
 class MarketGraph:
-    """Weighted market graph with degrees and Laplacian.
+    """Weighted market graph; degrees and Laplacian derive from the weights.
 
-    ``weights`` is symmetric with zero diagonal and entries in [0, 1],
-    ``degrees[m] == weights[m].sum()`` and ``laplacian == diag(degrees) - weights``.
+    ``weights`` is symmetric with zero diagonal and entries in [0, 1].
+    ``degrees[m] == weights[m].sum()`` and ``laplacian == diag(degrees) - weights``
+    are computed on first use.
     """
 
     weights: np.ndarray
-    degrees: np.ndarray = field(repr=False)
-    laplacian: np.ndarray = field(repr=False)
     asset_ids: tuple = ()
 
     def __post_init__(self):
         w = _as_float_array(self.weights, "weights", 2)
         if w.shape[0] != w.shape[1]:
             raise InvalidInputError(f"weights must be square, got {w.shape}")
-        degrees = _as_float_array(self.degrees, "degrees", 1)
-        laplacian = _as_float_array(self.laplacian, "laplacian", 2)
-        if degrees.shape != (w.shape[0],) or laplacian.shape != w.shape:
-            raise InvalidInputError("degrees/laplacian shapes do not match weights")
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "degrees", degrees)
-        object.__setattr__(self, "laplacian", laplacian)
         ids = tuple(str(a) for a in self.asset_ids) or tuple(str(i) for i in range(w.shape[0]))
         if len(ids) != w.shape[0]:
             raise InvalidInputError(f"{len(ids)} asset ids for {w.shape[0]} vertices")
         object.__setattr__(self, "asset_ids", ids)
+
+    # cached_property writes the instance __dict__ directly, so it works on a
+    # frozen dataclass.
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        return self.weights.sum(axis=1)
+
+    @cached_property
+    def laplacian(self) -> np.ndarray:
+        return np.diag(self.degrees) - self.weights
 
     @property
     def n_vertices(self) -> int:
@@ -265,7 +271,7 @@ def market_graph_from_weights(weights, asset_ids=None) -> MarketGraph:
 
     Accepts any [0, 1]-valued symmetric matrix (diagonal entries are zeroed),
     which makes it the natural entry point for synthetic graphs in tests and
-    demos. Degrees and the Laplacian are derived here.
+    demos.
     """
     w = _as_float_array(weights, "weights", 2)
     if w.shape[0] != w.shape[1]:
@@ -278,7 +284,4 @@ def market_graph_from_weights(weights, asset_ids=None) -> MarketGraph:
         raise InvalidInputError("weights must not exceed 1 (absolute correlations)")
     w = w.copy()
     np.fill_diagonal(w, 0.0)
-    degrees = w.sum(axis=1)
-    laplacian = np.diag(degrees) - w
-    return MarketGraph(weights=w, degrees=degrees, laplacian=laplacian,
-                       asset_ids=asset_ids or ())
+    return MarketGraph(weights=w, asset_ids=() if asset_ids is None else asset_ids)

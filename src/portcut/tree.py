@@ -15,7 +15,7 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InvalidInputError, PortfolioCutError
-from .market_graph import MarketGraph, market_graph_from_weights
+from .market_graph import MarketGraph
 from .spectral import CutObjective, spectral_bisect
 
 __all__ = [
@@ -149,10 +149,10 @@ class CutTree:
 
 
 def induced_subgraph(graph: MarketGraph, members) -> MarketGraph:
-    """Restriction of the graph to ``members``, with degrees recomputed.
+    """Restriction of the graph to ``members``.
 
-    Degrees and the Laplacian come from the weight submatrix, not the parent
-    graph, so edges severed by earlier cuts do not count.
+    Its degrees and Laplacian derive from the weight submatrix, not the
+    parent graph, so edges severed by earlier cuts do not count.
     """
     idx = np.asarray(members, dtype=int)
     if idx.size == 0:
@@ -163,9 +163,8 @@ def induced_subgraph(graph: MarketGraph, members) -> MarketGraph:
         raise InvalidInputError(
             f"members out of range for a graph with {graph.n_vertices} vertices"
         )
-    sub_w = graph.weights[np.ix_(idx, idx)]
-    ids = tuple(graph.asset_ids[i] for i in idx)
-    return market_graph_from_weights(sub_w, asset_ids=ids)
+    return MarketGraph(weights=graph.weights[np.ix_(idx, idx)],
+                       asset_ids=tuple(graph.asset_ids[i] for i in idx))
 
 
 def select_leaf(tree: CutTree, graph: MarketGraph, policy: CutPolicy,

@@ -19,8 +19,7 @@ from portcut import (
     SizeLimitError,
     StrategyKind,
     StrategySpec,
-    allocate_as1,
-    allocate_as2,
+    allocate,
     asset_weights,
     bipartition_count,
     block_factor_market,
@@ -29,7 +28,6 @@ from portcut import (
     cut_value,
     edge_budget_trace,
     fiedler_vector,
-    iter_bipartitions,
     leaf_edge_budget,
     market_graph_from_weights,
     min_variance_weights,
@@ -39,6 +37,7 @@ from portcut import (
     run_backtest,
     spectral_bisect,
 )
+from portcut.spectral import iter_bipartitions
 
 from conftest import (
     complete_random_graph,
@@ -213,8 +212,8 @@ def test_criterion_06_tree_accounting():
 
 def test_criterion_07_allocation_exactness(nested_block_graph):
     tree = build_cut_tree(nested_block_graph, CutPolicy(max_cuts=4, min_leaf_size=1))
-    as1 = sorted(allocate_as1(tree).per_leaf.values())
-    as2 = list(allocate_as2(tree).per_leaf.values())
+    as1 = sorted(allocate(tree, AllocationScheme.AS1).per_leaf.values())
+    as2 = list(allocate(tree, AllocationScheme.AS2).per_leaf.values())
     assert as1 == [0.125, 0.125, 0.25, 0.25, 0.25]
     assert as2 == [1.0 / 5.0] * 5
 
@@ -223,8 +222,8 @@ def test_criterion_07_allocation_exactness(nested_block_graph):
         random_tree = random_cut_tree(rng, int(rng.integers(2, 26)),
                                       int(rng.integers(0, 10)))
         assert sum(2.0 ** (-leaf.depth) for leaf in random_tree.leaves()) == 1.0
-        for cluster in (allocate_as1(random_tree), allocate_as2(random_tree)):
-            w = asset_weights(random_tree, cluster).weights
+        for scheme in AllocationScheme:
+            w = asset_weights(random_tree, allocate(random_tree, scheme)).weights
             assert abs(w.sum() - 1.0) <= 1e-10
     report(7, "AS1 {1/4,1/4,1/4,1/8,1/8}, AS2 {1/5 x 5}; 1000 random trees "
               "dyadic-exact and unit-sum")

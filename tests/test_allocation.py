@@ -3,7 +3,6 @@ import pytest
 
 from portcut import (
     AllocationScheme,
-    ClusterWeights,
     CovarianceMatrix,
     CutPolicy,
     DegenerateNormalizationError,
@@ -11,13 +10,12 @@ from portcut import (
     SingularCovarianceError,
     WeightVector,
     allocate,
-    allocate_as1,
-    allocate_as2,
     asset_weights,
     build_cut_tree,
     equal_weights,
     min_variance_weights,
 )
+from portcut.allocation import ClusterWeights
 
 from conftest import complete_random_graph, random_cut_tree
 
@@ -30,29 +28,29 @@ def example_tree(nested_block_graph):
 
 class TestClusterSchemes:
     def test_depth_scheme_on_example_tree(self, example_tree):
-        shares = allocate_as1(example_tree).per_leaf
+        shares = allocate(example_tree, AllocationScheme.AS1).per_leaf
         assert sorted(shares.values()) == [0.125, 0.125, 0.25, 0.25, 0.25]
         for leaf_id, share in shares.items():
             assert share == 2.0 ** (-example_tree.nodes[leaf_id].depth)
 
     def test_flat_scheme_on_example_tree(self, example_tree):
-        shares = allocate_as2(example_tree).per_leaf
+        shares = allocate(example_tree, AllocationScheme.AS2).per_leaf
         assert list(shares.values()) == [1.0 / 5.0] * 5
 
     def test_zero_cut_tree_single_share(self, nested_block_graph):
         tree = build_cut_tree(nested_block_graph, CutPolicy(max_cuts=0))
-        assert allocate_as1(tree).per_leaf == {0: 1.0}
-        assert allocate_as2(tree).per_leaf == {0: 1.0}
+        assert allocate(tree, AllocationScheme.AS1).per_leaf == {0: 1.0}
+        assert allocate(tree, AllocationScheme.AS2).per_leaf == {0: 1.0}
 
     def test_one_cut_halves(self, nested_block_graph):
         tree = build_cut_tree(nested_block_graph, CutPolicy(max_cuts=1))
-        assert sorted(allocate_as1(tree).per_leaf.values()) == [0.5, 0.5]
-        assert sorted(allocate_as2(tree).per_leaf.values()) == [0.5, 0.5]
+        assert sorted(allocate(tree, AllocationScheme.AS1).per_leaf.values()) == [0.5, 0.5]
+        assert sorted(allocate(tree, AllocationScheme.AS2).per_leaf.values()) == [0.5, 0.5]
 
     def test_balanced_depth_two_tree_quarters(self, nested_block_graph):
         tree = build_cut_tree(nested_block_graph, CutPolicy(max_cuts=3, min_leaf_size=1))
         assert sorted(leaf.depth for leaf in tree.leaves()) == [2, 2, 2, 2]
-        assert list(allocate_as1(tree).per_leaf.values()) == [0.25] * 4
+        assert list(allocate(tree, AllocationScheme.AS1).per_leaf.values()) == [0.25] * 4
 
     def test_dispatcher(self, example_tree):
         assert allocate(example_tree, AllocationScheme.AS1).scheme_tag == "AS1"
@@ -77,7 +75,7 @@ class TestClusterSchemes:
 
 class TestAssetWeights:
     def test_share_divided_equally(self, example_tree):
-        weights = asset_weights(example_tree, allocate_as1(example_tree))
+        weights = asset_weights(example_tree, allocate(example_tree, AllocationScheme.AS1))
         # depth-2 leaves hold 2 assets (1/4 -> 1/8 each); depth-3 leaves are
         # singletons holding 1/8: every asset ends at exactly 1/8
         assert weights.weights.tolist() == [0.125] * 8
@@ -85,7 +83,7 @@ class TestAssetWeights:
 
     def test_single_leaf_reduces_to_equal_weight(self, nested_block_graph):
         tree = build_cut_tree(nested_block_graph, CutPolicy(max_cuts=0))
-        weights = asset_weights(tree, allocate_as1(tree))
+        weights = asset_weights(tree, allocate(tree, AllocationScheme.AS1))
         np.testing.assert_array_equal(weights.weights, equal_weights(8).weights)
 
     def test_sum_to_one_over_random_trees(self):
@@ -93,14 +91,14 @@ class TestAssetWeights:
         for _ in range(100):
             tree = random_cut_tree(rng, int(rng.integers(2, 25)),
                                    int(rng.integers(0, 10)))
-            for cw in (allocate_as1(tree), allocate_as2(tree)):
-                w = asset_weights(tree, cw).weights
+            for scheme in AllocationScheme:
+                w = asset_weights(tree, allocate(tree, scheme)).weights
                 assert abs(w.sum() - 1.0) <= 1e-10
                 assert np.all(w > 0.0)
                 assert np.all(w <= 1.0)
 
     def test_within_leaf_weights_equal(self, example_tree):
-        weights = asset_weights(example_tree, allocate_as2(example_tree))
+        weights = asset_weights(example_tree, allocate(example_tree, AllocationScheme.AS2))
         for leaf in example_tree.leaves():
             vals = weights.weights[list(leaf.members)]
             assert np.all(vals == vals[0])
@@ -114,7 +112,7 @@ class TestAssetWeights:
         tree = build_cut_tree(nested_block_graph, CutPolicy(max_cuts=3, min_leaf_size=1))
         sizes = {leaf.size for leaf in tree.leaves()}
         assert sizes == {2}
-        weights = asset_weights(tree, allocate_as2(tree))
+        weights = asset_weights(tree, allocate(tree, AllocationScheme.AS2))
         np.testing.assert_array_equal(weights.weights, equal_weights(8).weights)
 
 
@@ -135,6 +133,10 @@ class TestEqualWeights:
 
 
 class TestMinVariance:
+    def test_empty_covariance_rejected(self):
+        with pytest.raises(InvalidInputError):
+            min_variance_weights(CovarianceMatrix(np.zeros((0, 0))))
+
     def test_identity_covariance_equal_weights(self):
         wv = min_variance_weights(CovarianceMatrix(np.eye(4)))
         assert wv.weights.tolist() == [0.25] * 4

@@ -13,16 +13,17 @@ from portcut import (
     DegenerateSeriesError,
     InsufficientDataError,
     InvalidInputError,
+    PriceMatrix,
     ReturnsMatrix,
     StrategyKind,
     StrategySpec,
     WeightVector,
     block_factor_market,
     equal_weights,
-    portfolio_returns,
     run_backtest,
     sharpe_ratio,
 )
+from portcut.backtest import portfolio_returns
 
 from conftest import make_prices, overflowing_prices
 
@@ -102,6 +103,11 @@ class TestSharpeRatio:
     def test_bad_annualization(self):
         with pytest.raises(InvalidInputError):
             sharpe_ratio([0.01, 0.02], 0.0)
+
+    @pytest.mark.parametrize("annualization", [np.nan, np.inf])
+    def test_non_finite_annualization(self, annualization):
+        with pytest.raises(InvalidInputError):
+            sharpe_ratio([0.1, 0.2, 0.3], annualization)
 
 
 class TestRunBacktest:
@@ -248,6 +254,12 @@ class TestRunBacktest:
         assert as1.error_kind == as2.error_kind == "DegenerateAssetError"
         assert as1.error == as2.error
         assert "a1" in as1.error
+
+    def test_zero_asset_prices_rejected(self):
+        config = BacktestConfig(split_index=2, strategies=(cut_spec(),))
+        with pytest.raises(InvalidInputError):
+            run_backtest(PriceMatrix(prices=np.ones((6, 0)), asset_ids=(),
+                                     timestamps=tuple("abcdef")), config)
 
     def test_out_sample_dates_align_with_wealth(self):
         prices, _ = block_factor_market([3, 3], 20, seed=2)

@@ -17,13 +17,13 @@ from portcut import (
     asset_weights,
     block_factor_market,
     build_cut_tree,
-    ingest_prices,
+    ingest_prices_with_report,
     market_graph_from_covariance,
     sample_covariance,
     simple_returns,
     PriceCsvSpec,
 )
-from portcut.cli import main
+from portcut.cli import _drop_degenerate, main
 
 from conftest import (
     TREE_DOC_DEFECTS,
@@ -127,7 +127,7 @@ class TestAllocateCommand:
         payload = json.loads(capsys.readouterr().out)
         cli_weights = {row["asset_id"]: row["weight"] for row in payload["weights"]}
 
-        matrix = ingest_prices(PriceCsvSpec(path=market_csv))
+        matrix = ingest_prices_with_report(PriceCsvSpec(path=market_csv))[0]
         graph = market_graph_from_covariance(
             sample_covariance(simple_returns(matrix)), asset_ids=matrix.asset_ids)
         tree = build_cut_tree(graph, CutPolicy(max_cuts=2, min_leaf_size=1),
@@ -479,6 +479,25 @@ class TestDropDegenerate:
         payload = json.loads(capsys.readouterr().out)
         assert payload["asset_ids"] == ["m", "o"]
         assert "flat" in payload["manifest"]["dropped_assets"]
+
+    def test_two_rows_are_too_few(self, tmp_path, capsys):
+        csv_path = tmp_path / "short.csv"
+        write_prices_csv(csv_path, make_prices([[100.0, 102.0], [10.0, 10.0]]))
+        assert main(["cut", str(csv_path), "--drop-degenerate"]) == 2
+        error = one_json_error(capsys.readouterr().err)
+        assert error["error"] == "InsufficientDataError"
+        assert "at least 2 return rows" in error["message"]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_keeps_exactly_the_nonzero_covariance_diagonal(self, seed):
+        rng = np.random.default_rng(seed)
+        prices = rng.uniform(90.0, 110.0, (8, 7))
+        prices[:, rng.choice(7, size=3, replace=False)] = 50.0
+        matrix = make_prices(prices.T)
+        kept, dropped = _drop_degenerate(matrix)
+        alive = np.diag(sample_covariance(simple_returns(matrix)).sigma) > 0.0
+        assert kept.asset_ids == tuple(np.array(matrix.asset_ids)[alive])
+        assert dropped == list(np.array(matrix.asset_ids)[~alive])
 
 
 class TestManifest:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from portcut import (
     DegenerateAssetError,
     InsufficientDataError,
     InvalidInputError,
+    MarketGraph,
     PriceMatrix,
     ReturnsMatrix,
     market_graph_from_covariance,
@@ -209,3 +212,27 @@ class TestMarketGraphFromWeights:
         g = market_graph_from_weights(np.array([[0.7, 0.2], [0.2, 0.7]]))
         assert np.all(np.diag(g.weights) == 0.0)
         assert g.degrees.tolist() == [0.2, 0.2]
+
+    def test_numpy_asset_ids(self):
+        g = market_graph_from_weights(np.array([[0.0, 0.5], [0.5, 0.0]]),
+                                      asset_ids=np.array(["a", "b"]))
+        assert g.asset_ids == ("a", "b")
+
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(InvalidInputError):
+            market_graph_from_weights(np.zeros((0, 0)))
+
+
+class TestMarketGraphDerivedState:
+    def test_degrees_and_laplacian_derive_from_weights(self):
+        w = np.random.default_rng(3).uniform(0.0, 1.0, (6, 6))
+        w = (w + w.T) / 2.0
+        np.fill_diagonal(w, 0.0)
+        g = MarketGraph(weights=w)
+        assert np.array_equal(g.degrees, w.sum(axis=1))
+        assert np.array_equal(g.laplacian, np.diag(w.sum(axis=1)) - w)
+
+    def test_only_weights_and_ids_are_fields(self):
+        assert [f.name for f in dataclasses.fields(MarketGraph)] == ["weights", "asset_ids"]
+        with pytest.raises(TypeError):
+            MarketGraph(weights=np.zeros((2, 2)), degrees=[3.0, 7.0])

@@ -1,0 +1,23 @@
+"""The package surface: exported names resolve, and the README quickstart runs."""
+
+import re
+from pathlib import Path
+
+import portcut
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_every_exported_name_resolves_once():
+    assert len(portcut.__all__) == len(set(portcut.__all__))
+    missing = [name for name in portcut.__all__ if not hasattr(portcut, name)]
+    assert missing == []
+
+
+def test_readme_quickstart_runs(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert blocks, "README has no python block"
+    for block in blocks:
+        exec(compile(block, "<README.md python block>", "exec"), {})
+    # The quickstart ends by printing the cut strategy's Sharpe ratio.
+    float(capsys.readouterr().out.split()[-1])

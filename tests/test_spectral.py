@@ -19,13 +19,13 @@ from portcut import (
     brute_force_min_cut,
     cut_value,
     fiedler_vector,
-    iter_bipartitions,
     market_graph_from_weights,
     objective_value,
     partition_indicator,
     rayleigh_quotient,
     spectral_bisect,
 )
+from portcut.spectral import iter_bipartitions
 from portcut.cli import main
 
 from conftest import (

@@ -13,11 +13,10 @@ from portcut import (
     build_cut_tree,
     edge_budget_trace,
     fiedler_vector,
-    induced_subgraph,
     leaf_edge_budget,
     market_graph_from_weights,
-    select_leaf,
 )
+from portcut.tree import induced_subgraph, select_leaf
 
 from conftest import complete_random_graph, graph_from_edges
 
