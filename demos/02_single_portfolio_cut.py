@@ -10,11 +10,11 @@ import numpy as np
 
 from portcut import (
     CutObjective,
+    MarketGraph,
     bipartition_count,
     brute_force_min_cut,
     cut_value,
     fiedler_vector,
-    market_graph_from_weights,
     spectral_bisect,
 )
 
@@ -30,7 +30,7 @@ edges = [
 ]
 for i, j, v in edges:
     w[i, j] = w[j, i] = v
-graph = market_graph_from_weights(w)
+graph = MarketGraph(w)
 
 side = np.array([1, 1, 1, 1, 2, 2, 2, 2])
 print("crossing weight of the cluster split:", cut_value(graph, side))

@@ -11,12 +11,12 @@ import numpy as np
 from portcut import (
     AllocationScheme,
     CutPolicy,
+    MarketGraph,
     allocate,
     asset_weights,
     build_cut_tree,
     edge_budget_trace,
     leaf_edge_budget,
-    market_graph_from_weights,
 )
 
 np.set_printoptions(precision=4, suppress=True)
@@ -30,7 +30,7 @@ for base in (0, 4):
 for i, j in ((0, 1), (2, 3), (4, 5), (6, 7)):
     w[i, j] = w[j, i] = 0.9
 np.fill_diagonal(w, 0.0)
-graph = market_graph_from_weights(w)
+graph = MarketGraph(w)
 
 tree = build_cut_tree(graph, CutPolicy(max_cuts=4, min_leaf_size=1))
 print("cuts performed:", tree.k_performed, "-> leaves:", len(tree.leaf_ids))

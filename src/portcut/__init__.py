@@ -48,7 +48,6 @@ from .market_graph import (
     PriceMatrix,
     ReturnsMatrix,
     market_graph_from_covariance,
-    market_graph_from_weights,
     sample_covariance,
     simple_returns,
 )
@@ -81,7 +80,7 @@ __all__ = [
     # market graph
     "PriceMatrix", "ReturnsMatrix", "CovarianceMatrix", "MarketGraph",
     "simple_returns", "sample_covariance",
-    "market_graph_from_covariance", "market_graph_from_weights",
+    "market_graph_from_covariance",
     # spectral cuts
     "CutObjective", "Partition", "cut_value", "objective_value",
     "rayleigh_quotient", "partition_indicator", "fiedler_vector",

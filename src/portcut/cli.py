@@ -21,12 +21,13 @@ from . import __version__
 from .allocation import AllocationScheme, allocate, asset_weights
 from .backtest import BacktestConfig, StrategyKind, StrategySpec, run_backtest
 from .errors import DegenerateAssetError, InsufficientDataError, InvalidInputError, PortfolioCutError
-from .ingest import IngestReport, MissingPolicy, PriceCsvSpec, ingest_prices_with_report, timestamp_sort_key
+from .ingest import IngestReport, MissingPolicy, PriceCsvSpec, ingest_prices_with_report
 from .market_graph import (
     PriceMatrix,
     market_graph_from_covariance,
     sample_covariance,
     simple_returns,
+    timestamp_sort_key,
 )
 from .serialization import (
     canonical_json,

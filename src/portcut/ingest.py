@@ -11,10 +11,9 @@ import csv
 import logging
 import math
 from dataclasses import dataclass
-from datetime import date
 from enum import Enum
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -26,7 +25,6 @@ __all__ = [
     "PriceCsvSpec",
     "IngestReport",
     "ingest_prices_with_report",
-    "timestamp_sort_key",
 ]
 
 log = logging.getLogger(__name__)
@@ -62,18 +60,6 @@ class IngestReport:
 
     dropped_rows: Tuple[str, ...]
     dropped_assets: Tuple[str, ...]
-
-
-def timestamp_sort_key(label: str):
-    """ISO dates compare as dates; anything else compares as a string."""
-    try:
-        return (0, date.fromisoformat(label))
-    except ValueError:
-        return (1, label)
-
-
-def _is_missing(cell: str) -> bool:
-    return cell.strip().lower() in MISSING_MARKERS
 
 
 def _decoded_rows(reader, path: Path):
@@ -123,7 +109,7 @@ def ingest_prices_with_report(spec: PriceCsvSpec) -> Tuple[PriceMatrix, IngestRe
             raise InvalidInputError(f"{path}: duplicate asset columns in header")
 
         dates: List[str] = []
-        rows: List[List[Optional[float]]] = []
+        rows: List[List[float]] = []
         for line_no, row in enumerate(rows_in, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
@@ -131,75 +117,56 @@ def ingest_prices_with_report(spec: PriceCsvSpec) -> Tuple[PriceMatrix, IngestRe
                 raise InvalidInputError(
                     f"{path}:{line_no}: expected {len(header)} cells, got {len(row)}"
                 )
-            dates.append(row[date_idx].strip())
-            values: List[Optional[float]] = []
-            for i, cell in enumerate(row):
-                if i == date_idx:
-                    continue
-                column = header[i]
-                if _is_missing(cell):
-                    if spec.missing_policy is MissingPolicy.ERROR:
-                        raise InvalidInputError(
-                            f"{path}:{line_no}: missing price in column {column!r}"
-                        )
-                    values.append(None)
-                    continue
+            dates.append(row.pop(date_idx).strip())
+            values: List[float] = []
+            for column, cell in zip(asset_ids, row):
                 try:
                     value = float(cell)
                 except ValueError:
-                    raise InvalidInputError(
-                        f"{path}:{line_no}: unparseable price {cell!r} in column {column!r}"
-                    ) from None
-                if not 0.0 < value < math.inf:
-                    problem = "nonpositive" if value <= 0.0 else "non-finite"
-                    raise InvalidInputError(
-                        f"{path}:{line_no}: {problem} price {cell!r} in column {column!r}"
-                    )
+                    value = None
+                if value is None or not 0.0 < value < math.inf:
+                    if cell.strip().lower() not in MISSING_MARKERS:
+                        problem = ("unparseable" if value is None
+                                   else "nonpositive" if value <= 0.0 else "non-finite")
+                        raise InvalidInputError(f"{path}:{line_no}: {problem} price "
+                                                f"{cell!r} in column {column!r}")
+                    if spec.missing_policy is MissingPolicy.ERROR:
+                        raise InvalidInputError(
+                            f"{path}:{line_no}: missing price in column {column!r}")
+                    value = math.nan
                 values.append(value)
             rows.append(values)
 
-    dropped_assets: List[str] = []
-    dropped_rows: List[str] = []
+    prices = np.array(rows, dtype=float).reshape(len(rows), len(asset_ids))
+    dropped_assets: Tuple[str, ...] = ()
+    dropped_rows: Tuple[str, ...] = ()
     if spec.missing_policy is MissingPolicy.DROP_ASSETS:
-        complete = [all(row[j] is not None for row in rows)
-                    for j in range(len(asset_ids))]
-        keep = [j for j, ok in enumerate(complete) if ok]
-        dropped_assets = [a for a, ok in zip(asset_ids, complete) if not ok]
-        asset_ids = [asset_ids[j] for j in keep]
-        rows = [[row[j] for j in keep] for row in rows]
+        incomplete = np.isnan(prices).any(axis=0)
+        dropped_assets = tuple(a for a, bad in zip(asset_ids, incomplete) if bad)
+        asset_ids = [a for a, bad in zip(asset_ids, incomplete) if not bad]
+        prices = prices[:, ~incomplete]
         if not asset_ids:
             raise InsufficientDataError(f"{path}: every asset column has missing cells")
     elif spec.missing_policy is MissingPolicy.DROP_ROWS:
-        complete = [all(v is not None for v in row) for row in rows]
-        dropped_rows = [d for d, ok in zip(dates, complete) if not ok]
-        rows = [row for row, ok in zip(rows, complete) if ok]
-        dates = [d for d, ok in zip(dates, complete) if ok]
+        incomplete = np.isnan(prices).any(axis=1)
+        dropped_rows = tuple(d for d, bad in zip(dates, incomplete) if bad)
+        dates = [d for d, bad in zip(dates, incomplete) if not bad]
+        prices = prices[~incomplete]
 
-    if len(rows) < 2:
+    if len(dates) < 2:
         raise InsufficientDataError(
-            f"{path}: {len(rows)} usable rows after drops, need at least 2"
+            f"{path}: {len(dates)} usable rows after drops, need at least 2"
         )
-
-    keys = [timestamp_sort_key(d) for d in dates]
-    for i in range(1, len(keys)):
-        if keys[i] <= keys[i - 1]:
-            raise InvalidInputError(
-                f"{path}: dates not strictly increasing at {dates[i]!r}"
-            )
+    try:
+        matrix = PriceMatrix(prices=prices, asset_ids=tuple(asset_ids),
+                             timestamps=tuple(dates))
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from None
 
     if dropped_assets:
         log.info("dropped %d asset(s) with missing cells: %s",
                  len(dropped_assets), ", ".join(dropped_assets))
     if dropped_rows:
         log.info("dropped %d row(s) with missing cells", len(dropped_rows))
-
-    matrix = PriceMatrix(
-        prices=np.array(rows, dtype=float),
-        asset_ids=tuple(asset_ids),
-        timestamps=tuple(dates),
-    )
-    report = IngestReport(
-        dropped_rows=tuple(dropped_rows),
-        dropped_assets=tuple(dropped_assets),
-    )
+    report = IngestReport(dropped_rows=dropped_rows, dropped_assets=dropped_assets)
     return matrix, report

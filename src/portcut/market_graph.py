@@ -9,6 +9,7 @@ the weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from datetime import date
 from functools import cached_property
 
 import numpy as np
@@ -23,7 +24,7 @@ __all__ = [
     "simple_returns",
     "sample_covariance",
     "market_graph_from_covariance",
-    "market_graph_from_weights",
+    "timestamp_sort_key",
 ]
 
 
@@ -31,11 +32,22 @@ def _as_float_array(values, name: str, ndim: int) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != ndim:
         raise InvalidInputError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
+    # Reductions sum in memory order, so a strided view (a column subset, say)
+    # would change the last bits of every result computed from it.
+    arr = np.ascontiguousarray(arr)
     if arr.size == 0:
         raise InvalidInputError(f"{name} must be nonempty, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError(f"{name} contains non-finite entries")
     return arr
+
+
+def timestamp_sort_key(label: str):
+    """ISO dates compare as dates; anything else compares as a string."""
+    try:
+        return (0, date.fromisoformat(label))
+    except ValueError:
+        return (1, label)
 
 
 @dataclass(frozen=True)
@@ -49,7 +61,7 @@ class PriceMatrix:
     asset_ids : tuple of str
         Unique column labels.
     timestamps : tuple of str
-        Strictly increasing row labels (dates).
+        Strictly increasing row labels under `timestamp_sort_key`.
     """
 
     prices: np.ndarray
@@ -72,8 +84,10 @@ class PriceMatrix:
             raise InvalidInputError(
                 f"{len(timestamps)} timestamps for {prices.shape[0]} price rows"
             )
-        if any(a >= b for a, b in zip(timestamps, timestamps[1:])):
-            raise InvalidInputError("timestamps must be strictly increasing")
+        keys = [timestamp_sort_key(t) for t in timestamps]
+        for i in range(1, len(keys)):
+            if keys[i] <= keys[i - 1]:
+                raise InvalidInputError(f"dates not strictly increasing at {timestamps[i]!r}")
         object.__setattr__(self, "prices", prices)
         object.__setattr__(self, "asset_ids", asset_ids)
         object.__setattr__(self, "timestamps", timestamps)
@@ -145,9 +159,11 @@ class CovarianceMatrix:
 class MarketGraph:
     """Weighted market graph; degrees and Laplacian derive from the weights.
 
-    ``weights`` is symmetric with zero diagonal and entries in [0, 1].
-    ``degrees[m] == weights[m].sum()`` and ``laplacian == diag(degrees) - weights``
-    are computed on first use.
+    Any nonnegative square matrix with entries up to 1 is accepted: an
+    asymmetric one is averaged with its transpose and the diagonal is zeroed,
+    so the stored, read-only ``weights`` is symmetric with zero diagonal and
+    entries in [0, 1]. ``degrees[m] == weights[m].sum()`` and
+    ``laplacian == diag(degrees) - weights`` are computed on first use.
     """
 
     weights: np.ndarray
@@ -157,6 +173,15 @@ class MarketGraph:
         w = _as_float_array(self.weights, "weights", 2)
         if w.shape[0] != w.shape[1]:
             raise InvalidInputError(f"weights must be square, got {w.shape}")
+        if np.any(w < 0.0):
+            raise InvalidInputError("weights must be nonnegative")
+        if np.max(np.abs(w - w.T)) != 0.0:
+            w = (w + w.T) / 2.0
+        if np.any(w > 1.0 + 1e-12):
+            raise InvalidInputError("weights must not exceed 1 (absolute correlations)")
+        w = w.copy()
+        np.fill_diagonal(w, 0.0)
+        w.flags.writeable = False
         object.__setattr__(self, "weights", w)
         ids = tuple(str(a) for a in self.asset_ids) or tuple(str(i) for i in range(w.shape[0]))
         if len(ids) != w.shape[0]:
@@ -230,8 +255,7 @@ def market_graph_from_covariance(sigma: CovarianceMatrix, asset_ids=None) -> Mar
     """Build the absolute-correlation market graph from a covariance matrix.
 
     Off-diagonal weights are ``|sigma_mn| / sqrt(sigma_mm * sigma_nn)``; the
-    diagonal is forced to zero (no self-loops). Degrees are row sums of the
-    weights and the Laplacian is ``diag(degrees) - weights``.
+    `MarketGraph` constructor zeroes the diagonal (no self-loops).
 
     Parameters
     ----------
@@ -262,26 +286,5 @@ def market_graph_from_covariance(sigma: CovarianceMatrix, asset_ids=None) -> Mar
     # Cauchy-Schwarz bounds |rho| by 1; clip the last-ulp overshoot of exact
     # collinearity so the [0, 1] range invariant holds exactly.
     weights = np.minimum(weights, 1.0)
-    np.fill_diagonal(weights, 0.0)
-    return market_graph_from_weights(weights, asset_ids=ids)
+    return MarketGraph(weights=weights, asset_ids=ids)
 
-
-def market_graph_from_weights(weights, asset_ids=None) -> MarketGraph:
-    """Assemble a MarketGraph from a symmetric nonnegative weight matrix.
-
-    Accepts any [0, 1]-valued symmetric matrix (diagonal entries are zeroed),
-    which makes it the natural entry point for synthetic graphs in tests and
-    demos.
-    """
-    w = _as_float_array(weights, "weights", 2)
-    if w.shape[0] != w.shape[1]:
-        raise InvalidInputError(f"weights must be square, got {w.shape}")
-    if np.any(w < 0.0):
-        raise InvalidInputError("weights must be nonnegative")
-    if np.max(np.abs(w - w.T)) != 0.0:
-        w = (w + w.T) / 2.0
-    if np.any(w > 1.0 + 1e-12):
-        raise InvalidInputError("weights must not exceed 1 (absolute correlations)")
-    w = w.copy()
-    np.fill_diagonal(w, 0.0)
-    return MarketGraph(weights=w, asset_ids=() if asset_ids is None else asset_ids)

@@ -187,7 +187,10 @@ def select_leaf(tree: CutTree, graph: MarketGraph, policy: CutPolicy,
         if policy.leaf_selection is LeafSelection.MOST_VERTICES:
             score = float(node.size)
         else:
-            score = induced_subgraph(graph, node.members).total_volume
+            # The volume of the induced subgraph, summed in the same order as
+            # `MarketGraph.total_volume`, without building the subgraph.
+            m = node.members
+            score = float(graph.weights[np.ix_(m, m)].sum(axis=1).sum())
         key = (-score, min(node.members))
         if best_key is None or key < best_key:
             best_key = key

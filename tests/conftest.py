@@ -10,7 +10,6 @@ from portcut import (
     CutTree,
     MarketGraph,
     PriceMatrix,
-    market_graph_from_weights,
 )
 
 
@@ -18,7 +17,7 @@ def graph_from_edges(n: int, edges) -> MarketGraph:
     w = np.zeros((n, n))
     for i, j, v in edges:
         w[i, j] = w[j, i] = v
-    return market_graph_from_weights(w)
+    return MarketGraph(w)
 
 
 def partition_sets(side_of) -> frozenset:
@@ -35,7 +34,7 @@ def complete_random_graph(rng: np.random.Generator, n: int,
     w = rng.uniform(low, high, size=(n, n))
     w = (w + w.T) / 2.0
     np.fill_diagonal(w, 0.0)
-    return market_graph_from_weights(w)
+    return MarketGraph(w)
 
 
 def planted_two_block_graph(rng: np.random.Generator, n: int):
@@ -48,7 +47,7 @@ def planted_two_block_graph(rng: np.random.Generator, n: int):
     np.fill_diagonal(w, 0.0)
     truth = np.ones(n, dtype=int)
     truth[n1:] = 2
-    return market_graph_from_weights(w), truth
+    return MarketGraph(w), truth
 
 
 def random_cut_tree(rng: np.random.Generator, n_assets: int, k: int) -> CutTree:
@@ -90,7 +89,7 @@ def nested_block_graph() -> MarketGraph:
     for i, j in ((0, 1), (2, 3), (4, 5), (6, 7)):
         w[i, j] = w[j, i] = 0.9
     np.fill_diagonal(w, 0.0)
-    return market_graph_from_weights(w)
+    return MarketGraph(w)
 
 
 @pytest.fixture

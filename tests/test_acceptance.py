@@ -15,6 +15,7 @@ from portcut import (
     CovarianceMatrix,
     CutObjective,
     CutPolicy,
+    MarketGraph,
     SingularCovarianceError,
     SizeLimitError,
     StrategyKind,
@@ -29,7 +30,6 @@ from portcut import (
     edge_budget_trace,
     fiedler_vector,
     leaf_edge_budget,
-    market_graph_from_weights,
     min_variance_weights,
     objective_value,
     partition_indicator,
@@ -101,7 +101,7 @@ def test_criterion_02_combinatorial_count():
         assert brute_force_min_cut(g, CUTN).objective_value == best
     assert counts == expected
 
-    g500 = market_graph_from_weights(np.zeros((500, 500)))
+    g500 = MarketGraph(np.zeros((500, 500)))
     start = time.perf_counter()
     with pytest.raises(SizeLimitError) as exc:
         brute_force_min_cut(g500, CUTN)

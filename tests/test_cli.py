@@ -488,6 +488,21 @@ class TestDropDegenerate:
         assert error["error"] == "InsufficientDataError"
         assert "at least 2 return rows" in error["message"]
 
+    def test_dropped_column_leaves_the_clean_result(self, tmp_path):
+        prices, _ = block_factor_market((12, 10, 8), 300, seed=4)
+        with_flat = make_prices(
+            [*prices.prices[:, :5].T, np.full(prices.n_rows, 5.0), *prices.prices[:, 5:].T],
+            asset_ids=prices.asset_ids[:5] + ("flat",) + prices.asset_ids[5:],
+            timestamps=prices.timestamps)
+        strategies = []
+        for name, matrix in (("clean", prices), ("flat", with_flat)):
+            csv_path, report = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+            write_prices_csv(csv_path, matrix)
+            assert main(["backtest", str(csv_path), "--split-index", "150", "--max-cuts", "3",
+                         "--drop-degenerate", "-o", str(report)]) == 0
+            strategies.append(json.loads(report.read_text())["strategies"])
+        assert strategies[0] == strategies[1]
+
     @pytest.mark.parametrize("seed", range(5))
     def test_keeps_exactly_the_nonzero_covariance_diagonal(self, seed):
         rng = np.random.default_rng(seed)

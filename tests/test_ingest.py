@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from portcut import (
@@ -5,6 +6,7 @@ from portcut import (
     InvalidInputError,
     MissingPolicy,
     PriceCsvSpec,
+    PriceMatrix,
     ingest_prices_with_report,
 )
 
@@ -177,3 +179,59 @@ class TestMalformedInput:
         text = "date,aaa\n2020-01-01,100\n"
         with pytest.raises(InsufficientDataError):
             ingest_prices_with_report(PriceCsvSpec(path=write(tmp_path, text)))
+
+
+# The third line of a "date,aaa,bbb" CSV, and the error it gives. Only the
+# ERROR policy rejects a missing cell; the others drop its row or column.
+MISSING = "missing price in column 'bbb'"
+BAD_LINES = [
+    ("2020-01-02,101,", MISSING),
+    ("2020-01-02,101,na", MISSING),
+    ("2020-01-02,101,NaN", MISSING),
+    ("2020-01-02,101,null", MISSING),
+    ("2020-01-02,101,inf", "non-finite price 'inf' in column 'bbb'"),
+    ("2020-01-02,101,1e400", "non-finite price '1e400' in column 'bbb'"),
+    ("2020-01-02,101,+nan", "non-finite price '+nan' in column 'bbb'"),
+    ("2020-01-02,101,-3", "nonpositive price '-3' in column 'bbb'"),
+    ("2020-01-02,101,0", "nonpositive price '0' in column 'bbb'"),
+    ("2020-01-02,101,abc", "unparseable price 'abc' in column 'bbb'"),
+    ("2020-01-02,101", "expected 3 cells, got 2"),
+]
+
+
+@pytest.mark.parametrize("policy", list(MissingPolicy))
+@pytest.mark.parametrize("line, message", BAD_LINES)
+def test_bad_cell_exact_message(tmp_path, line, message, policy):
+    path = write(tmp_path, f"date,aaa,bbb\n2020-01-01,100,50\n{line}\n2020-01-03,102,51\n")
+    spec = PriceCsvSpec(path=path, missing_policy=policy)
+    if message == MISSING and policy is not MissingPolicy.ERROR:
+        matrix, report = ingest_prices_with_report(spec)
+        assert report.dropped_rows + report.dropped_assets in (("2020-01-02",), ("bbb",))
+        assert not np.isnan(matrix.prices).any()
+        return
+    with pytest.raises(InvalidInputError) as exc:
+        ingest_prices_with_report(spec)
+    assert str(exc.value) == f"{path}:3: {message}"
+
+
+@pytest.mark.parametrize("dates, label", [
+    (("2020-01-02", "2020-01-01", "2020-01-03"), "2020-01-01"),
+    (("2020-01-01", "2020-01-01", "2020-01-03"), "2020-01-01"),
+    (("1999", "2000", "2020-01-05"), "2020-01-05"),
+])
+def test_date_order_exact_message(tmp_path, dates, label):
+    path = write(tmp_path, "date,aaa\n" + "".join(f"{d},100\n" for d in dates))
+    with pytest.raises(InvalidInputError) as exc:
+        ingest_prices_with_report(PriceCsvSpec(path=path))
+    assert str(exc.value) == f"{path}: dates not strictly increasing at {label!r}"
+
+
+def test_ingest_orders_dates_like_price_matrix(tmp_path):
+    dates = ("2020-01-05", "1999", "2000")
+    path = write(tmp_path, "date,aaa\n2020-01-05,100\n1999,101\n2000,102\n")
+    matrix = ingest_prices_with_report(PriceCsvSpec(path=path))[0]
+    direct = PriceMatrix(prices=[[100.0], [101.0], [102.0]], asset_ids=("aaa",),
+                         timestamps=dates)
+    assert matrix.timestamps == direct.timestamps
+    assert matrix.asset_ids == direct.asset_ids
+    assert np.array_equal(matrix.prices, direct.prices)

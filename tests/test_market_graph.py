@@ -14,7 +14,6 @@ from portcut import (
     PriceMatrix,
     ReturnsMatrix,
     market_graph_from_covariance,
-    market_graph_from_weights,
     sample_covariance,
     simple_returns,
 )
@@ -60,10 +59,16 @@ class TestPriceMatrixValidation:
             make_prices([[1.0, 2.0], [1.0, 2.0]], asset_ids=["a", "a"])
 
     def test_non_increasing_timestamps(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match=r"^dates not strictly increasing at 't1'$"):
             make_prices([[1.0, 2.0]], timestamps=["t1", "t1"])
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match=r"^dates not strictly increasing at 't1'$"):
             make_prices([[1.0, 2.0]], timestamps=["t2", "t1"])
+
+    def test_iso_dates_order_before_other_labels(self):
+        prices = make_prices([[1.0, 2.0, 3.0]], timestamps=["2020-01-05", "1999", "2000"])
+        assert prices.timestamps == ("2020-01-05", "1999", "2000")
+        with pytest.raises(InvalidInputError, match="at '2020-01-05'"):
+            make_prices([[1.0, 2.0, 3.0]], timestamps=["1999", "2000", "2020-01-05"])
 
     def test_mismatched_labels(self):
         with pytest.raises(InvalidInputError):
@@ -202,25 +207,46 @@ class TestGraphInvariants:
 class TestMarketGraphFromWeights:
     def test_rejects_negative_weights(self):
         with pytest.raises(InvalidInputError):
-            market_graph_from_weights(np.array([[0.0, -0.1], [-0.1, 0.0]]))
+            MarketGraph(np.array([[0.0, -0.1], [-0.1, 0.0]]))
+        with pytest.raises(InvalidInputError, match="nonnegative"):
+            MarketGraph(np.array([[0.0, -0.5, 0.2], [-0.5, 0.0, 0.9], [0.2, 0.9, 0.0]]))
 
     def test_rejects_weights_above_one(self):
         with pytest.raises(InvalidInputError):
-            market_graph_from_weights(np.array([[0.0, 1.5], [1.5, 0.0]]))
+            MarketGraph(np.array([[0.0, 1.5], [1.5, 0.0]]))
+        with pytest.raises(InvalidInputError, match="must not exceed 1"):
+            MarketGraph(np.array([[0.0, 1.0 + 1e-9], [1.0 + 1e-9, 0.0]]))
 
     def test_diagonal_zeroed(self):
-        g = market_graph_from_weights(np.array([[0.7, 0.2], [0.2, 0.7]]))
+        g = MarketGraph(np.array([[0.7, 0.2], [0.2, 0.7]]))
         assert np.all(np.diag(g.weights) == 0.0)
         assert g.degrees.tolist() == [0.2, 0.2]
 
     def test_numpy_asset_ids(self):
-        g = market_graph_from_weights(np.array([[0.0, 0.5], [0.5, 0.0]]),
-                                      asset_ids=np.array(["a", "b"]))
+        g = MarketGraph(np.array([[0.0, 0.5], [0.5, 0.0]]),
+                        asset_ids=np.array(["a", "b"]))
         assert g.asset_ids == ("a", "b")
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(InvalidInputError):
-            market_graph_from_weights(np.zeros((0, 0)))
+            MarketGraph(np.zeros((0, 0)))
+
+    def test_asymmetric_matrix_averaged(self):
+        g = MarketGraph(np.array([[0.0, 0.2, 0.4], [0.6, 0.0, 0.1], [0.0, 0.3, 0.0]]))
+        np.testing.assert_array_equal(
+            g.weights, [[0.0, 0.4, 0.2], [0.4, 0.0, 0.2], [0.2, 0.2, 0.0]])
+
+    def test_callers_array_not_aliased(self):
+        w = np.array([[0.0, 0.5], [0.5, 0.0]])
+        g = MarketGraph(w)
+        w[0, 1] = w[1, 0] = 0.9
+        assert g.weights.tolist() == [[0.0, 0.5], [0.5, 0.0]]
+        assert g.degrees.tolist() == [0.5, 0.5]
+
+    def test_weights_read_only(self):
+        g = MarketGraph(np.array([[0.0, 0.5], [0.5, 0.0]]))
+        with pytest.raises(ValueError):
+            g.weights[0, 1] = 0.9
 
 
 class TestMarketGraphDerivedState:

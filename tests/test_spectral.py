@@ -12,6 +12,7 @@ from portcut import (
     DegenerateVolumeError,
     InvalidInputError,
     InvalidPartitionError,
+    MarketGraph,
     NumericalFailureError,
     SizeLimitError,
     bipartition_count,
@@ -19,7 +20,6 @@ from portcut import (
     brute_force_min_cut,
     cut_value,
     fiedler_vector,
-    market_graph_from_weights,
     objective_value,
     partition_indicator,
     rayleigh_quotient,
@@ -79,7 +79,7 @@ class TestObjectiveValue:
     def test_prefactor_minimal_for_balanced_split(self):
         # On the uniform complete graph the cut is n1*n2*w, so the objective
         # divided by the cut isolates the (1/n1 + 1/n2) prefactor.
-        g = market_graph_from_weights(np.where(np.eye(6) == 1, 0.0, 1.0))
+        g = MarketGraph(np.where(np.eye(6) == 1, 0.0, 1.0))
         prefactors = {}
         for side in iter_bipartitions(6):
             n1 = int(np.sum(side == 1))
@@ -196,7 +196,7 @@ class TestFiedlerVector:
         assert exc.value.vertices == [2]
 
     def test_single_vertex_rejected(self):
-        g = market_graph_from_weights(np.zeros((1, 1)))
+        g = MarketGraph(np.zeros((1, 1)))
         with pytest.raises(InvalidInputError):
             fiedler_vector(g, CUTN)
 
@@ -271,7 +271,7 @@ class TestSpectralBisect:
             g, _ = planted_two_block_graph(np.random.default_rng(seed), 8)
             part = spectral_bisect(g, objective)
             perm = rng.permutation(8)
-            permuted = market_graph_from_weights(g.weights[np.ix_(perm, perm)])
+            permuted = MarketGraph(g.weights[np.ix_(perm, perm)])
             part_p = spectral_bisect(permuted, objective)
             expected = {
                 frozenset(int(np.flatnonzero(perm == v)[0]) for v in side)
@@ -303,12 +303,12 @@ class TestBruteForce:
         assert len(seen) == bipartition_count(5)
 
     def test_size_guard(self):
-        g = market_graph_from_weights(np.zeros((21, 21)))
+        g = MarketGraph(np.zeros((21, 21)))
         with pytest.raises(SizeLimitError):
             brute_force_min_cut(g, CUTN)
 
     def test_guard_reports_magnitude_without_enumerating(self):
-        g = market_graph_from_weights(np.zeros((500, 500)))
+        g = MarketGraph(np.zeros((500, 500)))
         with pytest.raises(SizeLimitError) as exc:
             brute_force_min_cut(g, CUTN)
         err = exc.value
@@ -318,7 +318,7 @@ class TestBruteForce:
     def test_lexicographic_tie_break(self):
         # All 7 splits of the uniform complete graph tie: lexicographically
         # smallest assignment puts only the last vertex on side 2.
-        g = market_graph_from_weights(np.where(np.eye(4) == 1, 0.0, 0.5))
+        g = MarketGraph(np.where(np.eye(4) == 1, 0.0, 0.5))
         part = brute_force_min_cut(g, CUTN)
         assert part.side_of.tolist() == [1, 1, 1, 2]
 
@@ -330,12 +330,12 @@ class TestBruteForce:
         assert abs(part.objective_value - 1.0) <= 1e-12
 
     def test_edgeless_graph_under_volume_objective(self):
-        g = market_graph_from_weights(np.zeros((4, 4)))
+        g = MarketGraph(np.zeros((4, 4)))
         with pytest.raises(DegenerateVolumeError):
             brute_force_min_cut(g, CUTV)
 
     def test_too_small(self):
-        g = market_graph_from_weights(np.zeros((1, 1)))
+        g = MarketGraph(np.zeros((1, 1)))
         with pytest.raises(InvalidInputError):
             brute_force_min_cut(g, CUTN)
 
@@ -399,7 +399,7 @@ def _reference_min_cut(graph, objective):
 def _rounded_graph(rng, n):
     """Weights on a 0.1 grid, so many cuts tie in exact arithmetic."""
     w = np.triu(np.round(rng.uniform(0.0, 1.0, size=(n, n)), 1), 1)
-    return market_graph_from_weights(w + w.T)
+    return MarketGraph(w + w.T)
 
 
 def _uniform_graph(rng, n):
@@ -409,7 +409,7 @@ def _uniform_graph(rng, n):
     under different summation orders.
     """
     weight = float(rng.choice([0.1, 0.3, 0.7]))
-    return market_graph_from_weights(np.where(np.eye(n) == 1, 0.0, weight))
+    return MarketGraph(np.where(np.eye(n) == 1, 0.0, weight))
 
 
 class TestBruteForceMatchesReference:

@@ -4,17 +4,18 @@ import operator
 import numpy as np
 import pytest
 
+import portcut.tree
 from portcut import (
     CutObjective,
     CutPolicy,
     CutTree,
     InvalidInputError,
     LeafSelection,
+    MarketGraph,
     build_cut_tree,
     edge_budget_trace,
     fiedler_vector,
     leaf_edge_budget,
-    market_graph_from_weights,
 )
 from portcut.tree import induced_subgraph, select_leaf
 
@@ -98,6 +99,15 @@ class TestSelectLeaf:
                            leaf_selection=LeafSelection.LARGEST_VOLUME)
         got = select_leaf(tree, g, policy)
         assert tree.nodes[got].members == (0, 1)
+
+    def test_largest_volume_builds_no_subgraph(self, figure_cut_graph, monkeypatch):
+        tree = chain_tree([(0, 1, 2), (3, 4, 5, 6), (7,)])
+        volumes = {i: induced_subgraph(figure_cut_graph, tree.nodes[i].members).total_volume
+                   for i in tree.leaf_ids}
+        monkeypatch.setattr(portcut.tree, "induced_subgraph", None)
+        policy = CutPolicy(max_cuts=1, min_leaf_size=1,
+                           leaf_selection=LeafSelection.LARGEST_VOLUME)
+        assert select_leaf(tree, figure_cut_graph, policy) == max(volumes, key=volumes.get)
 
     def test_exclusion_set_respected(self, figure_cut_graph):
         tree = chain_tree([(0, 1, 2, 3), (4, 5, 6, 7)])
@@ -206,7 +216,7 @@ class TestBuildCutTree:
             assert a.lambda2_at_split == b.lambda2_at_split
 
     def test_too_small_graph(self):
-        g = market_graph_from_weights(np.zeros((1, 1)))
+        g = MarketGraph(np.zeros((1, 1)))
         with pytest.raises(InvalidInputError):
             build_cut_tree(g, CutPolicy(max_cuts=1))
 
