@@ -7,6 +7,8 @@ bytes.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from typing import Dict, Sequence
 
@@ -75,8 +77,8 @@ def tree_to_dict(tree: CutTree) -> dict:
 def tree_from_dict(payload: dict) -> CutTree:
     """Rebuild a CutTree by replaying its internal nodes in first-child-id order.
 
-    The document is accepted only if its ``root_id``, ``k_performed``,
-    ``leaf_ids`` and nodes equal what `tree_to_dict` gives for the rebuilt tree.
+    The document is accepted only if every key `tree_to_dict` writes for the
+    rebuilt tree holds the same value in it; other keys are ignored.
     """
     if not isinstance(payload, dict) or payload.get("kind") != "cut_tree":
         raise InvalidInputError("not a cut_tree document")
@@ -100,8 +102,7 @@ def tree_from_dict(payload: dict) -> CutTree:
         raise InvalidInputError(f"malformed cut_tree document: {exc!r}") from exc
     expected = tree_to_dict(tree)
     document = dict(payload, nodes=nodes)
-    mismatched = [key for key in ("root_id", "k_performed", "leaf_ids", "nodes")
-                  if document.get(key) != expected[key]]
+    mismatched = [key for key in expected if document.get(key) != expected[key]]
     if mismatched:
         raise InvalidInputError(
             f"cut_tree {', '.join(mismatched)} disagree with the replayed splits")
@@ -135,9 +136,8 @@ def weights_to_csv(asset_ids: Sequence[str], weights: WeightVector) -> str:
         raise InvalidInputError(
             f"{len(asset_ids)} asset ids for {weights.n_assets} weights"
         )
-    lines = ["asset_id,weight"]
-    lines += [f"{a},{float(w)!r}" for a, w in zip(asset_ids, weights.weights)]
-    return "\n".join(lines) + "\n"
+    return _csv_text([("asset_id", "weight")] + [
+        (a, repr(float(w))) for a, w in zip(asset_ids, weights.weights)])
 
 
 def report_to_dict(report: BacktestReport, manifest: dict | None = None) -> dict:
@@ -188,24 +188,33 @@ def wealth_to_csv(report: BacktestReport) -> str:
     ok = [res for res in report.results if res.ok]
     if not ok:
         raise InvalidInputError("no successful strategies to emit")
-    header = ["date"] + [res.label for res in ok]
-    lines = [",".join(header)]
-    for i, stamp in enumerate(report.out_sample_dates):
-        row = [stamp] + [repr(float(res.wealth_curve[i])) for res in ok]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    rows = [["date"] + [res.label for res in ok]]
+    rows += [[stamp] + [repr(float(res.wealth_curve[i])) for res in ok]
+             for i, stamp in enumerate(report.out_sample_dates)]
+    return _csv_text(rows)
 
 
+def _csv_text(rows) -> str:
+    """Rows as CSV text, one line each, quoting only the cells that need it."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+# Escapes the characters XML reserves in text content.
+_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+_SVG_WIDTH = 720
+_SVG_HEIGHT = 420
 _SVG_COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
                "#17becf", "#7f7f7f"]
 
 
-def wealth_to_svg(report: BacktestReport, width: int = 720, height: int = 420) -> str:
+def wealth_to_svg(report: BacktestReport) -> str:
     """Minimal static line chart of the wealth curves."""
     ok = [res for res in report.results if res.ok]
     if not ok:
         raise InvalidInputError("no successful strategies to plot")
-    margin = 50.0
+    width, height, margin = _SVG_WIDTH, _SVG_HEIGHT, 50.0
     plot_w = width - 2 * margin
     plot_h = height - 2 * margin
     n_points = len(report.out_sample_dates)
@@ -234,9 +243,9 @@ def wealth_to_svg(report: BacktestReport, width: int = 720, height: int = 420) -
         f'<text x="{margin - 6:.1f}" y="{y_at(lo):.1f}" text-anchor="end" '
         f'font-size="11">{lo:.3f}</text>',
         f'<text x="{margin:.1f}" y="{height - margin + 16:.1f}" '
-        f'font-size="11">{report.out_sample_dates[0]}</text>',
-        f'<text x="{width - margin:.1f}" y="{height - margin + 16:.1f}" '
-        f'text-anchor="end" font-size="11">{report.out_sample_dates[-1]}</text>',
+        f'font-size="11">{report.out_sample_dates[0].translate(_XML_TEXT)}</text>',
+        f'<text x="{width - margin:.1f}" y="{height - margin + 16:.1f}" text-anchor="end" '
+        f'font-size="11">{report.out_sample_dates[-1].translate(_XML_TEXT)}</text>',
     ]
     for k, res in enumerate(ok):
         color = _SVG_COLORS[k % len(_SVG_COLORS)]

@@ -86,42 +86,9 @@ class Partition:
     fiedler: Optional[np.ndarray] = None
 
 
-def _validate_side_of(graph: MarketGraph, side_of) -> np.ndarray:
-    side = np.asarray(side_of, dtype=int)
-    if side.shape != (graph.n_vertices,):
-        raise InvalidPartitionError(
-            f"side assignment has shape {side.shape}, expected ({graph.n_vertices},)"
-        )
-    if not np.all((side == 1) | (side == 2)):
-        raise InvalidPartitionError("side assignment entries must be 1 or 2")
-    if not np.any(side == 1) or not np.any(side == 2):
-        raise InvalidPartitionError("both sides of a cut must be nonempty")
-    return side
-
-
-def _crossing_weight(graph: MarketGraph, m1: np.ndarray) -> float:
-    return float(graph.weights[np.ix_(m1, ~m1)].sum())
-
-
-def _normalized_cut(graph: MarketGraph, m1: np.ndarray, cut: float,
-                    objective: CutObjective) -> float:
-    if objective is CutObjective.NORMALIZED:
-        n1 = int(m1.sum())
-        n2 = int((~m1).sum())
-        return (1.0 / n1 + 1.0 / n2) * cut
-    v1 = float(graph.degrees[m1].sum())
-    v2 = float(graph.degrees[~m1].sum())
-    if v1 <= 0.0 or v2 <= 0.0:
-        raise DegenerateVolumeError(
-            f"zero-volume side (v1={v1}, v2={v2}) under the volume-normalized objective"
-        )
-    return (1.0 / v1 + 1.0 / v2) * cut
-
-
 def cut_value(graph: MarketGraph, side_of) -> float:
     """Sum of weights crossing between side 1 and side 2."""
-    side = _validate_side_of(graph, side_of)
-    return _crossing_weight(graph, side == 1)
+    return _partition_from_sides(graph, side_of, CutObjective.NORMALIZED).cut_value
 
 
 def objective_value(graph: MarketGraph, side_of, objective: CutObjective) -> float:
@@ -135,8 +102,7 @@ def objective_value(graph: MarketGraph, side_of, objective: CutObjective) -> flo
     DegenerateVolumeError
         Under the volume objective when a side has zero volume.
     """
-    m1 = _validate_side_of(graph, side_of) == 1
-    return _normalized_cut(graph, m1, _crossing_weight(graph, m1), objective)
+    return _partition_from_sides(graph, side_of, objective).objective_value
 
 
 def partition_indicator(graph: MarketGraph, side_of, objective: CutObjective) -> np.ndarray:
@@ -145,22 +111,10 @@ def partition_indicator(graph: MarketGraph, side_of, objective: CutObjective) ->
     Takes the value 1/N1 (resp. 1/V1) on side 1 and -1/N2 (resp. -1/V2) on
     side 2, so that its Rayleigh quotient reproduces the cut objective.
     """
-    side = _validate_side_of(graph, side_of)
-    m1 = side == 1
-    x = np.empty(side.shape[0], dtype=float)
+    part = _partition_from_sides(graph, side_of, objective)
     if objective is CutObjective.NORMALIZED:
-        x[m1] = 1.0 / m1.sum()
-        x[~m1] = -1.0 / (~m1).sum()
-        return x
-    v1 = float(graph.degrees[m1].sum())
-    v2 = float(graph.degrees[~m1].sum())
-    if v1 <= 0.0 or v2 <= 0.0:
-        raise DegenerateVolumeError(
-            f"zero-volume side (v1={v1}, v2={v2}) has no volume indicator"
-        )
-    x[m1] = 1.0 / v1
-    x[~m1] = -1.0 / v2
-    return x
+        return np.where(part.side_of == 1, 1.0 / part.n1, -1.0 / part.n2)
+    return np.where(part.side_of == 1, 1.0 / part.v1, -1.0 / part.v2)
 
 
 def rayleigh_quotient(graph: MarketGraph, x, objective: CutObjective) -> float:
@@ -244,25 +198,35 @@ def fiedler_vector(graph: MarketGraph, objective: CutObjective):
     return lam2, u2
 
 
-def _partition_from_sides(graph: MarketGraph, side: np.ndarray,
+def _partition_from_sides(graph: MarketGraph, side_of,
                           objective: CutObjective,
                           lambda2: Optional[float] = None,
                           fiedler: Optional[np.ndarray] = None) -> Partition:
-    side = _validate_side_of(graph, side)
-    m1 = side == 1
-    cut = _crossing_weight(graph, m1)
-    return Partition(
-        side_of=side,
-        n1=int(m1.sum()),
-        n2=int((~m1).sum()),
-        v1=float(graph.degrees[m1].sum()),
-        v2=float(graph.degrees[~m1].sum()),
-        cut_value=cut,
-        objective_value=_normalized_cut(graph, m1, cut, objective),
-        objective=objective,
-        lambda2=lambda2,
-        fiedler=fiedler,
-    )
+    """Check a side assignment and score it: the one scalar cut formula."""
+    side = np.asarray(side_of, dtype=int)
+    if side.shape != (graph.n_vertices,):
+        raise InvalidPartitionError(
+            f"side assignment has shape {side.shape}, expected ({graph.n_vertices},)"
+        )
+    m1, m2 = side == 1, side == 2
+    n1, n2 = int(np.count_nonzero(m1)), int(np.count_nonzero(m2))
+    if n1 + n2 != side.size:
+        raise InvalidPartitionError("side assignment entries must be 1 or 2")
+    if n1 == 0 or n2 == 0:
+        raise InvalidPartitionError("both sides of a cut must be nonempty")
+    v1 = float(graph.degrees[m1].sum())
+    v2 = float(graph.degrees[m2].sum())
+    cut = float(graph.weights[np.ix_(m1, m2)].sum())
+    if objective is CutObjective.NORMALIZED:
+        scale = 1.0 / n1 + 1.0 / n2
+    elif v1 <= 0.0 or v2 <= 0.0:
+        raise DegenerateVolumeError(f"zero-volume side (v1={v1}, v2={v2}) under the "
+                                    "volume-normalized objective")
+    else:
+        scale = 1.0 / v1 + 1.0 / v2
+    return Partition(side_of=side, n1=n1, n2=n2, v1=v1, v2=v2, cut_value=cut,
+                     objective_value=scale * cut, objective=objective,
+                     lambda2=lambda2, fiedler=fiedler)
 
 
 def spectral_bisect(graph: MarketGraph, objective: CutObjective) -> Partition:

@@ -11,6 +11,7 @@ from portcut import (
     MarketGraph,
     PriceMatrix,
 )
+from portcut.serialization import tree_to_dict
 
 
 def graph_from_edges(n: int, edges) -> MarketGraph:
@@ -166,4 +167,24 @@ def break_tree_doc(doc: dict, defect: str) -> dict:
         doc["nodes"][0]["children"] = [98, 99]
     else:
         doc["leaf_ids"].reverse()
+    return doc
+
+
+WRITTEN_FIELD_DEFECTS = ("leaf-edge-budget", "edge-budget-trace", "asset-ids-string")
+
+
+def six_asset_tree_doc(defect: str | None = None) -> dict:
+    """A one-cut tree document on assets a..f with one field made wrong, if any.
+
+    Replaying the splits never reads these fields, so only comparing them
+    with the rebuilt tree's own document can reject it.
+    """
+    tree = CutTree.root(tuple("abcdef"), CutObjective.NORMALIZED)
+    doc = tree_to_dict(tree.split(tree.root_id, [0, 1, 2], [3, 4, 5], 0.5))
+    if defect == "leaf-edge-budget":
+        doc["leaf_edge_budget"] += 1
+    elif defect == "edge-budget-trace":
+        doc["edge_budget_trace"][-1] += 1
+    elif defect == "asset-ids-string":
+        doc["asset_ids"] = "abcdef"
     return doc

@@ -1,6 +1,8 @@
+import csv
 import json
 import os
 import stat
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -27,10 +29,12 @@ from portcut.cli import _drop_degenerate, main
 
 from conftest import (
     TREE_DOC_DEFECTS,
+    WRITTEN_FIELD_DEFECTS,
     break_tree_doc,
     make_prices,
     overflowing_prices,
     single_leaf_tree_doc,
+    six_asset_tree_doc,
     write_prices_csv,
 )
 
@@ -205,6 +209,13 @@ class TestAllocateCommand:
         assert len(err) == 1
         assert json.loads(err[0])["error"] == "InvalidInputError"
 
+    @pytest.mark.parametrize("defect", WRITTEN_FIELD_DEFECTS)
+    def test_tree_with_a_wrong_written_field_exits_2(self, tmp_path, defect, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(six_asset_tree_doc(defect)))
+        assert main(["allocate", "--tree", str(bad), "--scheme", "as1"]) == 2
+        assert one_json_error(capsys.readouterr().err)["error"] == "InvalidInputError"
+
 
 def duplicated_assets_csv(tmp_path):
     """Three assets, two of them identical: MV without a ridge is singular."""
@@ -322,6 +333,49 @@ class TestBacktestCommand:
         rows = wealth_path.read_text().strip().splitlines()
         assert rows[0] == "date,ew,cutn-as2"
         assert len(rows) == 1 + 21  # wealth has T - t* + 1 = 21 points
+
+
+class TestOutputQuoting:
+    """Ids and dates that CSV must quote and SVG must escape survive the CLI."""
+
+    IDS = ["A,1", 'B"2', "c", "d"]
+
+    @pytest.fixture
+    def awkward_csv(self, tmp_path):
+        prices, _ = block_factor_market([2, 2], 40, seed=5)
+        dates = [f'd&<{t:03d}>,"x' for t in range(len(prices.timestamps))]
+        path = tmp_path / "awkward.csv"
+        with open(path, "w", newline="") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(["date"] + self.IDS)
+            writer.writerows([stamp] + [repr(float(v)) for v in row]
+                             for stamp, row in zip(dates, prices.prices))
+        return str(path), dates
+
+    def test_csv_outputs_read_back(self, awkward_csv, tmp_path):
+        path, dates = awkward_csv
+        tree, weights, wealth = (tmp_path / name for name in ("t.json", "w.csv", "r.csv"))
+        assert main(["cut", path, "--max-cuts", "1", "--min-leaf-size", "1",
+                     "-o", str(tree)]) == 0
+        assert main(["allocate", "--tree", str(tree), "--scheme", "as1",
+                     "--format", "csv", "-o", str(weights)]) == 0
+        assert main(["backtest", path, "--split-index", "20", "--strategies", "ew,cutn-as1",
+                     "--min-leaf-size", "1", "-o", str(tmp_path / "r.json"),
+                     "--wealth-csv", str(wealth)]) == 0
+        rows = list(csv.reader(weights.read_text().splitlines()))
+        assert [row[0] for row in rows] == ["asset_id"] + self.IDS
+        assert {len(row) for row in rows} == {2}
+        rows = list(csv.reader(wealth.read_text().splitlines()))
+        assert [row[0] for row in rows] == ["date"] + dates[20:]
+        assert {len(row) for row in rows} == {3}
+
+    def test_svg_parses_and_shows_dates(self, awkward_csv, tmp_path):
+        path, dates = awkward_csv
+        svg = tmp_path / "w.svg"
+        assert main(["backtest", path, "--split-index", "20", "--strategies", "ew",
+                     "-o", str(tmp_path / "r.json"), "--svg", str(svg)]) == 0
+        texts = [el.text for el in ET.parse(svg).getroot().iter() if el.tag.endswith("text")]
+        assert dates[20] in texts and dates[-1] in texts
 
 
 class TestOutputDestinations:

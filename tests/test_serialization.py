@@ -27,9 +27,11 @@ from portcut.serialization import (
 
 from conftest import (
     TREE_DOC_DEFECTS,
+    WRITTEN_FIELD_DEFECTS,
     break_tree_doc,
     random_cut_tree,
     single_leaf_tree_doc,
+    six_asset_tree_doc,
 )
 
 
@@ -114,6 +116,12 @@ class TestTreeDocument:
         with pytest.raises(InvalidInputError):
             tree_from_dict(break_tree_doc(two_depth_doc, defect))
 
+    @pytest.mark.parametrize("defect", WRITTEN_FIELD_DEFECTS)
+    def test_rejects_a_wrong_field_the_replay_does_not_read(self, defect):
+        tree_from_dict(six_asset_tree_doc())
+        with pytest.raises(InvalidInputError, match="disagree with the replayed splits"):
+            tree_from_dict(six_asset_tree_doc(defect))
+
     @pytest.mark.parametrize("seed", range(20))
     def test_random_tree_round_trip_equal(self, seed):
         rng = np.random.default_rng(seed)
@@ -171,3 +179,9 @@ class TestReportDocuments:
         assert svg.startswith("<svg")
         assert svg.count("<polyline") == 2
         assert "ew" in svg and "mv" in svg
+
+    def test_plain_outputs_unchanged(self, small_report):
+        assert wealth_to_svg(small_report).startswith(
+            '<svg xmlns="http://www.w3.org/2000/svg" width="720" height="420" ')
+        assert weights_to_csv(("x", "y"), WeightVector(
+            weights=np.array([0.5, 0.5]), scheme_tag="EW")) == "asset_id,weight\nx,0.5\ny,0.5\n"

@@ -95,6 +95,48 @@ class TestObjectiveValue:
             objective_value(g, [1, 1, 2], CUTV)
 
 
+SCORERS = {
+    "cut_value": lambda g, side: cut_value(g, side),
+    "objective_cutn": lambda g, side: objective_value(g, side, CUTN),
+    "objective_cutv": lambda g, side: objective_value(g, side, CUTV),
+    "indicator_cutn": lambda g, side: partition_indicator(g, side, CUTN),
+    "indicator_cutv": lambda g, side: partition_indicator(g, side, CUTV),
+}
+
+BAD_SIDES = {
+    "wrong-shape": ([1, 2, 1], "side assignment has shape (3,), expected (4,)"),
+    "entry-0": ([1, 0, 2, 2], "side assignment entries must be 1 or 2"),
+    "entry-3": ([1, 3, 2, 2], "side assignment entries must be 1 or 2"),
+    "one-side": ([2, 2, 2, 2], "both sides of a cut must be nonempty"),
+}
+
+
+class TestOneScoringPath:
+    """Every scalar scorer checks and scores a side assignment the same way."""
+
+    @pytest.mark.parametrize("scorer", SCORERS)
+    @pytest.mark.parametrize("bad", BAD_SIDES)
+    def test_same_message_for_each_bad_side(self, path4_graph, scorer, bad):
+        side, message = BAD_SIDES[bad]
+        with pytest.raises(InvalidPartitionError) as info:
+            SCORERS[scorer](path4_graph, side)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("scorer", ["objective_cutv", "indicator_cutv"])
+    def test_zero_volume_side_one_message(self, scorer):
+        g = graph_from_edges(3, [(0, 1, 0.9)])
+        with pytest.raises(DegenerateVolumeError) as info:
+            SCORERS[scorer](g, [1, 1, 2])
+        assert str(info.value) == (
+            "zero-volume side (v1=1.8, v2=0.0) under the volume-normalized objective")
+
+    def test_figure_graph_values_pinned(self, figure_cut_graph):
+        assert repr(cut_value(figure_cut_graph, FIGURE_SPLIT)) == "0.79"
+        assert repr(objective_value(figure_cut_graph, FIGURE_SPLIT, CUTN)) == "0.395"
+        assert (repr(objective_value(figure_cut_graph, FIGURE_SPLIT, CUTV))
+                == "0.20210188842816368")
+
+
 class TestRayleighQuotient:
     def test_ones_vector_in_null_space(self, figure_cut_graph):
         assert abs(rayleigh_quotient(figure_cut_graph, np.ones(8), CUTN)) <= 1e-12
