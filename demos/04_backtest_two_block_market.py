@@ -8,16 +8,7 @@ curves to CSV and SVG next to this script.
 
 from pathlib import Path
 
-from portcut import (
-    AllocationScheme,
-    BacktestConfig,
-    CutObjective,
-    CutPolicy,
-    StrategyKind,
-    StrategySpec,
-    block_factor_market,
-    run_backtest,
-)
+from portcut import BacktestConfig, CutPolicy, block_factor_market, run_backtest
 from portcut.serialization import wealth_to_csv, wealth_to_svg
 
 OUT_DIR = Path(__file__).resolve().parent
@@ -28,20 +19,12 @@ prices, block_of = block_factor_market(
 print("assets:", len(prices.asset_ids), "| return rows:", prices.n_rows - 1)
 print("block sizes:", [int((block_of == b).sum()) for b in (0, 1)])
 
-policy = CutPolicy(max_cuts=4, min_leaf_size=1)
-strategies = (
-    StrategySpec(kind=StrategyKind.EW),
-    StrategySpec(kind=StrategyKind.MV),
-    StrategySpec(kind=StrategyKind.CUT, objective=CutObjective.NORMALIZED,
-                 policy=policy, scheme=AllocationScheme.AS1),
-    StrategySpec(kind=StrategyKind.CUT, objective=CutObjective.NORMALIZED,
-                 policy=policy, scheme=AllocationScheme.AS2),
-    StrategySpec(kind=StrategyKind.CUT, objective=CutObjective.VOLUME_NORMALIZED,
-                 policy=policy, scheme=AllocationScheme.AS1),
-    StrategySpec(kind=StrategyKind.CUT, objective=CutObjective.VOLUME_NORMALIZED,
-                 policy=policy, scheme=AllocationScheme.AS2),
+config = BacktestConfig(
+    split_index=500,
+    strategies=("ew", "mv", "cutn-as1", "cutn-as2", "cutv-as1", "cutv-as2"),
+    policy=CutPolicy(max_cuts=4, min_leaf_size=1),
+    mv_ridge=1e-8,
 )
-config = BacktestConfig(split_index=500, strategies=strategies, mv_ridge=1e-8)
 
 report = run_backtest(prices, config)
 

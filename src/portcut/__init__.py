@@ -16,9 +16,7 @@ from .allocation import (
 from .backtest import (
     BacktestConfig,
     BacktestReport,
-    StrategyKind,
     StrategyResult,
-    StrategySpec,
     run_backtest,
     sharpe_ratio,
 )
@@ -92,8 +90,8 @@ __all__ = [
     "AllocationScheme", "WeightVector", "allocate", "asset_weights",
     "equal_weights", "min_variance_weights",
     # backtest
-    "StrategyKind", "StrategySpec", "BacktestConfig", "StrategyResult",
-    "BacktestReport", "run_backtest", "sharpe_ratio",
+    "BacktestConfig", "StrategyResult", "BacktestReport", "run_backtest",
+    "sharpe_ratio",
     # ingestion & synthetic data
     "MissingPolicy", "PriceCsvSpec", "IngestReport",
     "ingest_prices_with_report", "block_factor_market",

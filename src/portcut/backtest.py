@@ -9,8 +9,8 @@ recorded per strategy and never abort the others.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Optional, Tuple
 
 import numpy as np
@@ -41,8 +41,7 @@ from .spectral import CutObjective
 from .tree import CutPolicy, build_cut_tree, edge_budget_trace, leaf_edge_budget
 
 __all__ = [
-    "StrategyKind",
-    "StrategySpec",
+    "STRATEGIES",
     "BacktestConfig",
     "StrategyResult",
     "BacktestReport",
@@ -52,55 +51,37 @@ __all__ = [
 ]
 
 
-class StrategyKind(Enum):
-    EW = "ew"
-    MV = "mv"
-    CUT = "cut"
-
-
-@dataclass(frozen=True)
-class StrategySpec:
-    """One strategy to evaluate; CUT strategies carry objective, policy, scheme."""
-
-    kind: StrategyKind
-    objective: Optional[CutObjective] = None
-    policy: Optional[CutPolicy] = None
-    scheme: Optional[AllocationScheme] = None
-
-    def __post_init__(self):
-        if self.kind is StrategyKind.CUT:
-            if self.objective is None or self.policy is None or self.scheme is None:
-                raise InvalidInputError("CUT strategies need objective, policy and scheme")
-        elif self.objective is not None or self.policy is not None or self.scheme is not None:
-            raise InvalidInputError(f"{self.kind.value} takes no cut parameters")
-
-    @property
-    def label(self) -> str:
-        if self.kind is StrategyKind.CUT:
-            return f"{self.objective.value}-{self.scheme.value}"
-        return self.kind.value
+# Every strategy label; the CLI runs and lists strategies in this order.
+STRATEGIES = ("ew", "mv") + tuple(
+    f"{o.value}-{s.value}" for o in CutObjective for s in AllocationScheme)
 
 
 @dataclass(frozen=True)
 class BacktestConfig:
-    """Window split and strategy list for one backtest run.
+    """Window split, strategy labels and cut policy for one backtest run.
 
     ``split_index`` counts return rows: in-sample returns are rows
     [0, split_index), out-sample rows [split_index, T). Both windows must
-    hold at least 2 rows.
+    hold at least 2 rows. ``strategies`` holds labels from ``STRATEGIES``;
+    every cut strategy builds its tree under ``policy``.
     """
 
     split_index: int
-    strategies: Tuple[StrategySpec, ...]
+    strategies: Tuple[str, ...]
+    policy: CutPolicy = CutPolicy(max_cuts=1)
     annualization_factor: float = 252.0
     mv_ridge: float = 0.0
 
     def __post_init__(self):
+        if not isinstance(self.split_index, numbers.Integral):
+            raise InvalidInputError("split_index must be an integer")
         if not self.strategies:
             raise InvalidInputError("no strategies requested")
-        labels = [s.label for s in self.strategies]
-        if len(set(labels)) != len(labels):
-            raise InvalidInputError(f"duplicate strategy labels: {labels}")
+        unknown = [label for label in self.strategies if label not in STRATEGIES]
+        if unknown:
+            raise InvalidInputError(f"unknown strategies {unknown}; choose from {STRATEGIES}")
+        if len(set(self.strategies)) != len(self.strategies):
+            raise InvalidInputError(f"duplicate strategy labels: {list(self.strategies)}")
         if not 0.0 < self.annualization_factor < np.inf:
             raise InvalidInputError("annualization_factor must be positive and finite")
         if not 0.0 <= self.mv_ridge < np.inf:
@@ -177,8 +158,8 @@ def run_backtest(prices: PriceMatrix, config: BacktestConfig) -> BacktestReport:
 
     Per strategy, the wealth curve starts at 1 and multiplies by
     (1 + w . r(t)) for every out-sample return row; mean, standard deviation
-    and Sharpe ratio describe the out-sample portfolio returns. Strategies
-    with the same objective and cut policy share one cut tree. A strategy
+    and Sharpe ratio describe the out-sample portfolio returns. Cut
+    strategies with the same objective share one cut tree. A strategy
     whose estimation fails, or whose out-sample wealth or statistics are not
     finite, is reported with its error and the rest proceed.
     """
@@ -204,21 +185,22 @@ def run_backtest(prices: PriceMatrix, config: BacktestConfig) -> BacktestReport:
         return market_graph_from_covariance(sigma(), asset_ids=in_returns.asset_ids)
 
     @functools.cache
-    def cut_tree(objective, policy):
-        return build_cut_tree(graph(), policy, objective)
+    def cut_tree(objective):
+        return build_cut_tree(graph(), config.policy, CutObjective(objective))
 
     results = []
-    for spec in config.strategies:
+    for label in config.strategies:
         try:
-            if spec.kind is StrategyKind.EW:
+            if label == "ew":
                 wv, meta = equal_weights(in_returns.n_assets), {}
-            elif spec.kind is StrategyKind.MV:
+            elif label == "mv":
                 wv = min_variance_weights(sigma(), ridge=config.mv_ridge)
                 meta = {"condition_estimate": wv.condition_estimate,
                         "ridge": config.mv_ridge}
             else:
-                tree = cut_tree(spec.objective, spec.policy)
-                wv = asset_weights(tree, allocate(tree, spec.scheme))
+                objective, scheme = label.split("-")
+                tree = cut_tree(objective)
+                wv = asset_weights(tree, allocate(tree, AllocationScheme(scheme)))
                 meta = {
                     "k_performed": tree.k_performed,
                     "lambda2_trace": [node.lambda2_at_split for node in tree.splits()],
@@ -242,13 +224,13 @@ def run_backtest(prices: PriceMatrix, config: BacktestConfig) -> BacktestReport:
                     "out-sample wealth or return statistics are not finite")
         except PortfolioCutError as exc:
             results.append(StrategyResult(
-                label=spec.label,
+                label=label,
                 error=str(exc),
                 error_kind=type(exc).__name__,
             ))
             continue
         results.append(StrategyResult(
-            label=spec.label,
+            label=label,
             weights=wv,
             wealth_curve=wealth,
             mean_return=mean,

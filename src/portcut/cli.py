@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import __version__
 from .allocation import AllocationScheme, allocate, asset_weights
-from .backtest import BacktestConfig, StrategyKind, StrategySpec, run_backtest
+from .backtest import STRATEGIES, BacktestConfig, run_backtest
 from .errors import DegenerateAssetError, InsufficientDataError, InvalidInputError, PortfolioCutError
 from .ingest import IngestReport, MissingPolicy, PriceCsvSpec, ingest_prices_with_report
 from .market_graph import (
@@ -47,8 +47,6 @@ __all__ = ["main", "console_main", "cmd_cut", "cmd_allocate", "cmd_backtest"]
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
-
-STRATEGY_TOKENS = ("ew", "mv", "cutn-as1", "cutn-as2", "cutv-as1", "cutv-as2")
 
 # Per-command options in every run manifest; null where a command has none.
 MANIFEST_OPTION_KEYS = (
@@ -115,8 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="first out-sample return row")
     split.add_argument("--split-date",
                        help="last in-sample date (returns dated by period end)")
-    p_bt.add_argument("--strategies", default=",".join(STRATEGY_TOKENS),
-                      help=f"comma list from {', '.join(STRATEGY_TOKENS)}")
+    p_bt.add_argument("--strategies", default=",".join(STRATEGIES),
+                      help=f"comma list from {', '.join(STRATEGIES)}")
     p_bt.add_argument("--mv-ridge", type=float, default=0.0)
     p_bt.add_argument("--annualization", type=float, default=252.0)
     p_bt.add_argument("-o", "--output", default="-", help="report JSON path")
@@ -292,34 +290,16 @@ def _parse_strategies(tokens: str) -> Tuple[str, ...]:
         token = token.strip().lower()
         if not token:
             continue
-        if token not in STRATEGY_TOKENS:
+        if token not in STRATEGIES:
             raise _UsageError(
-                f"unknown strategy {token!r}; choose from {', '.join(STRATEGY_TOKENS)}"
+                f"unknown strategy {token!r}; choose from {', '.join(STRATEGIES)}"
             )
         if token in seen:
             raise _UsageError(f"duplicate strategy {token!r}")
         seen.add(token)
     if not seen:
         raise _UsageError("empty strategy list")
-    return tuple(sorted(seen, key=STRATEGY_TOKENS.index))
-
-
-def _strategy_specs(tokens: Sequence[str], policy: CutPolicy) -> Tuple[StrategySpec, ...]:
-    specs = []
-    for token in tokens:
-        if token == "ew":
-            specs.append(StrategySpec(kind=StrategyKind.EW))
-        elif token == "mv":
-            specs.append(StrategySpec(kind=StrategyKind.MV))
-        else:
-            objective, scheme = token.split("-")
-            specs.append(StrategySpec(
-                kind=StrategyKind.CUT,
-                objective=CutObjective(objective),
-                policy=policy,
-                scheme=AllocationScheme(scheme),
-            ))
-    return tuple(specs)
+    return tuple(sorted(seen, key=STRATEGIES.index))
 
 
 def _resolve_split(args, matrix: PriceMatrix) -> int:
@@ -334,11 +314,11 @@ def _resolve_split(args, matrix: PriceMatrix) -> int:
 def cmd_backtest(args) -> int:
     matrix, report = _load_prices(args)
     tokens = _parse_strategies(args.strategies)
-    policy = _policy_from_args(args)
     split_index = _resolve_split(args, matrix)
     config = BacktestConfig(
         split_index=split_index,
-        strategies=_strategy_specs(tokens, policy),
+        strategies=tokens,
+        policy=_policy_from_args(args),
         annualization_factor=args.annualization,
         mv_ridge=args.mv_ridge,
     )

@@ -7,6 +7,7 @@ always yield K+1 leaves that partition the asset universe.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 from types import MappingProxyType
@@ -53,12 +54,12 @@ class CutPolicy:
     min_leaf_size: int = 2
 
     def __post_init__(self):
-        if self.max_cuts < 0:
-            raise InvalidInputError("max_cuts must be >= 0")
+        if not isinstance(self.max_cuts, numbers.Integral) or self.max_cuts < 0:
+            raise InvalidInputError("max_cuts must be an integer >= 0")
         if self.lambda2_threshold is not None and not 0 < self.lambda2_threshold < np.inf:
             raise InvalidInputError("lambda2_threshold must be positive and finite when set")
-        if self.min_leaf_size < 1:
-            raise InvalidInputError("min_leaf_size must be >= 1")
+        if not isinstance(self.min_leaf_size, numbers.Integral) or self.min_leaf_size < 1:
+            raise InvalidInputError("min_leaf_size must be an integer >= 1")
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,6 @@ from portcut import (
     MarketGraph,
     SingularCovarianceError,
     SizeLimitError,
-    StrategyKind,
-    StrategySpec,
     allocate,
     asset_weights,
     bipartition_count,
@@ -250,17 +248,8 @@ def test_criterion_08_min_variance_baseline():
 
 def test_criterion_09_backtest_integrity():
     prices, _ = block_factor_market([5, 7], 80, seed=13)
-    strategies = (
-        StrategySpec(kind=StrategyKind.EW),
-        StrategySpec(kind=StrategyKind.MV),
-        StrategySpec(kind=StrategyKind.CUT, objective=CUTN,
-                     policy=CutPolicy(max_cuts=2, min_leaf_size=1),
-                     scheme=AllocationScheme.AS1),
-        StrategySpec(kind=StrategyKind.CUT, objective=CUTV,
-                     policy=CutPolicy(max_cuts=2, min_leaf_size=1),
-                     scheme=AllocationScheme.AS2),
-    )
-    config = BacktestConfig(split_index=40, strategies=strategies, mv_ridge=1e-9)
+    config = BacktestConfig(split_index=40, strategies=("ew", "mv", "cutn-as1", "cutv-as2"),
+                            policy=CutPolicy(max_cuts=2, min_leaf_size=1), mv_ridge=1e-9)
     base = run_backtest(prices, config)
     bumped = prices.prices.copy()
     bumped[60, :] *= 1.07
@@ -272,8 +261,7 @@ def test_criterion_09_backtest_integrity():
         assert np.array_equal(res_a.weights.weights, res_b.weights.weights)
 
     single = make_prices([[100.0, 104.0, 101.0, 99.0, 103.0, 108.0, 105.0]])
-    rep = run_backtest(single, BacktestConfig(
-        split_index=2, strategies=(StrategySpec(kind=StrategyKind.EW),)))
+    rep = run_backtest(single, BacktestConfig(split_index=2, strategies=("ew",)))
     curve = rep.result("ew").wealth_curve
     path = single.prices[2:, 0] / single.prices[2, 0]
     assert np.max(np.abs(curve - path)) <= 1e-12
@@ -285,19 +273,12 @@ def test_criterion_10_synthetic_market_property():
     start = time.perf_counter()
     seeds = range(50)
     wins = {"cutn-as2": 0, "cutv-as2": 0}
-    cut_policy = CutPolicy(max_cuts=1, min_leaf_size=1)
-    strategies = (
-        StrategySpec(kind=StrategyKind.EW),
-        StrategySpec(kind=StrategyKind.CUT, objective=CUTN,
-                     policy=cut_policy, scheme=AllocationScheme.AS2),
-        StrategySpec(kind=StrategyKind.CUT, objective=CUTV,
-                     policy=cut_policy, scheme=AllocationScheme.AS2),
-    )
+    config = BacktestConfig(split_index=250, strategies=("ew", "cutn-as2", "cutv-as2"),
+                            policy=CutPolicy(max_cuts=1, min_leaf_size=1))
     for seed in seeds:
         prices, _ = block_factor_market(
             [8, 12], 500, within_corr=0.9, across_corr=0.1, seed=seed)
-        rep = run_backtest(prices, BacktestConfig(split_index=250,
-                                                  strategies=strategies))
+        rep = run_backtest(prices, config)
         ew_std = rep.result("ew").std_return
         for label in wins:
             res = rep.result(label)

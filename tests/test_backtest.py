@@ -6,17 +6,13 @@ import pytest
 import portcut.backtest
 
 from portcut import (
-    AllocationScheme,
     BacktestConfig,
-    CutObjective,
     CutPolicy,
     DegenerateSeriesError,
     InsufficientDataError,
     InvalidInputError,
     PriceMatrix,
     ReturnsMatrix,
-    StrategyKind,
-    StrategySpec,
     WeightVector,
     block_factor_market,
     equal_weights,
@@ -27,27 +23,10 @@ from portcut.backtest import portfolio_returns
 
 from conftest import make_prices, overflowing_prices
 
-EW = StrategySpec(kind=StrategyKind.EW)
-MV = StrategySpec(kind=StrategyKind.MV)
-
-
-def cut_spec(objective=CutObjective.NORMALIZED, scheme=AllocationScheme.AS2,
-             max_cuts=1, min_leaf_size=1):
-    return StrategySpec(
-        kind=StrategyKind.CUT,
-        objective=objective,
-        policy=CutPolicy(max_cuts=max_cuts, min_leaf_size=min_leaf_size),
-        scheme=scheme,
-    )
-
-
-ALL_SIX = (
-    EW, MV,
-    cut_spec(CutObjective.NORMALIZED, AllocationScheme.AS1),
-    cut_spec(CutObjective.NORMALIZED, AllocationScheme.AS2),
-    cut_spec(CutObjective.VOLUME_NORMALIZED, AllocationScheme.AS1),
-    cut_spec(CutObjective.VOLUME_NORMALIZED, AllocationScheme.AS2),
-)
+EW, MV = "ew", "mv"
+CUT_LABELS = ("cutn-as1", "cutn-as2", "cutv-as1", "cutv-as2")
+ALL_SIX = (EW, MV) + CUT_LABELS
+ONE_CUT = CutPolicy(max_cuts=1, min_leaf_size=1)
 
 
 class TestPortfolioReturns:
@@ -158,7 +137,8 @@ class TestRunBacktest:
 
     def test_no_look_ahead(self):
         prices, _ = block_factor_market([4, 5], 60, seed=11)
-        config = BacktestConfig(split_index=30, strategies=ALL_SIX, mv_ridge=1e-9)
+        config = BacktestConfig(split_index=30, strategies=ALL_SIX, policy=ONE_CUT,
+                                mv_ridge=1e-9)
         base = run_backtest(prices, config)
         bumped = prices.prices.copy()
         bumped[45, :] *= 1.05
@@ -174,7 +154,8 @@ class TestRunBacktest:
         prices = make_prices([col, col, col])
         config = BacktestConfig(
             split_index=3,
-            strategies=(EW, MV, cut_spec(max_cuts=1)),
+            strategies=(EW, MV, "cutn-as2"),
+            policy=ONE_CUT,
             mv_ridge=1e-8,
         )
         report = run_backtest(prices, config)
@@ -187,7 +168,8 @@ class TestRunBacktest:
         prices, block_of = block_factor_market([8, 12], 300, seed=42)
         config = BacktestConfig(
             split_index=150,
-            strategies=(EW, cut_spec(scheme=AllocationScheme.AS2)),
+            strategies=(EW, "cutn-as2"),
+            policy=ONE_CUT,
         )
         report = run_backtest(prices, config)
         cut = report.result("cutn-as2")
@@ -205,7 +187,8 @@ class TestRunBacktest:
             prices, _ = block_factor_market([8, 12], 400, seed=seed)
             report = run_backtest(prices, BacktestConfig(
                 split_index=200,
-                strategies=(EW, cut_spec(scheme=AllocationScheme.AS2)),
+                strategies=(EW, "cutn-as2"),
+                policy=ONE_CUT,
             ))
             if (report.result("cutn-as2").std_return
                     <= report.result("ew").std_return):
@@ -242,11 +225,8 @@ class TestRunBacktest:
         flat = [100.0] * 7
         moving = [100.0, 102.0, 99.0, 101.0, 104.0, 103.0, 106.0]
         prices = make_prices([moving, flat])
-        config = BacktestConfig(split_index=3, strategies=(
-            EW,
-            cut_spec(scheme=AllocationScheme.AS1),
-            cut_spec(scheme=AllocationScheme.AS2),
-        ))
+        config = BacktestConfig(split_index=3, strategies=(EW, "cutn-as1", "cutn-as2"),
+                                policy=ONE_CUT)
         report = run_backtest(prices, config)
         assert report.result("ew").ok
         as1, as2 = report.result("cutn-as1"), report.result("cutn-as2")
@@ -256,7 +236,7 @@ class TestRunBacktest:
         assert "a1" in as1.error
 
     def test_zero_asset_prices_rejected(self):
-        config = BacktestConfig(split_index=2, strategies=(cut_spec(),))
+        config = BacktestConfig(split_index=2, strategies=("cutn-as2",), policy=ONE_CUT)
         with pytest.raises(InvalidInputError):
             run_backtest(PriceMatrix(prices=np.ones((6, 0)), asset_ids=(),
                                      timestamps=tuple("abcdef")), config)
@@ -286,7 +266,8 @@ def build_counts(monkeypatch):
 class TestInSamplePipeline:
     def test_one_tree_per_objective_and_policy(self, build_counts):
         prices, _ = block_factor_market([4, 5], 60, seed=11)
-        config = BacktestConfig(split_index=30, strategies=ALL_SIX, mv_ridge=1e-9)
+        config = BacktestConfig(split_index=30, strategies=ALL_SIX, policy=ONE_CUT,
+                                mv_ridge=1e-9)
         report = run_backtest(prices, config)
         assert all(res.ok for res in report.results)
         assert build_counts == {"sample_covariance": 1,
@@ -299,20 +280,16 @@ class TestInSamplePipeline:
             assert as1 is not as2
             assert as1["leaf_sizes"] is not as2["leaf_sizes"]
 
-    def test_different_policies_build_separate_trees(self, build_counts):
+    def test_one_policy_reaches_both_objectives_trees(self, build_counts):
         prices, _ = block_factor_market([4, 5], 60, seed=11)
-        cutv = CutObjective.VOLUME_NORMALIZED
-        config = BacktestConfig(split_index=30, strategies=(
-            cut_spec(scheme=AllocationScheme.AS1, max_cuts=1),
-            cut_spec(scheme=AllocationScheme.AS2, max_cuts=3),
-            cut_spec(cutv, AllocationScheme.AS1, max_cuts=2),
-            cut_spec(cutv, AllocationScheme.AS2, max_cuts=2),
-        ))
-        report = run_backtest(prices, config)
-        assert build_counts["build_cut_tree"] == 3
-        assert report.result("cutn-as1").metadata["k_performed"] == 1
-        assert report.result("cutn-as2").metadata["k_performed"] == 3
-        assert report.result("cutv-as1").metadata["k_performed"] == 2
+        run_backtest(prices, BacktestConfig(split_index=30, strategies=(EW,)))
+        assert build_counts == {}
+        report = run_backtest(prices, BacktestConfig(
+            split_index=30, strategies=CUT_LABELS,
+            policy=CutPolicy(max_cuts=3, min_leaf_size=1)))
+        assert build_counts["build_cut_tree"] == 2
+        for label in CUT_LABELS:
+            assert report.result(label).metadata["k_performed"] == 3
 
 
 class TestConfigValidation:
@@ -330,11 +307,33 @@ class TestConfigValidation:
         with pytest.raises(InvalidInputError):
             BacktestConfig(split_index=5, strategies=())
 
-    def test_cut_spec_requires_parameters(self):
+    @pytest.mark.parametrize("strategies", [
+        ("cutn-as3",), ("CUTN-AS1",), ("cut",), "ew", (EW, None)])
+    def test_unknown_labels_rejected(self, strategies):
         with pytest.raises(InvalidInputError):
-            StrategySpec(kind=StrategyKind.CUT)
-        with pytest.raises(InvalidInputError):
-            StrategySpec(kind=StrategyKind.EW, scheme=AllocationScheme.AS1)
+            BacktestConfig(split_index=5, strategies=strategies)
+
+    @pytest.mark.parametrize("make", [
+        lambda: CutPolicy(max_cuts=2.5),
+        lambda: CutPolicy(max_cuts="3"),
+        lambda: CutPolicy(max_cuts=None),
+        lambda: CutPolicy(max_cuts=1, min_leaf_size=1.5),
+        lambda: CutPolicy(max_cuts=1, min_leaf_size="2"),
+        lambda: BacktestConfig(split_index=30.0, strategies=(EW,)),
+        lambda: BacktestConfig(split_index="30", strategies=(EW,)),
+        lambda: BacktestConfig(split_index=None, strategies=(EW,)),
+    ])
+    def test_integer_fields_must_be_integers(self, make):
+        with pytest.raises(InvalidInputError, match="integer"):
+            make()
+
+    def test_numpy_integers_accepted(self):
+        policy = CutPolicy(max_cuts=np.int64(2), min_leaf_size=np.int32(1))
+        prices, _ = block_factor_market([4, 5], 60, seed=11)
+        report = run_backtest(prices, BacktestConfig(
+            split_index=np.int64(30), strategies=("cutn-as1",), policy=policy))
+        assert report.result("cutn-as1").metadata["k_performed"] == 2
+        assert report.split_index == 30
 
     def test_negative_ridge_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -13,6 +13,7 @@ import portcut.cli
 
 from portcut import (
     AllocationScheme,
+    BacktestConfig,
     CutObjective,
     CutPolicy,
     allocate,
@@ -21,11 +22,13 @@ from portcut import (
     build_cut_tree,
     ingest_prices_with_report,
     market_graph_from_covariance,
+    run_backtest,
     sample_covariance,
     simple_returns,
     PriceCsvSpec,
 )
 from portcut.cli import _drop_degenerate, main
+from portcut.serialization import report_to_dict
 
 from conftest import (
     TREE_DOC_DEFECTS,
@@ -311,6 +314,21 @@ class TestBacktestCommand:
         assert svg_path.read_text().startswith("<svg")
         assert payload["manifest"]["strategies"] == [
             "ew", "mv", "cutn-as1", "cutn-as2", "cutv-as1", "cutv-as2"]
+
+    def test_strategies_match_the_library_run(self, tmp_path, capsys):
+        prices, _ = block_factor_market([4, 5, 3], 120, seed=17)
+        csv_path = tmp_path / "blocks.csv"
+        write_prices_csv(csv_path, prices)
+        assert main(["backtest", str(csv_path), "--split-index", "60",
+                     "--strategies", "cutv-as2,ew,mv,cutn-as1",
+                     "--max-cuts", "3", "--min-leaf-size", "1"]) == 0
+        cli_strategies = json.loads(capsys.readouterr().out)["strategies"]
+        config = BacktestConfig(60, ("ew", "mv", "cutn-as1", "cutv-as2"),
+                                policy=CutPolicy(max_cuts=3, min_leaf_size=1))
+        library = report_to_dict(run_backtest(prices, config))["strategies"]
+        assert cli_strategies == library
+        assert all(entry["status"] == "ok" for entry in library.values())
+        assert library["cutn-as1"]["metadata"]["k_performed"] == 3
 
     def test_split_date_equivalent_to_index(self, market_csv, tmp_path):
         by_index = tmp_path / "a.json"

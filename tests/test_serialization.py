@@ -7,8 +7,6 @@ from portcut import (
     BacktestConfig,
     CutPolicy,
     InvalidInputError,
-    StrategyKind,
-    StrategySpec,
     WeightVector,
     block_factor_market,
     build_cut_tree,
@@ -52,8 +50,7 @@ def small_report():
     prices, _ = block_factor_market([3, 4], 30, seed=8)
     config = BacktestConfig(
         split_index=15,
-        strategies=(StrategySpec(kind=StrategyKind.EW),
-                    StrategySpec(kind=StrategyKind.MV)),
+        strategies=("ew", "mv"),
         mv_ridge=1e-8,
     )
     return run_backtest(prices, config)
