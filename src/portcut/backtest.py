@@ -82,9 +82,12 @@ class BacktestConfig:
             raise InvalidInputError(f"unknown strategies {unknown}; choose from {STRATEGIES}")
         if len(set(self.strategies)) != len(self.strategies):
             raise InvalidInputError(f"duplicate strategy labels: {list(self.strategies)}")
-        if not 0.0 < self.annualization_factor < np.inf:
+        if not isinstance(self.policy, CutPolicy):
+            raise InvalidInputError("policy must be a CutPolicy")
+        if not (isinstance(self.annualization_factor, numbers.Real)
+                and 0.0 < self.annualization_factor < np.inf):
             raise InvalidInputError("annualization_factor must be positive and finite")
-        if not 0.0 <= self.mv_ridge < np.inf:
+        if not (isinstance(self.mv_ridge, numbers.Real) and 0.0 <= self.mv_ridge < np.inf):
             raise InvalidInputError("mv_ridge must be nonnegative and finite")
 
 

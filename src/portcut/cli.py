@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import dataclasses
 import errno
+import itertools
 import json
 import os
 import stat
@@ -345,15 +347,53 @@ def cmd_backtest(args) -> int:
     return EXIT_OK
 
 
+def _openblas_thread_controls() -> list:
+    """A (get, set) thread-count function pair for each OpenBLAS in this process."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as handle:
+            paths = sorted({line.split()[-1] for line in handle if "openblas" in line})
+    except OSError:
+        return []
+    controls = []
+    for lib in (ctypes.CDLL(path) for path in paths if path.startswith("/")):
+        for prefix, suffix in itertools.product(("scipy_openblas", "openblas"), ("64_", "")):
+            get, set_ = (getattr(lib, f"{prefix}_{op}_num_threads{suffix}", None)
+                         for op in ("get", "set"))
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+    return controls
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one thread of each loaded OpenBLAS, then restore the counts.
+
+    At portcut's sizes threaded BLAS spends more CPU than it saves, and the
+    thread count changes the last bits of products.
+    """
+    restore = [(set_, get()) for get, set_ in _openblas_thread_controls()]
+    try:
+        for set_, _ in restore:
+            set_(1)
+        yield
+    finally:
+        for set_, count in restore:
+            set_(count)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "cut":
-            return cmd_cut(args)
-        if args.command == "allocate":
-            return cmd_allocate(args)
-        return cmd_backtest(args)
+        with _one_blas_thread():
+            if args.command == "cut":
+                return cmd_cut(args)
+            if args.command == "allocate":
+                return cmd_allocate(args)
+            return cmd_backtest(args)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE

@@ -56,8 +56,12 @@ class CutPolicy:
     def __post_init__(self):
         if not isinstance(self.max_cuts, numbers.Integral) or self.max_cuts < 0:
             raise InvalidInputError("max_cuts must be an integer >= 0")
-        if self.lambda2_threshold is not None and not 0 < self.lambda2_threshold < np.inf:
+        if self.lambda2_threshold is not None and not (
+                isinstance(self.lambda2_threshold, numbers.Real)
+                and 0 < self.lambda2_threshold < np.inf):
             raise InvalidInputError("lambda2_threshold must be positive and finite when set")
+        if not isinstance(self.leaf_selection, LeafSelection):
+            raise InvalidInputError("leaf_selection must be a LeafSelection")
         if not isinstance(self.min_leaf_size, numbers.Integral) or self.min_leaf_size < 1:
             raise InvalidInputError("min_leaf_size must be an integer >= 1")
 

@@ -327,6 +327,25 @@ class TestConfigValidation:
         with pytest.raises(InvalidInputError, match="integer"):
             make()
 
+    @pytest.mark.parametrize("make", [
+        lambda: BacktestConfig(20, (EW, "cutn-as1"), policy=None),
+        lambda: BacktestConfig(20, (EW, "cutn-as1"), policy=(1, None)),
+        lambda: BacktestConfig(20, (EW,), annualization_factor="252"),
+        lambda: BacktestConfig(20, (EW,), annualization_factor=None),
+        lambda: BacktestConfig(20, (EW, MV), mv_ridge=None),
+        lambda: BacktestConfig(20, (EW, MV), mv_ridge="0"),
+        lambda: CutPolicy(1, lambda2_threshold="1"),
+    ])
+    def test_wrongly_typed_fields_rejected(self, make):
+        with pytest.raises(InvalidInputError):
+            make()
+
+    def test_numpy_floats_accepted(self):
+        prices, _ = block_factor_market([4, 5], 60, seed=11)
+        config = BacktestConfig(30, (EW, MV), annualization_factor=np.float32(252.0),
+                                mv_ridge=np.float64(1e-8))
+        assert all(result.ok for result in run_backtest(prices, config).results)
+
     def test_numpy_integers_accepted(self):
         policy = CutPolicy(max_cuts=np.int64(2), min_leaf_size=np.int32(1))
         prices, _ = block_factor_market([4, 5], 60, seed=11)

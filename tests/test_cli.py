@@ -2,6 +2,8 @@ import csv
 import json
 import os
 import stat
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -480,6 +482,70 @@ class TestDeterminism:
         assert main(args + ["-o", out1]) == 0
         assert main(args + ["-o", out2]) == 0
         assert Path(out1).read_bytes() == Path(out2).read_bytes()
+
+
+class TestBlasThreads:
+    """The CLI runs on one BLAS thread and hands the caller's settings back."""
+
+    @pytest.fixture
+    def controls(self):
+        controls = portcut.cli._openblas_thread_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS library is loaded")
+        before = [get() for get, _ in controls]
+        for _, set_ in controls:
+            set_(2)  # a count the CLI has to change and put back
+        yield controls
+        for (_, set_), count in zip(controls, before):
+            set_(count)
+
+    @staticmethod
+    def counts(controls):
+        return [get() for get, _ in controls]
+
+    @pytest.mark.parametrize("split_index, code", [("20", 0), ("1", 2)])
+    def test_main_restores_thread_counts(self, controls, market_csv, tmp_path, split_index,
+                                         code, monkeypatch, capsys):
+        during = []
+
+        def spy(*args):
+            during.append(self.counts(controls))
+            return run_backtest(*args)
+
+        monkeypatch.setattr(portcut.cli, "run_backtest", spy)
+        assert main(["backtest", market_csv, "--split-index", split_index,
+                     "-o", str(tmp_path / "r.json")]) == code
+        assert during == [[1] * len(controls)]
+        assert self.counts(controls) == [2] * len(controls)
+
+    def test_library_call_keeps_thread_counts(self, controls):
+        prices, _ = block_factor_market([3, 5], 40, seed=3)
+        run_backtest(prices, BacktestConfig(20, ("ew", "mv", "cutn-as1")))
+        assert self.counts(controls) == [2] * len(controls)
+
+    def test_outputs_do_not_depend_on_thread_count(self, tmp_path):
+        prices, _ = block_factor_market((40, 30, 20, 10), 1000)
+        csv_path = tmp_path / "prices.csv"
+        write_prices_csv(csv_path, prices)
+        src = str(Path(portcut.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outputs = {}
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            out.mkdir()
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath)
+            for argv in (
+                ["backtest", str(csv_path), "--split-index", "500", "--max-cuts", "4",
+                 "--min-leaf-size", "1", "-o", "r.json", "--wealth-csv", "w.csv",
+                 "--svg", "w.svg"],
+                ["cut", str(csv_path), "--max-cuts", "6", "--min-leaf-size", "1",
+                 "-o", "t.json"],
+            ):
+                subprocess.run([sys.executable, "-m", "portcut.cli", *argv], cwd=out,
+                               env=env, check=True)
+            outputs[threads] = {name: (out / name).read_bytes()
+                                for name in ("r.json", "w.csv", "w.svg", "t.json")}
+        assert outputs["1"] == outputs["2"]
 
 
 class TestExitCodes:

@@ -12,10 +12,14 @@ from portcut import (
     InvalidInputError,
     LeafSelection,
     MarketGraph,
+    block_factor_market,
     build_cut_tree,
     edge_budget_trace,
     fiedler_vector,
     leaf_edge_budget,
+    market_graph_from_covariance,
+    sample_covariance,
+    simple_returns,
 )
 from portcut.tree import induced_subgraph, select_leaf
 
@@ -279,6 +283,22 @@ class TestPolicyValidation:
     def test_min_leaf_size_below_one(self):
         with pytest.raises(InvalidInputError):
             CutPolicy(max_cuts=1, min_leaf_size=0)
+
+    @pytest.mark.parametrize("selection", ["vertices", "volume", None])
+    def test_leaf_selection_must_be_a_leaf_selection(self, selection):
+        with pytest.raises(InvalidInputError, match="leaf_selection"):
+            CutPolicy(max_cuts=6, leaf_selection=selection, min_leaf_size=1)
+
+    def test_selection_rules_give_different_trees(self):
+        # On this market a string "vertices", once accepted, built the volume tree.
+        prices, _ = block_factor_market((40, 30, 20, 10), 300, seed=6)
+        graph = market_graph_from_covariance(
+            sample_covariance(simple_returns(prices)), asset_ids=prices.asset_ids)
+        vertices, volume = (
+            build_cut_tree(graph, CutPolicy(max_cuts=6, leaf_selection=selection,
+                                            min_leaf_size=1), CutObjective.NORMALIZED)
+            for selection in (LeafSelection.MOST_VERTICES, LeafSelection.LARGEST_VOLUME))
+        assert leaves_as_sets(vertices) != leaves_as_sets(volume)
 
 
 class TestEdgeBudget:
