@@ -19,6 +19,8 @@ import sys
 import tempfile
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from . import __version__
 from .allocation import AllocationScheme, allocate, asset_weights
 from .backtest import STRATEGIES, BacktestConfig, run_backtest
@@ -205,7 +207,9 @@ def _drop_degenerate(matrix: PriceMatrix) -> Tuple[PriceMatrix, List[str]]:
     returns = simple_returns(matrix).returns
     if returns.shape[0] < 2:
         raise InsufficientDataError("need at least 2 return rows for a sample covariance")
-    keep = returns.var(axis=0, ddof=1) > 0.0
+    # Returns are finite, so an overflowing variance is +inf, kept for the covariance to name.
+    with np.errstate(all="ignore"):
+        keep = returns.var(axis=0, ddof=1) > 0.0
     dropped = [a for a, ok in zip(matrix.asset_ids, keep) if not ok]
     if not dropped:
         return matrix, []

@@ -1,19 +1,22 @@
 """CSV price ingestion.
 
 Reads a header-first CSV with one date column and one column per asset into
-a rectangular PriceMatrix. Missing cells are rejected, or dropped row-wise or
+a rectangular PriceMatrix. A file whose every cell is a valid price is parsed
+in one C-level pass; any other goes through a per-cell reader that names the
+first bad cell. Missing cells are rejected, or dropped row-wise or
 column-wise, according to the configured policy.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -72,6 +75,75 @@ def _decoded_rows(reader, path: Path):
         raise InvalidInputError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
+def _parse_clean(path: Path, delimiter: str, date_idx: int,
+                 width: int) -> Optional[Tuple[List[str], np.ndarray]]:
+    """Dates and prices from one C-level `np.loadtxt` pass, or None.
+
+    None unless `_parse_cells` would give the same result: every row is one
+    LF-ended line of ``width`` cells and every price is in (0, inf).
+    """
+    dates: List[str] = []
+
+    def keep_date(cell: str) -> float:
+        dates.append(cell.strip())
+        return 0.0
+
+    try:
+        table = np.loadtxt(path, delimiter=delimiter, skiprows=1, quotechar='"',
+                           comments=None, encoding="utf-8", ndmin=2,
+                           converters={date_idx: keep_date})
+    except (TypeError, ValueError):
+        return None
+    prices = np.delete(table, date_idx, axis=1)
+    # Where the cell loop differs: csv.reader keeps line ends inside quotes,
+    # which loadtxt translates, and caps the field size; float() rejects a
+    # number next to bytes 0x1c-0x1f, which loadtxt strips as whitespace; and
+    # Python 3.10's csv.reader rejects NUL.
+    with path.open("rb") as handle:
+        lengths = [len(line) for line in handle]
+        handle.seek(0)
+        odd = any(byte in block for block in iter(lambda: handle.read(1 << 16), b"")
+                  for byte in b"\x00\x1c\x1d\x1e\x1f")
+    if (table.shape[1] != width or not np.all((prices > 0.0) & (prices < math.inf))
+            or any("\n" in label for label in dates) or len(lengths) != len(table) + 1
+            or max(lengths) > csv.field_size_limit() or odd):
+        return None
+    return dates, prices
+
+
+def _parse_cells(rows_in, path: Path, asset_ids: List[str], date_idx: int,
+                 missing_policy: MissingPolicy) -> Tuple[List[str], np.ndarray]:
+    """Dates and prices from csv rows, one float() per cell; NaN marks a missing one."""
+    width = len(asset_ids) + 1
+    dates: List[str] = []
+    rows: List[List[float]] = []
+    for line_no, row in enumerate(rows_in, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != width:
+            raise InvalidInputError(f"{path}:{line_no}: expected {width} cells, got {len(row)}")
+        dates.append(row.pop(date_idx).strip())
+        values: List[float] = []
+        for column, cell in zip(asset_ids, row):
+            try:
+                value = float(cell)
+            except ValueError:
+                value = None
+            if value is None or not 0.0 < value < math.inf:
+                if cell.strip().lower() not in MISSING_MARKERS:
+                    problem = ("unparseable" if value is None
+                               else "nonpositive" if value <= 0.0 else "non-finite")
+                    raise InvalidInputError(f"{path}:{line_no}: {problem} price "
+                                            f"{cell!r} in column {column!r}")
+                if missing_policy is MissingPolicy.ERROR:
+                    raise InvalidInputError(
+                        f"{path}:{line_no}: missing price in column {column!r}")
+                value = math.nan
+            values.append(value)
+        rows.append(values)
+    return dates, np.array(rows, dtype=float).reshape(len(rows), len(asset_ids))
+
+
 def ingest_prices_with_report(spec: PriceCsvSpec) -> Tuple[PriceMatrix, IngestReport]:
     """Read a price CSV and also report any dropped rows or assets.
 
@@ -108,36 +180,14 @@ def ingest_prices_with_report(spec: PriceCsvSpec) -> Tuple[PriceMatrix, IngestRe
         if len(set(asset_ids)) != len(asset_ids):
             raise InvalidInputError(f"{path}: duplicate asset columns in header")
 
-        dates: List[str] = []
-        rows: List[List[float]] = []
-        for line_no, row in enumerate(rows_in, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise InvalidInputError(
-                    f"{path}:{line_no}: expected {len(header)} cells, got {len(row)}"
-                )
-            dates.append(row.pop(date_idx).strip())
-            values: List[float] = []
-            for column, cell in zip(asset_ids, row):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    value = None
-                if value is None or not 0.0 < value < math.inf:
-                    if cell.strip().lower() not in MISSING_MARKERS:
-                        problem = ("unparseable" if value is None
-                                   else "nonpositive" if value <= 0.0 else "non-finite")
-                        raise InvalidInputError(f"{path}:{line_no}: {problem} price "
-                                                f"{cell!r} in column {column!r}")
-                    if spec.missing_policy is MissingPolicy.ERROR:
-                        raise InvalidInputError(
-                            f"{path}:{line_no}: missing price in column {column!r}")
-                    value = math.nan
-                values.append(value)
-            rows.append(values)
+        # loadtxt skips the header as one line and warns on a file without rows.
+        first = next(rows_in, None)
+        clean = None
+        if reader.line_num == 2 and first and any(cell.strip() for cell in first):
+            clean = _parse_clean(path, spec.delimiter, date_idx, len(header))
+        dates, prices = clean or _parse_cells(itertools.chain([first], rows_in), path,
+                                              asset_ids, date_idx, spec.missing_policy)
 
-    prices = np.array(rows, dtype=float).reshape(len(rows), len(asset_ids))
     dropped_assets: Tuple[str, ...] = ()
     dropped_rows: Tuple[str, ...] = ()
     if spec.missing_policy is MissingPolicy.DROP_ASSETS:

@@ -225,11 +225,18 @@ def simple_returns(prices: PriceMatrix) -> ReturnsMatrix:
     ------
     InsufficientDataError
         If fewer than two price rows are available.
+    InvalidInputError
+        If a return overflows; names the first such asset and return row.
     """
     p = prices.prices
     if p.shape[0] < 2:
         raise InsufficientDataError("need at least 2 price rows to form returns")
-    rets = np.diff(p, axis=0) / p[:-1]
+    with np.errstate(all="ignore"):
+        rets = np.diff(p, axis=0) / p[:-1]
+    if not np.isfinite(rets).all():
+        row, col = np.argwhere(~np.isfinite(rets))[0]
+        raise InvalidInputError(f"return of asset {prices.asset_ids[col]!r} at return row "
+                                f"{row} ({prices.timestamps[row + 1]}) is not finite")
     return ReturnsMatrix(returns=rets, asset_ids=prices.asset_ids)
 
 
@@ -240,14 +247,20 @@ def sample_covariance(returns: ReturnsMatrix) -> CovarianceMatrix:
     ------
     InsufficientDataError
         If fewer than two return rows are available.
+    InvalidInputError
+        If a covariance overflows; names the first such asset.
     """
     x = returns.returns
     t = x.shape[0]
     if t < 2:
         raise InsufficientDataError("need at least 2 return rows for a sample covariance")
-    dev = x - x.mean(axis=0)
-    sigma = dev.T @ dev / (t - 1)
-    sigma = (sigma + sigma.T) / 2.0
+    with np.errstate(all="ignore"):
+        dev = x - x.mean(axis=0)
+        sigma = dev.T @ dev / (t - 1)
+        sigma = (sigma + sigma.T) / 2.0
+    if not np.isfinite(sigma).all():
+        col = np.flatnonzero(~np.isfinite(sigma).all(axis=0))[0]
+        raise InvalidInputError(f"covariance of asset {returns.asset_ids[col]!r} is not finite")
     return CovarianceMatrix(sigma=sigma)
 
 

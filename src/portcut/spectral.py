@@ -36,7 +36,6 @@ __all__ = [
     "spectral_bisect",
     "brute_force_min_cut",
     "bipartition_count",
-    "iter_bipartitions",
     "BRUTE_FORCE_MAX_VERTICES",
 ]
 
@@ -278,14 +277,6 @@ def _side2_of(masks: np.ndarray, n: int) -> np.ndarray:
     rows = np.zeros((masks.size, n), dtype=int)
     rows[:, 1:] = (masks[:, None] >> np.arange(n - 1)) & 1
     return rows
-
-
-def iter_bipartitions(n: int) -> Iterator[np.ndarray]:
-    """Yield every side assignment of n vertices, vertex 0 fixed to side 1."""
-    if n < 2:
-        return
-    for masks in _mask_blocks(n):
-        yield from 1 + _side2_of(masks, n)
 
 
 def _screen(graph: MarketGraph, side2: np.ndarray,

@@ -12,6 +12,15 @@ from portcut import (
     PriceMatrix,
 )
 from portcut.serialization import tree_to_dict
+from portcut.spectral import _mask_blocks, _side2_of
+
+
+def iter_bipartitions(n: int):
+    """Yield every side assignment of n vertices, vertex 0 fixed to side 1."""
+    if n < 2:
+        return
+    for masks in _mask_blocks(n):
+        yield from 1 + _side2_of(masks, n)
 
 
 def graph_from_edges(n: int, edges) -> MarketGraph:

@@ -35,11 +35,11 @@ from portcut import (
     run_backtest,
     spectral_bisect,
 )
-from portcut.spectral import iter_bipartitions
 
 from conftest import (
     complete_random_graph,
     graph_from_edges,
+    iter_bipartitions,
     make_prices,
     partition_sets,
     planted_two_block_graph,

@@ -282,14 +282,15 @@ class TestBacktestCommand:
         assert "nodir" in one_json_error(captured.err)["message"]
         assert sorted(path.name for path in tmp_path.iterdir()) == ["prices.csv"]
 
-    def test_overflowing_strategy_reported_as_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("options", [[], ["--drop-degenerate"]])
+    def test_overflowing_strategy_reported_as_error(self, tmp_path, options, capsys):
         def reject(token):
             raise ValueError(f"not JSON: {token}")
 
         csv_path = tmp_path / "wild.csv"
         write_prices_csv(csv_path, overflowing_prices())
         assert main(["backtest", str(csv_path), "--split-index", "5",
-                     "--strategies", "ew"]) == 0
+                     "--strategies", "ew", *options]) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
         ew = json.loads(captured.out, parse_constant=reject)["strategies"]["ew"]
@@ -600,6 +601,32 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert one_json_error(captured.err)["error"] == "InvalidInputError"
+
+    # Prices spanning the float range: the first return of 'a' overflows.
+    SPAN_CSV = ("date,a,b,c\n2020-01-01,1e-300,1,2\n2020-01-02,1e300,1.1,2.1\n"
+                "2020-01-03,2,1.2,2.2\n2020-01-04,3,1.3,2.0\n2020-01-05,2.5,1.25,2.3\n")
+    SPAN_RETURN = "return of asset 'a' at return row 0 (2020-01-02) is not finite"
+
+    @pytest.mark.parametrize("prices, options, message", [
+        ("span", ["cut"], SPAN_RETURN),
+        ("span", ["cut", "--drop-degenerate"], SPAN_RETURN),
+        ("span", ["backtest", "--split-index", "2"], SPAN_RETURN),
+        ("wild", ["cut"], "covariance of asset 'a0' is not finite"),
+        ("wild", ["cut", "--drop-degenerate"], "covariance of asset 'a0' is not finite"),
+    ], ids=["returns", "returns-drop-degenerate", "returns-backtest", "covariance",
+            "covariance-drop-degenerate"])
+    def test_overflow_named_in_one_json_line(self, tmp_path, prices, options, message,
+                                             capsys):
+        csv_path = tmp_path / "prices.csv"
+        if prices == "span":
+            csv_path.write_text(self.SPAN_CSV)
+        else:
+            write_prices_csv(csv_path, overflowing_prices())
+        assert main([options[0], str(csv_path), *options[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert one_json_error(captured.err) == {"error": "InvalidInputError",
+                                                "message": message}
 
 
 class TestDropDegenerate:

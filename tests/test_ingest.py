@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 
+import portcut.ingest as ingest
 from portcut import (
     InsufficientDataError,
     InvalidInputError,
     MissingPolicy,
     PriceCsvSpec,
     PriceMatrix,
+    block_factor_market,
     ingest_prices_with_report,
 )
+
+from conftest import write_prices_csv
 
 
 def write(tmp_path, text, name="prices.csv"):
@@ -235,3 +239,182 @@ def test_ingest_orders_dates_like_price_matrix(tmp_path):
     assert matrix.timestamps == direct.timestamps
     assert matrix.asset_ids == direct.asset_ids
     assert np.array_equal(matrix.prices, direct.prices)
+
+
+# Whole files and what the per-cell reader makes of them under the ERROR and
+# DROP_ROWS policies: the exact error ("{path}" stands for the file), or the
+# asset ids, dates, prices and dropped rows. The one-pass parser must give the
+# same. ``cell_loop`` says whether the per-cell loop reads the rows: a clean
+# file is parsed in one pass, and a file that is not UTF-8 fails as its header
+# is read.
+HEAD = b"date,aaa,bbb\n2020-01-01,100,50\n"
+TAIL = b"\n2020-01-03,102,51\n"
+CLEAN = HEAD + b"2020-01-02,101,49" + TAIL
+DATES = ("2020-01-01", "2020-01-02", "2020-01-03")
+ROWS = [[100.0, 50.0], [101.0, 49.0], [102.0, 51.0]]
+PARSED = (("aaa", "bbb"), DATES, ROWS, ())
+SECOND_DROPPED = (("aaa", "bbb"), DATES[::2], ROWS[::2], ("2020-01-02",))
+SECOND_SKIPPED = (("aaa", "bbb"), DATES[::2], ROWS[::2], ())
+
+
+def line3(problem):
+    return InvalidInputError, "{path}:3: " + problem
+
+
+def with_cell(cell):
+    return HEAD + b"2020-01-02,101," + cell + TAIL
+
+
+def each_row_ending(suffix):
+    header, *rows = CLEAN.splitlines()
+    return header + b"\n" + b"".join(row + suffix + b"\n" for row in rows)
+
+
+def date_at(position):
+    lines = [[b"date", b"aaa", b"bbb"]] + [[d.encode(), b"%d" % a, b"%d" % b]
+                                           for d, (a, b) in zip(DATES, ROWS)]
+    for cells in lines:
+        cells.insert(position, cells.pop(0))
+    return b"".join(b",".join(cells) + b"\n" for cells in lines)
+
+
+MISSING_BBB = line3("missing price in column 'bbb'")
+DIFFERENTIAL = [
+    # id, file, cell_loop, ERROR result, DROP_ROWS result
+    ("clean", CLEAN, False, PARSED, PARSED),
+    ("blank", with_cell(b""), True, MISSING_BBB, SECOND_DROPPED),
+    ("na", with_cell(b"na"), True, MISSING_BBB, SECOND_DROPPED),
+    ("nan", with_cell(b"nan"), True, MISSING_BBB, SECOND_DROPPED),
+    ("inf", with_cell(b"inf"), True, *[line3("non-finite price 'inf' in column 'bbb'")] * 2),
+    ("1e400", with_cell(b"1e400"), True,
+     *[line3("non-finite price '1e400' in column 'bbb'")] * 2),
+    ("negative", with_cell(b"-3"), True, *[line3("nonpositive price '-3' in column 'bbb'")] * 2),
+    ("zero", with_cell(b"0"), True, *[line3("nonpositive price '0' in column 'bbb'")] * 2),
+    ("subnormal", with_cell(b"5e-324"), False,
+     *[(("aaa", "bbb"), DATES, [ROWS[0], [101.0, 5e-324], ROWS[2]], ())] * 2),
+    ("word", with_cell(b"abc"), True, *[line3("unparseable price 'abc' in column 'bbb'")] * 2),
+    ("underscore", with_cell(b"1_0"), True,
+     *[(("aaa", "bbb"), DATES, [ROWS[0], [101.0, 10.0], ROWS[2]], ())] * 2),
+    ("hex", with_cell(b"0x1p3"), True, *[line3("unparseable price '0x1p3' in column 'bbb'")] * 2),
+    ("hash", with_cell(b"#49"), True, *[line3("unparseable price '#49' in column 'bbb'")] * 2),
+    ("separator-byte", with_cell(b"\x1c49"), True,
+     *[line3("unparseable price '\\x1c49' in column 'bbb'")] * 2),
+    ("oversized-field", with_cell(b"49." + b"0" * 140_000), True,
+     *[line3("field larger than field limit (131072)")] * 2),
+    ("short-row", HEAD + b"2020-01-02,101" + TAIL, True, *[line3("expected 3 cells, got 2")] * 2),
+    ("extra-cell", each_row_ending(b",7"), True,
+     *[(InvalidInputError, "{path}:2: expected 3 cells, got 4")] * 2),
+    ("trailing-delimiter", each_row_ending(b","), True,
+     *[(InvalidInputError, "{path}:2: expected 3 cells, got 4")] * 2),
+    ("quoted-cell", HEAD + b'2020-01-02,"101",49' + TAIL, False, PARSED, PARSED),
+    ("quoted-date", HEAD + b'"2020-01-02",101,49' + TAIL, False, PARSED, PARSED),
+    ("mid-field-quote", HEAD + b'2020-01-02,1"01,49' + TAIL, True,
+     *[line3("unparseable price '1\"01' in column 'aaa'")] * 2),
+    ("line-end-in-date", CLEAN + b'"2020-01-04\r\nx",103,52\n', True,
+     *[(("aaa", "bbb"), DATES + ("2020-01-04\r\nx",), ROWS + [[103.0, 52.0]], ())] * 2),
+    # Split at LF alone, this file has one line per row.
+    ("line-end-in-date-cr", b'date,aaa\n2020-01-01,100\r"2020-01-02\r\nx",101\n', True,
+     *[(("aaa",), ("2020-01-01", "2020-01-02\r\nx"), [[100.0], [101.0]], ())] * 2),
+    ("all-blank-row", HEAD + b",," + TAIL, True, SECOND_SKIPPED, SECOND_SKIPPED),
+    ("whitespace-line", HEAD + b"  \t" + TAIL, True, SECOND_SKIPPED, SECOND_SKIPPED),
+    ("crlf", CLEAN.replace(b"\n", b"\r\n"), False, PARSED, PARSED),
+    ("bare-cr", CLEAN.replace(b"\n", b"\r"), True, PARSED, PARSED),
+    ("bom", b"\xef\xbb\xbf" + date_at(1), False,
+     *[(("\ufeffaaa", "bbb"), DATES, ROWS, ())] * 2),
+    ("latin-1", with_cell(b"4\xe9"), False,
+     *[(InvalidInputError, "{path}: not UTF-8 text (invalid continuation byte)")] * 2),
+    ("header-only", b"date,aaa,bbb\n", True,
+     *[(InsufficientDataError, "{path}: 0 usable rows after drops, need at least 2")] * 2),
+    ("blank-lines-only", b"date,aaa,bbb\n\n\n", True,
+     *[(InsufficientDataError, "{path}: 0 usable rows after drops, need at least 2")] * 2),
+    ("blank-first-line", CLEAN.replace(b"bbb\n", b"bbb\n\n"), True, PARSED, PARSED),
+    # Line 2 alone reads as a row: date 'date"', prices 1 and 2.
+    ("multi-line-header", CLEAN.replace(b"date,aaa,bbb", b'"\ndate",1,2'), True,
+     *[(("1", "2"), DATES, ROWS, ())] * 2),
+    ("one-row", HEAD, False,
+     *[(InsufficientDataError, "{path}: 1 usable rows after drops, need at least 2")] * 2),
+    ("date-last", date_at(2), False, PARSED, PARSED),
+    ("date-middle", date_at(1), False, PARSED, PARSED),
+]
+
+
+@pytest.fixture
+def cell_loop_calls(monkeypatch):
+    """How many times ingest fell back to the per-cell loop."""
+    calls = []
+    cell_loop = ingest._parse_cells
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return cell_loop(*args, **kwargs)
+
+    monkeypatch.setattr(ingest, "_parse_cells", counted)
+    return calls
+
+
+@pytest.mark.parametrize("policy", [MissingPolicy.ERROR, MissingPolicy.DROP_ROWS])
+@pytest.mark.parametrize("data, cell_loop, results",
+                         [pytest.param(data, cell_loop, results, id=name)
+                          for name, data, cell_loop, *results in DIFFERENTIAL])
+def test_differential_table(tmp_path, cell_loop_calls, data, cell_loop, results, policy):
+    path = tmp_path / "prices.csv"
+    path.write_bytes(data)
+    spec = PriceCsvSpec(path=str(path), missing_policy=policy)
+    expected = results[policy is MissingPolicy.DROP_ROWS]
+    if isinstance(expected[0], type):
+        with pytest.raises(expected[0]) as exc:
+            ingest_prices_with_report(spec)
+        assert str(exc.value) == expected[1].format(path=path)
+    else:
+        matrix, report = ingest_prices_with_report(spec)
+        assets, dates, rows, dropped = expected
+        assert (matrix.asset_ids, matrix.timestamps) == (assets, dates)
+        assert matrix.prices.tobytes() == np.array(rows, dtype=float).tobytes()
+        assert matrix.prices.shape == (len(dates), len(assets))
+        assert matrix.prices.flags.c_contiguous
+        assert (report.dropped_rows, report.dropped_assets) == (dropped, ())
+    assert len(cell_loop_calls) == cell_loop
+
+
+@pytest.mark.parametrize("delimiter", [";", "\t", " ", "|", '"'])
+def test_delimiters(tmp_path, cell_loop_calls, delimiter):
+    path = tmp_path / "prices.csv"
+    path.write_bytes(CLEAN.replace(b",", delimiter.encode()))
+    matrix, _ = ingest_prices_with_report(PriceCsvSpec(path=str(path), delimiter=delimiter))
+    assert (matrix.asset_ids, matrix.timestamps, matrix.prices.tolist()) == PARSED[:3]
+    # loadtxt rejects a delimiter equal to its quote character.
+    assert len(cell_loop_calls) == (delimiter == '"')
+
+
+def test_clean_file_parsed_in_one_loadtxt_call(tmp_path, cell_loop_calls, monkeypatch):
+    calls = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(a) or loadtxt(*a, **k))
+    ingest_prices_with_report(PriceCsvSpec(path=write(tmp_path, WELL_FORMED)))
+    assert len(calls) == 1
+    assert cell_loop_calls == []
+
+
+@pytest.mark.parametrize("cell", [b"4\x009", b"\x1d49", b"49\x1f"])
+def test_control_bytes_take_the_cell_loop(tmp_path, cell_loop_calls, cell):
+    path = tmp_path / "prices.csv"
+    path.write_bytes(with_cell(cell))
+    with pytest.raises(InvalidInputError):
+        ingest_prices_with_report(PriceCsvSpec(path=str(path)))
+    assert len(cell_loop_calls) == 1
+
+
+def test_one_pass_and_cell_loop_agree(tmp_path, cell_loop_calls):
+    prices, _ = block_factor_market((5, 4, 3), 300, seed=2)
+    clean = tmp_path / "clean.csv"
+    write_prices_csv(clean, prices)
+    lines = clean.read_text().splitlines(keepends=True)
+    padded = tmp_path / "padded.csv"
+    padded.write_text("".join(lines[:150]) + "," * prices.n_assets + "\n" + "".join(lines[150:]))
+    results = [ingest_prices_with_report(PriceCsvSpec(path=str(p))) for p in (clean, padded)]
+    assert len(cell_loop_calls) == 1
+    (fast, fast_report), (slow, slow_report) = results
+    assert fast.prices.tobytes() == slow.prices.tobytes() == prices.prices.tobytes()
+    assert fast.timestamps == slow.timestamps == prices.timestamps
+    assert fast.asset_ids == slow.asset_ids == prices.asset_ids
+    assert fast_report == slow_report

@@ -25,12 +25,12 @@ from portcut import (
     rayleigh_quotient,
     spectral_bisect,
 )
-from portcut.spectral import iter_bipartitions
 from portcut.cli import main
 
 from conftest import (
     complete_random_graph,
     graph_from_edges,
+    iter_bipartitions,
     partition_sets,
     planted_two_block_graph,
     write_prices_csv,
