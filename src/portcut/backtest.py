@@ -156,6 +156,13 @@ def sharpe_ratio(series, annualization: float) -> float:
     return float(np.sqrt(annualization) * x.mean() / std)
 
 
+def _check_split(split_index: int, n_periods: int) -> None:
+    """Reject a split that leaves either window of ``n_periods`` returns under 2 rows."""
+    if not 2 <= split_index <= n_periods - 2:
+        raise InvalidInputError(f"split_index {split_index} leaves too little data "
+                                f"(need 2 <= t* <= {n_periods - 2})")
+
+
 def run_backtest(prices: PriceMatrix, config: BacktestConfig) -> BacktestReport:
     """Estimate weights in-sample, hold them fixed, and compound out-sample.
 
@@ -169,10 +176,7 @@ def run_backtest(prices: PriceMatrix, config: BacktestConfig) -> BacktestReport:
     all_returns = simple_returns(prices)
     t_total = all_returns.n_periods
     t_star = config.split_index
-    if not 2 <= t_star <= t_total - 2:
-        raise InvalidInputError(
-            f"split_index {t_star} leaves too little data (need 2 <= t* <= {t_total - 2})"
-        )
+    _check_split(t_star, t_total)
     in_returns = ReturnsMatrix(all_returns.returns[:t_star], all_returns.asset_ids)
     out_returns = ReturnsMatrix(all_returns.returns[t_star:], all_returns.asset_ids)
 

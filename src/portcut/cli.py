@@ -11,6 +11,7 @@ import contextlib
 import ctypes
 import dataclasses
 import errno
+import io
 import itertools
 import json
 import os
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .allocation import AllocationScheme, allocate, asset_weights
-from .backtest import STRATEGIES, BacktestConfig, run_backtest
+from .backtest import STRATEGIES, BacktestConfig, _check_split, run_backtest
 from .errors import DegenerateAssetError, InsufficientDataError, InvalidInputError, PortfolioCutError
 from .ingest import IngestReport, MissingPolicy, PriceCsvSpec, ingest_prices_with_report
 from .market_graph import (
@@ -52,7 +53,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 
-# Per-command options in every run manifest; null where a command has none.
+# Parsed options echoed in every run manifest; null where a command has none.
 MANIFEST_OPTION_KEYS = (
     "objective", "max_cuts", "lambda2_threshold", "leaf_selection", "min_leaf_size",
     "scheme", "split_index", "split_date", "strategies", "mv_ridge",
@@ -120,7 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bt.add_argument("--strategies", default=",".join(STRATEGIES),
                       help=f"comma list from {', '.join(STRATEGIES)}")
     p_bt.add_argument("--mv-ridge", type=float, default=0.0)
-    p_bt.add_argument("--annualization", type=float, default=252.0)
+    p_bt.add_argument("--annualization", type=float, default=252.0,
+                      dest="annualization_factor", metavar="ANNUALIZATION")
     p_bt.add_argument("-o", "--output", default="-", help="report JSON path")
     p_bt.add_argument("--wealth-csv", default=None, help="wealth curve CSV path")
     p_bt.add_argument("--svg", default=None, help="wealth curve SVG path")
@@ -185,41 +187,40 @@ def _new_file_mode(target: str) -> int:
     return 0o666 & ~umask
 
 
-def _load_prices(args) -> Tuple[PriceMatrix, IngestReport]:
-    spec = PriceCsvSpec(
-        path=args.prices,
-        date_column=args.date_column,
-        delimiter=args.delimiter,
-        missing_policy=MissingPolicy(args.missing_policy),
-    )
-    matrix, report = ingest_prices_with_report(spec)
+def _load_prices(args) -> Tuple[PriceMatrix, IngestReport, Optional[int]]:
+    """Prices, ingest report and backtest split; --drop-degenerate judges in-sample rows."""
+    matrix, report = ingest_prices_with_report(PriceCsvSpec(
+        args.prices, args.date_column, args.delimiter, MissingPolicy(args.missing_policy)))
+    split_index = _resolve_split(args, matrix)
     if args.drop_degenerate:
-        matrix, dropped = _drop_degenerate(matrix)
+        matrix, dropped = _drop_degenerate(matrix, split_index)
         if dropped:
             print(f"dropped zero-variance asset(s): {', '.join(dropped)}",
                   file=sys.stderr)
             report = dataclasses.replace(
                 report, dropped_assets=report.dropped_assets + tuple(dropped))
-    return matrix, report
+    return matrix, report, split_index
 
 
-def _drop_degenerate(matrix: PriceMatrix) -> Tuple[PriceMatrix, List[str]]:
+def _drop_degenerate(matrix: PriceMatrix,
+                     split_index: Optional[int] = None) -> Tuple[PriceMatrix, List[str]]:
+    """Drop the assets flat on return rows [0, split_index), or on every row if None."""
     returns = simple_returns(matrix).returns
+    if split_index is not None:
+        _check_split(split_index, returns.shape[0])
+        returns = returns[:split_index]
     if returns.shape[0] < 2:
         raise InsufficientDataError("need at least 2 return rows for a sample covariance")
     # Returns are finite, so an overflowing variance is +inf, kept for the covariance to name.
     with np.errstate(all="ignore"):
         keep = returns.var(axis=0, ddof=1) > 0.0
-    dropped = [a for a, ok in zip(matrix.asset_ids, keep) if not ok]
+    ids = np.array(matrix.asset_ids, dtype=object)
+    dropped = list(ids[~keep])
     if not dropped:
         return matrix, []
     if not keep.any():
         raise DegenerateAssetError(dropped, "every asset has zero variance")
-    return PriceMatrix(
-        prices=matrix.prices[:, keep],
-        asset_ids=tuple(a for a, ok in zip(matrix.asset_ids, keep) if ok),
-        timestamps=matrix.timestamps,
-    ), dropped
+    return PriceMatrix(matrix.prices[:, keep], ids[keep], matrix.timestamps), dropped
 
 
 def _policy_from_args(args) -> CutPolicy:
@@ -231,11 +232,10 @@ def _policy_from_args(args) -> CutPolicy:
     )
 
 
-def _manifest(args, command: str, matrix: PriceMatrix, report: IngestReport,
-              **options) -> dict:
-    """Echo of the resolved configuration plus a digest of the input."""
+def _manifest(args, matrix: PriceMatrix, report: IngestReport, **resolved) -> dict:
+    """Echo of the parsed options, ``resolved`` overriding, plus a digest of the input."""
     return {
-        "command": command,
+        "command": args.command,
         "input_path": args.prices,
         "date_column": args.date_column,
         "missing_policy": args.missing_policy,
@@ -246,27 +246,20 @@ def _manifest(args, command: str, matrix: PriceMatrix, report: IngestReport,
         "last_date": matrix.timestamps[-1],
         "dropped_rows": len(report.dropped_rows),
         "dropped_assets": list(report.dropped_assets),
-        **dict.fromkeys(MANIFEST_OPTION_KEYS),
-        **options,
+        **{key: getattr(args, key, None) for key in MANIFEST_OPTION_KEYS},
+        **resolved,
         "version": __version__,
     }
 
 
 def cmd_cut(args) -> int:
-    matrix, report = _load_prices(args)
+    matrix, report, _ = _load_prices(args)
     graph = market_graph_from_covariance(
         sample_covariance(simple_returns(matrix)), asset_ids=matrix.asset_ids
     )
     tree = build_cut_tree(graph, _policy_from_args(args), CutObjective(args.objective))
     payload = tree_to_dict(tree)
-    payload["manifest"] = _manifest(
-        args, "cut", matrix, report,
-        objective=args.objective,
-        max_cuts=args.max_cuts,
-        lambda2_threshold=args.lambda2_threshold,
-        leaf_selection=args.leaf_selection,
-        min_leaf_size=args.min_leaf_size,
-    )
+    payload["manifest"] = _manifest(args, matrix, report)
     _write_outputs((canonical_json(payload), args.output))
     return EXIT_OK
 
@@ -308,9 +301,9 @@ def _parse_strategies(tokens: str) -> Tuple[str, ...]:
     return tuple(sorted(seen, key=STRATEGIES.index))
 
 
-def _resolve_split(args, matrix: PriceMatrix) -> int:
-    if args.split_index is not None:
-        return args.split_index
+def _resolve_split(args, matrix: PriceMatrix) -> Optional[int]:
+    if getattr(args, "split_date", None) is None:
+        return getattr(args, "split_index", None)
     key = timestamp_sort_key(args.split_date)
     # Return row t realizes at timestamps[t+1]; in-sample keeps dates <= split.
     return sum(1 for stamp in matrix.timestamps[1:]
@@ -318,29 +311,18 @@ def _resolve_split(args, matrix: PriceMatrix) -> int:
 
 
 def cmd_backtest(args) -> int:
-    matrix, report = _load_prices(args)
+    matrix, report, split_index = _load_prices(args)
     tokens = _parse_strategies(args.strategies)
-    split_index = _resolve_split(args, matrix)
     config = BacktestConfig(
         split_index=split_index,
         strategies=tokens,
         policy=_policy_from_args(args),
-        annualization_factor=args.annualization,
+        annualization_factor=args.annualization_factor,
         mv_ridge=args.mv_ridge,
     )
     result = run_backtest(matrix, config)
-    manifest = _manifest(
-        args, "backtest", matrix, report,
-        max_cuts=args.max_cuts,
-        lambda2_threshold=args.lambda2_threshold,
-        leaf_selection=args.leaf_selection,
-        min_leaf_size=args.min_leaf_size,
-        split_index=split_index,
-        split_date=args.split_date,
-        strategies=list(tokens),
-        mv_ridge=args.mv_ridge,
-        annualization_factor=args.annualization,
-    )
+    manifest = _manifest(args, matrix, report, split_index=split_index,
+                         strategies=list(tokens))
     # Render every output before writing any, so a rendering error leaves no file.
     outputs = [(canonical_json(report_to_dict(result, manifest)), args.output)]
     if args.wealth_csv:
@@ -392,12 +374,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        with _one_blas_thread():
-            if args.command == "cut":
-                return cmd_cut(args)
-            if args.command == "allocate":
-                return cmd_allocate(args)
-            return cmd_backtest(args)
+        command = {"cut": cmd_cut, "allocate": cmd_allocate, "backtest": cmd_backtest}
+        # A command's notes reach stderr only if it succeeds; a failure prints just its error.
+        with _one_blas_thread(), contextlib.redirect_stderr(io.StringIO()) as notes:
+            code = command[args.command](args)
+        sys.stderr.write(notes.getvalue())
+        return code
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE

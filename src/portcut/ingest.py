@@ -75,6 +75,14 @@ def _decoded_rows(reader, path: Path):
         raise InvalidInputError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
+def _nul_free(lines, path: Path):
+    """The lines; one holding NUL is invalid input, as csv reports it on Python 3.10."""
+    for line_no, line in enumerate(lines, start=1):
+        if "\x00" in line:
+            raise InvalidInputError(f"{path}:{line_no}: line contains NUL")
+        yield line
+
+
 def _parse_clean(path: Path, delimiter: str, date_idx: int,
                  width: int) -> Optional[Tuple[List[str], np.ndarray]]:
     """Dates and prices from one C-level `np.loadtxt` pass, or None.
@@ -98,7 +106,7 @@ def _parse_clean(path: Path, delimiter: str, date_idx: int,
     # Where the cell loop differs: csv.reader keeps line ends inside quotes,
     # which loadtxt translates, and caps the field size; float() rejects a
     # number next to bytes 0x1c-0x1f, which loadtxt strips as whitespace; and
-    # Python 3.10's csv.reader rejects NUL.
+    # `_nul_free` rejects NUL.
     with path.open("rb") as handle:
         lengths = [len(line) for line in handle]
         handle.seek(0)
@@ -161,8 +169,9 @@ def ingest_prices_with_report(spec: PriceCsvSpec) -> Tuple[PriceMatrix, IngestRe
     path = Path(spec.path)
     if not path.is_file():
         raise InvalidInputError(f"price file not found: {path}")
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle, delimiter=spec.delimiter)
+    # utf-8-sig drops the byte-order mark spreadsheet "CSV UTF-8" exports begin with.
+    with path.open(newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(_nul_free(handle, path), delimiter=spec.delimiter)
         rows_in = _decoded_rows(reader, path)
         try:
             header = next(rows_in)

@@ -42,6 +42,14 @@ def _as_float_array(values, name: str, ndim: int) -> np.ndarray:
     return arr
 
 
+def _labels(values, count: int, what: str, of: str) -> tuple:
+    """``values`` as a tuple of str, which must hold ``count`` labels."""
+    labels = tuple(str(v) for v in values)
+    if len(labels) != count:
+        raise InvalidInputError(f"{len(labels)} {what} for {count} {of}")
+    return labels
+
+
 def timestamp_sort_key(label: str):
     """ISO dates compare as dates; anything else compares as a string."""
     try:
@@ -70,20 +78,12 @@ class PriceMatrix:
 
     def __post_init__(self):
         prices = _as_float_array(self.prices, "prices", 2)
-        asset_ids = tuple(str(a) for a in self.asset_ids)
-        timestamps = tuple(str(t) for t in self.timestamps)
         if np.any(prices <= 0.0):
             raise InvalidInputError("prices must be strictly positive")
-        if len(asset_ids) != prices.shape[1]:
-            raise InvalidInputError(
-                f"{len(asset_ids)} asset ids for {prices.shape[1]} price columns"
-            )
+        asset_ids = _labels(self.asset_ids, prices.shape[1], "asset ids", "price columns")
         if len(set(asset_ids)) != len(asset_ids):
             raise InvalidInputError("asset ids must be unique")
-        if len(timestamps) != prices.shape[0]:
-            raise InvalidInputError(
-                f"{len(timestamps)} timestamps for {prices.shape[0]} price rows"
-            )
+        timestamps = _labels(self.timestamps, prices.shape[0], "timestamps", "price rows")
         keys = [timestamp_sort_key(t) for t in timestamps]
         for i in range(1, len(keys)):
             if keys[i] <= keys[i - 1]:
@@ -110,11 +110,7 @@ class ReturnsMatrix:
 
     def __post_init__(self):
         returns = _as_float_array(self.returns, "returns", 2)
-        asset_ids = tuple(str(a) for a in self.asset_ids)
-        if len(asset_ids) != returns.shape[1]:
-            raise InvalidInputError(
-                f"{len(asset_ids)} asset ids for {returns.shape[1]} return columns"
-            )
+        asset_ids = _labels(self.asset_ids, returns.shape[1], "asset ids", "return columns")
         if np.any(returns < -1.0):
             raise InvalidInputError("returns below -1 are impossible for positive prices")
         object.__setattr__(self, "returns", returns)
@@ -183,9 +179,7 @@ class MarketGraph:
         np.fill_diagonal(w, 0.0)
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
-        ids = tuple(str(a) for a in self.asset_ids) or tuple(str(i) for i in range(w.shape[0]))
-        if len(ids) != w.shape[0]:
-            raise InvalidInputError(f"{len(ids)} asset ids for {w.shape[0]} vertices")
+        ids = _labels(tuple(self.asset_ids) or range(len(w)), len(w), "asset ids", "vertices")
         object.__setattr__(self, "asset_ids", ids)
 
     # cached_property writes the instance __dict__ directly, so it works on a
@@ -285,11 +279,7 @@ def market_graph_from_covariance(sigma: CovarianceMatrix, asset_ids=None) -> Mar
     """
     s = sigma.sigma
     n = s.shape[0]
-    ids = tuple(str(a) for a in asset_ids) if asset_ids is not None else tuple(
-        str(i) for i in range(n)
-    )
-    if len(ids) != n:
-        raise InvalidInputError(f"{len(ids)} asset ids for {n} assets")
+    ids = _labels(range(n) if asset_ids is None else asset_ids, n, "asset ids", "assets")
     variances = np.diag(s)
     dead = np.flatnonzero(variances <= 0.0)
     if dead.size:

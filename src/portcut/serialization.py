@@ -15,6 +15,7 @@ from typing import Dict, Sequence
 from .allocation import WeightVector
 from .backtest import BacktestReport
 from .errors import InvalidInputError, NumericalFailureError
+from .market_graph import _labels
 from .spectral import CutObjective
 from .tree import CutTree, edge_budget_trace, leaf_edge_budget
 
@@ -111,16 +112,13 @@ def tree_from_dict(payload: dict) -> CutTree:
 
 def weights_to_dict(asset_ids: Sequence[str], weights: WeightVector,
                     cluster_shares: Dict[int, float] | None = None) -> dict:
-    if len(asset_ids) != weights.n_assets:
-        raise InvalidInputError(
-            f"{len(asset_ids)} asset ids for {weights.n_assets} weights"
-        )
+    asset_ids = _labels(asset_ids, weights.n_assets, "asset ids", "weights")
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kind": "weights",
         "scheme": weights.scheme_tag,
         "weights": [
-            {"asset_id": str(a), "weight": float(w)}
+            {"asset_id": a, "weight": float(w)}
             for a, w in zip(asset_ids, weights.weights)
         ],
     }
@@ -132,10 +130,7 @@ def weights_to_dict(asset_ids: Sequence[str], weights: WeightVector,
 
 
 def weights_to_csv(asset_ids: Sequence[str], weights: WeightVector) -> str:
-    if len(asset_ids) != weights.n_assets:
-        raise InvalidInputError(
-            f"{len(asset_ids)} asset ids for {weights.n_assets} weights"
-        )
+    asset_ids = _labels(asset_ids, weights.n_assets, "asset ids", "weights")
     return _csv_text([("asset_id", "weight")] + [
         (a, repr(float(w))) for a, w in zip(asset_ids, weights.weights)])
 

@@ -558,6 +558,13 @@ class TestExitCodes:
                      "--strategies", "warp"]) == 1
         assert "warp" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tokens, message", [
+        ("ew,ew", "duplicate strategy 'ew'"), (",", "empty strategy list")])
+    def test_usage_error_strategy_list(self, market_csv, tokens, message, capsys):
+        assert main(["backtest", market_csv, "--split-index", "20",
+                     "--strategies", tokens]) == 1
+        assert capsys.readouterr().err == message + "\n"
+
     def test_usage_error_missing_split(self, market_csv):
         assert main(["backtest", market_csv]) == 1
 
@@ -645,6 +652,18 @@ class TestDropDegenerate:
         assert payload["asset_ids"] == ["m", "o"]
         assert "flat" in payload["manifest"]["dropped_assets"]
 
+    def test_notice_printed_only_on_success(self, tmp_path, capsys):
+        moving = [100.0, 102.0, 99.0, 101.0, 104.0, 103.0, 106.0]
+        csv_path = tmp_path / "flat.csv"
+        write_prices_csv(csv_path, make_prices([moving, [10.0] * 7, moving[::-1]],
+                                               asset_ids=["m", "flat", "o"]))
+        assert main(["cut", str(csv_path), "--drop-degenerate"]) == 0
+        assert capsys.readouterr().err == "dropped zero-variance asset(s): flat\n"
+        # One asset is left, too few for a cut tree: stderr holds only the error.
+        write_prices_csv(csv_path, make_prices([moving, [10.0] * 7], asset_ids=["m", "flat"]))
+        assert main(["cut", str(csv_path), "--drop-degenerate"]) == 2
+        assert one_json_error(capsys.readouterr().err)["error"] == "InvalidInputError"
+
     def test_two_rows_are_too_few(self, tmp_path, capsys):
         csv_path = tmp_path / "short.csv"
         write_prices_csv(csv_path, make_prices([[100.0, 102.0], [10.0, 10.0]]))
@@ -667,6 +686,45 @@ class TestDropDegenerate:
                          "--drop-degenerate", "-o", str(report)]) == 0
             strategies.append(json.loads(report.read_text())["strategies"])
         assert strategies[0] == strategies[1]
+
+    def test_asset_flat_in_sample_is_dropped(self, tmp_path, capsys):
+        prices, _ = block_factor_market((6, 6), 100, seed=3)
+        columns = prices.prices.copy()
+        columns[:60, prices.asset_ids.index("B0_000")] = 50.0
+        csv_path = tmp_path / "flat_in_sample.csv"
+        write_prices_csv(csv_path, make_prices(columns.T, prices.asset_ids, prices.timestamps))
+        assert main(["backtest", str(csv_path), "--split-index", "50", "--drop-degenerate",
+                     "--max-cuts", "2"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["manifest"]["dropped_assets"] == ["B0_000"]
+        assert "B0_000" not in payload["asset_ids"]
+        assert {label: res["status"] for label, res in payload["strategies"].items()} == (
+            dict.fromkeys(portcut.backtest.STRATEGIES, "ok"))
+
+    def test_cut_judges_every_row(self, tmp_path, capsys):
+        moving = [100.0, 102.0, 99.0, 101.0, 104.0, 103.0, 106.0]
+        csv_path = tmp_path / "late_move.csv"
+        write_prices_csv(csv_path, make_prices([moving, [10.0] * 6 + [11.0], moving[::-1]]))
+        assert main(["cut", str(csv_path), "--drop-degenerate"]) == 0
+        assert json.loads(capsys.readouterr().out)["manifest"]["dropped_assets"] == []
+
+    @pytest.mark.parametrize("split", ["1", "39", "-5", "500"])
+    def test_out_of_range_split_named_by_the_backtest(self, market_csv, split, capsys):
+        assert main(["backtest", market_csv, "--split-index", split,
+                     "--drop-degenerate"]) == 2
+        error = one_json_error(capsys.readouterr().err)
+        assert error["error"] == "InvalidInputError"
+        assert error["message"] == (
+            f"split_index {split} leaves too little data (need 2 <= t* <= 38)")
+
+    @pytest.mark.parametrize("command", [["cut"], ["backtest", "--split-index", "3"]])
+    def test_every_asset_flat_exits_2(self, tmp_path, command, capsys):
+        csv_path = tmp_path / "all_flat.csv"
+        write_prices_csv(csv_path, make_prices([[10.0] * 7, [20.0] * 7]))
+        assert main([command[0], str(csv_path), *command[1:], "--drop-degenerate"]) == 2
+        error = one_json_error(capsys.readouterr().err)
+        assert error == {"error": "DegenerateAssetError",
+                         "message": "every asset has zero variance"}
 
     @pytest.mark.parametrize("seed", range(5))
     def test_keeps_exactly_the_nonzero_covariance_diagonal(self, seed):

@@ -74,6 +74,32 @@ class TestPriceMatrixValidation:
         with pytest.raises(InvalidInputError):
             make_prices([[1.0, 2.0]], asset_ids=["a", "b"])
 
+    # Every label list is counted against its array dimension, with the count
+    # and the dimension in the message.
+    @pytest.mark.parametrize("build, message", [
+        (lambda: PriceMatrix(np.ones((2, 3)), ("a", "b"), ("t0", "t1")),
+         "2 asset ids for 3 price columns"),
+        (lambda: PriceMatrix(np.ones((2, 3)), ("a", "b", "c"), ("t0",)),
+         "1 timestamps for 2 price rows"),
+        (lambda: ReturnsMatrix(np.zeros((4, 2)), ("a", "b", "c")),
+         "3 asset ids for 2 return columns"),
+        (lambda: MarketGraph(np.zeros((8, 8)), asset_ids=tuple("abcdefg")),
+         "7 asset ids for 8 vertices"),
+        (lambda: market_graph_from_covariance(CovarianceMatrix(np.eye(3)), asset_ids=["a"]),
+         "1 asset ids for 3 assets"),
+        (lambda: market_graph_from_covariance(CovarianceMatrix(np.eye(3)), asset_ids=[]),
+         "0 asset ids for 3 assets"),
+    ])
+    def test_wrong_label_count_named(self, build, message):
+        with pytest.raises(InvalidInputError) as exc:
+            build()
+        assert str(exc.value) == message
+
+    def test_default_labels_count_from_zero(self):
+        assert MarketGraph(np.zeros((3, 3))).asset_ids == ("0", "1", "2")
+        graph = market_graph_from_covariance(CovarianceMatrix(np.eye(2)))
+        assert graph.asset_ids == ("0", "1")
+
     def test_returns_must_exceed_minus_one(self):
         with pytest.raises(InvalidInputError):
             ReturnsMatrix(returns=np.array([[-1.5]]), asset_ids=("a",))

@@ -150,6 +150,18 @@ class TestWeightsDocuments:
         with pytest.raises(InvalidInputError):
             weights_to_dict(("x", "y"), wv)
 
+    @pytest.mark.parametrize("emit", [weights_to_dict, weights_to_csv])
+    def test_length_mismatch_named(self, emit):
+        wv = WeightVector(weights=np.array([0.5, 0.5]), scheme_tag="EW")
+        with pytest.raises(InvalidInputError, match=r"^3 asset ids for 2 weights$"):
+            emit(("x", "y", "z"), wv)
+
+    def test_numpy_asset_ids_written_as_text(self):
+        wv = WeightVector(weights=np.array([0.5, 0.5]), scheme_tag="EW")
+        ids = np.array(["x", "y"])
+        assert weights_to_dict(ids, wv)["weights"][0] == {"asset_id": "x", "weight": 0.5}
+        assert weights_to_csv(ids, wv) == "asset_id,weight\nx,0.5\ny,0.5\n"
+
 
 class TestReportDocuments:
     def test_report_dict_shape(self, small_report):
