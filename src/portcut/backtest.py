@@ -228,7 +228,7 @@ def run_backtest(prices: PriceMatrix, config: BacktestConfig) -> BacktestReport:
                     sharpe, degenerate = None, True
             if not (np.isfinite(wealth).all() and np.isfinite([mean, std, sharpe or 0.0]).all()):
                 raise NumericalFailureError(
-                    "out-sample wealth or return statistics are not finite")
+                    "out-sample wealth or return statistics are not finite", diagnostics={})
         except PortfolioCutError as exc:
             results.append(StrategyResult(
                 label=label,

@@ -219,7 +219,7 @@ def _drop_degenerate(matrix: PriceMatrix,
     if not dropped:
         return matrix, []
     if not keep.any():
-        raise DegenerateAssetError(dropped, "every asset has zero variance")
+        raise DegenerateAssetError("every asset has zero variance", asset_ids=dropped)
     return PriceMatrix(matrix.prices[:, keep], ids[keep], matrix.timestamps), dropped
 
 
@@ -270,7 +270,7 @@ def cmd_allocate(args) -> int:
             payload = json.load(handle)
     except OSError as exc:
         raise InvalidInputError(f"cannot read tree file: {exc}") from exc
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise InvalidInputError(f"tree file {args.tree} is not valid JSON: {exc}") from exc
     tree = tree_from_dict(payload)
     clusters = allocate(tree, AllocationScheme(args.scheme))

@@ -8,7 +8,15 @@ from __future__ import annotations
 
 
 class PortfolioCutError(Exception):
-    """Base class for all portcut errors."""
+    """Base class for all portcut errors.
+
+    The message comes first; each keyword detail is kept as an attribute of
+    the same name, so ``type(e)(message, **vars(e))`` rebuilds any error.
+    """
+
+    def __init__(self, message: str, **details):
+        super().__init__(message)
+        self.__dict__.update(details)
 
 
 class InvalidInputError(PortfolioCutError):
@@ -20,15 +28,7 @@ class InsufficientDataError(InvalidInputError):
 
 
 class DegenerateAssetError(PortfolioCutError):
-    """One or more assets have zero return variance."""
-
-    def __init__(self, asset_ids, message: str | None = None):
-        self.asset_ids = list(asset_ids)
-        super().__init__(
-            message
-            or f"zero-variance asset(s): {', '.join(map(str, self.asset_ids))}; "
-            "drop or repair them before building a market graph"
-        )
+    """One or more assets have zero return variance; ``asset_ids`` names them."""
 
 
 class InvalidPartitionError(PortfolioCutError):
@@ -40,44 +40,19 @@ class DegenerateVolumeError(PortfolioCutError):
 
 
 class DegenerateDegreeError(PortfolioCutError):
-    """Zero-degree vertices make the volume-normalized eigenproblem singular."""
-
-    def __init__(self, vertices, message: str | None = None):
-        self.vertices = list(vertices)
-        super().__init__(
-            message
-            or f"zero-degree vertices {self.vertices} are incompatible with the "
-            "volume-normalized objective"
-        )
+    """Zero-degree ``vertices`` make the volume-normalized eigenproblem singular."""
 
 
 class NumericalFailureError(PortfolioCutError):
-    """A numerical routine failed to converge or verify."""
-
-    def __init__(self, message: str, *, diagnostics: dict | None = None):
-        self.diagnostics = dict(diagnostics or {})
-        super().__init__(message)
+    """A numerical routine failed to converge or verify; see ``diagnostics``."""
 
 
 class SizeLimitError(PortfolioCutError):
-    """Exhaustive search refused: the candidate count is astronomically large."""
-
-    def __init__(self, n_vertices: int, candidate_count: int, limit: int):
-        self.n_vertices = n_vertices
-        self.candidate_count = candidate_count
-        self.limit = limit
-        super().__init__(
-            f"brute-force cut over {n_vertices} vertices would enumerate "
-            f"{float(candidate_count):.1e} bipartitions (limit N <= {limit})"
-        )
+    """Exhaustive search refused: ``n_vertices`` exceeds ``limit`` (``candidate_count`` cuts)."""
 
 
 class SingularCovarianceError(PortfolioCutError):
-    """Covariance matrix is numerically singular for the requested solve."""
-
-    def __init__(self, message: str, *, condition_estimate: float | None = None):
-        self.condition_estimate = condition_estimate
-        super().__init__(message)
+    """Covariance matrix is numerically singular; see ``condition_estimate``."""
 
 
 class DegenerateNormalizationError(PortfolioCutError):

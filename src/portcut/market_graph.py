@@ -283,7 +283,9 @@ def market_graph_from_covariance(sigma: CovarianceMatrix, asset_ids=None) -> Mar
     variances = np.diag(s)
     dead = np.flatnonzero(variances <= 0.0)
     if dead.size:
-        raise DegenerateAssetError([ids[i] for i in dead])
+        dead_ids = [ids[i] for i in dead]
+        raise DegenerateAssetError(f"zero-variance asset(s): {', '.join(dead_ids)}; drop or "
+                                   "repair them before building a market graph", asset_ids=dead_ids)
     scale = np.sqrt(variances)
     weights = np.abs(s) / np.outer(scale, scale)
     # Cauchy-Schwarz bounds |rho| by 1; clip the last-ulp overshoot of exact

@@ -43,7 +43,7 @@ def canonical_json(payload) -> str:
         text = json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False,
                           allow_nan=False)
     except ValueError as exc:
-        raise NumericalFailureError(f"cannot emit JSON: {exc}") from exc
+        raise NumericalFailureError(f"cannot emit JSON: {exc}", diagnostics={}) from exc
     return text + "\n"
 
 
@@ -99,7 +99,7 @@ def tree_from_dict(payload: dict) -> CutTree:
             left, right = ([int(m) for m in by_id[child]["members"]]
                            for child in entry["children"])
             tree = tree.split(entry["id"], left, right, float(entry["lambda2_at_split"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"malformed cut_tree document: {exc!r}") from exc
     expected = tree_to_dict(tree)
     document = dict(payload, nodes=nodes)

@@ -166,7 +166,9 @@ def fiedler_vector(graph: MarketGraph, objective: CutObjective):
     else:
         dead = np.flatnonzero(graph.degrees <= 0.0)
         if dead.size:
-            raise DegenerateDegreeError(dead.tolist())
+            raise DegenerateDegreeError(
+                f"zero-degree vertices {dead.tolist()} are incompatible with the "
+                "volume-normalized objective", vertices=dead.tolist())
         inv_sqrt_d = 1.0 / np.sqrt(graph.degrees)
         matrix = inv_sqrt_d[:, None] * lap * inv_sqrt_d[None, :]
     try:
@@ -324,7 +326,11 @@ def brute_force_min_cut(graph: MarketGraph, objective: CutObjective) -> Partitio
     if n < 2:
         raise InvalidInputError("brute-force cut needs at least 2 vertices")
     if n > BRUTE_FORCE_MAX_VERTICES:
-        raise SizeLimitError(n, bipartition_count(n), BRUTE_FORCE_MAX_VERTICES)
+        count = bipartition_count(n)
+        raise SizeLimitError(
+            f"brute-force cut over {n} vertices would enumerate {float(count):.1e} "
+            f"bipartitions (limit N <= {BRUTE_FORCE_MAX_VERTICES})",
+            n_vertices=n, candidate_count=count, limit=BRUTE_FORCE_MAX_VERTICES)
 
     screened = np.concatenate([_screen(graph, _side2_of(masks, n), objective)
                                for masks in _mask_blocks(n)])

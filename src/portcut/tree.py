@@ -217,8 +217,9 @@ def build_cut_tree(graph: MarketGraph, policy: CutPolicy,
     InvalidInputError
         For graphs with fewer than 2 vertices.
     PortfolioCutError subclasses
-        Propagated from the spectral machinery, annotated with the leaf
-        whose cut failed.
+        Propagated from the spectral machinery with their type and details,
+        the message prefixed with the leaf whose cut failed; vertex indices,
+        such as ``DegenerateDegreeError.vertices``, index that leaf's members.
     """
     if graph.n_vertices < 2:
         raise InvalidInputError("cut tree needs a graph with at least 2 vertices")
@@ -235,9 +236,8 @@ def build_cut_tree(graph: MarketGraph, policy: CutPolicy,
         try:
             part = spectral_bisect(sub, objective)
         except PortfolioCutError as exc:
-            raise type(exc)(
-                f"failed to cut leaf {leaf_id} (members {list(leaf.members)}): {exc}"
-            ) from exc
+            message = f"failed to cut leaf {leaf_id} (members {list(leaf.members)}): {exc}"
+            raise type(exc)(message, **vars(exc)) from exc
         if (policy.lambda2_threshold is not None
                 and part.lambda2 > policy.lambda2_threshold):
             ineligible.add(leaf_id)

@@ -164,7 +164,8 @@ def single_leaf_tree_doc(members, asset_ids) -> dict:
     }
 
 
-TREE_DOC_DEFECTS = ("swapped-leaf-depths", "missing-children", "reversed-leaf-ids")
+TREE_DOC_DEFECTS = ("swapped-leaf-depths", "missing-children", "reversed-leaf-ids",
+                    "infinite-member")
 
 
 def break_tree_doc(doc: dict, defect: str) -> dict:
@@ -174,6 +175,9 @@ def break_tree_doc(doc: dict, defect: str) -> dict:
         leaf_at[1]["depth"], leaf_at[2]["depth"] = 2, 1
     elif defect == "missing-children":
         doc["nodes"][0]["children"] = [98, 99]
+    elif defect == "infinite-member":
+        # json writes and reads it as Infinity.
+        doc["nodes"][1]["members"][0] = float("inf")
     else:
         doc["leaf_ids"].reverse()
     return doc

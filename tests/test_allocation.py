@@ -193,6 +193,19 @@ class TestMinVariance:
         wv = min_variance_weights(CovarianceMatrix(np.diag([1.0, 4.0])))
         assert wv.condition_estimate == pytest.approx(4.0)
 
+    def test_indefinite_system_fails_cholesky(self):
+        # Eigenvalues 3 and -1: well conditioned, but not positive definite.
+        with pytest.raises(SingularCovarianceError) as exc:
+            min_variance_weights(CovarianceMatrix(np.array([[1.0, 2.0], [2.0, 1.0]])))
+        assert str(exc.value).startswith("Cholesky factorization failed (")
+        assert str(exc.value).endswith("); retry with a positive ridge")
+        assert exc.value.condition_estimate == pytest.approx(3.0)
+
+    def test_weights_summing_to_zero_rejected(self):
+        # Sigma^-1 1 = (1e-13, 1e-13) sums below the 1e-12 floor.
+        with pytest.raises(DegenerateNormalizationError, match="cannot enforce full investment"):
+            min_variance_weights(CovarianceMatrix(1e13 * np.eye(2)))
+
 
 class TestWeightVectorValidation:
     def test_sum_enforced(self):
@@ -202,6 +215,17 @@ class TestWeightVectorValidation:
     def test_positivity_enforced_for_tree_schemes(self):
         with pytest.raises(InvalidInputError):
             WeightVector(weights=np.array([1.5, -0.5]), scheme_tag="AS1")
+
+    @pytest.mark.parametrize("weights, message", [
+        ([], "weights must form a nonempty vector"),
+        ([[0.5, 0.5]], "weights must form a nonempty vector"),
+        ([np.nan, 1.0], "weights contain non-finite entries"),
+        ([np.inf, -np.inf], "weights contain non-finite entries"),
+    ])
+    def test_malformed_weights_named(self, weights, message):
+        with pytest.raises(InvalidInputError) as exc:
+            WeightVector(weights=np.array(weights), scheme_tag="MV")
+        assert str(exc.value) == message
 
     def test_mv_may_be_negative(self):
         wv = WeightVector(weights=np.array([1.5, -0.5]), scheme_tag="MV")

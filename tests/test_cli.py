@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import os
 import stat
@@ -80,6 +81,10 @@ def zero_degree_csv(tmp_path):
     return str(path)
 
 
+ZERO_DEGREE_LEAF_0 = ("failed to cut leaf 0 (members [0, 1, 2]): zero-degree vertices [2] "
+                      "are incompatible with the volume-normalized objective")
+
+
 class TestCutCommand:
     def test_zero_cuts_single_leaf_json(self, market_csv, capsys):
         assert main(["cut", market_csv, "--max-cuts", "0"]) == 0
@@ -104,8 +109,22 @@ class TestCutCommand:
                      "--max-cuts", "1", "--min-leaf-size", "1"])
         captured = capsys.readouterr()
         assert code == 2
-        err = json.loads(captured.err)
-        assert err["error"] == "DegenerateDegreeError"
+        assert one_json_error(captured.err) == {
+            "error": "DegenerateDegreeError", "message": ZERO_DEGREE_LEAF_0}
+
+    def test_volume_objective_zero_degree_fails_its_backtest_strategy(
+            self, zero_degree_csv, tmp_path, capsys):
+        # Two more rows out of sample; C stays isolated on the four in-sample returns.
+        path = tmp_path / "longer.csv"
+        path.write_text(Path(zero_degree_csv).read_text()
+                        + "2020-01-06,70.3125,42.1875,70.3125\n"
+                        + "2020-01-07,52.734375,52.734375,87.890625\n")
+        assert main(["backtest", str(path), "--split-index", "4", "--strategies",
+                     "cutv-as1,cutn-as1", "--max-cuts", "1", "--min-leaf-size", "1"]) == 0
+        strategies = json.loads(capsys.readouterr().out)["strategies"]
+        assert strategies["cutv-as1"] == {"status": "error", "error": ZERO_DEGREE_LEAF_0,
+                                          "error_kind": "DegenerateDegreeError"}
+        assert strategies["cutn-as1"]["status"] == "ok"
 
     def test_normalized_objective_isolates_zero_degree(self, zero_degree_csv, capsys):
         assert main(["cut", zero_degree_csv, "--objective", "cutn",
@@ -189,14 +208,16 @@ class TestAllocateCommand:
         bad.write_text('{"kind": "cut_tree", "schema_version": 1}')
         assert main(["allocate", "--tree", str(bad), "--scheme", "as1"]) == 2
 
-    @pytest.mark.parametrize("defect", TREE_DOC_DEFECTS)
+    @pytest.mark.parametrize("defect", TREE_DOC_DEFECTS + ("nested-200000-deep",))
     def test_tree_breaking_an_invariant_exits_2(self, nested_block_graph, tmp_path,
                                                 defect, capsys):
         from portcut.serialization import tree_to_dict
 
         tree = build_cut_tree(nested_block_graph, CutPolicy(max_cuts=2, min_leaf_size=1))
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(break_tree_doc(tree_to_dict(tree), defect)))
+        # Python's json nests only as deep as the recursion limit allows.
+        bad.write_text("[" * 200_000 + "]" * 200_000 if defect == "nested-200000-deep"
+                       else json.dumps(break_tree_doc(tree_to_dict(tree), defect)))
         assert main(["allocate", "--tree", str(bad), "--scheme", "as1"]) == 2
         assert one_json_error(capsys.readouterr().err)["error"] == "InvalidInputError"
 
@@ -457,6 +478,17 @@ class TestOutputDestinations:
         finally:
             os.umask(umask)
         assert stat.S_IMODE(out.stat().st_mode) == 0o640
+
+    def test_new_file_mode_refuses_an_unwritable_target(self, tmp_path, monkeypatch):
+        # os.access, not the mode bits, decides, so the check also runs as root.
+        target = str(tmp_path / "t.json")
+        Path(target).write_text("old\n")
+        access = os.access
+        monkeypatch.setattr(portcut.cli.os, "access",
+                            lambda path, mode: path != target and access(path, mode))
+        with pytest.raises(PermissionError) as exc:
+            portcut.cli._new_file_mode(target)
+        assert (exc.value.errno, exc.value.filename) == (errno.EACCES, target)
 
     @pytest.mark.skipif(os.geteuid() == 0, reason="root may write read-only files")
     def test_read_only_target_kept(self, market_csv, tmp_path, capsys):

@@ -1,8 +1,10 @@
-"""The CLI contract on drawn price files and options: exit code 0, 1 or 2;
-on 2, one JSON line on stderr naming a PortfolioCutError and no output file;
-on 0, only drop notices on stderr and outputs that parse."""
+"""The CLI contract on drawn price files and options, and on mutated tree
+documents: exit code 0, 1 or 2; on 2, one JSON line on stderr naming a
+PortfolioCutError and no output file; on 0, only drop notices on stderr and
+outputs that parse."""
 
 import contextlib
+import copy
 import csv
 import io
 import json
@@ -10,12 +12,15 @@ import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import portcut.errors
 from portcut.backtest import STRATEGIES
 from portcut.cli import main
+from portcut.serialization import tree_to_dict
+from portcut.spectral import CutObjective
+from portcut.tree import CutTree
 
 # Cells that are missing, out of range, not numbers, or at the float limits.
 ODD_CELLS = ["", "na", "inf", "1e400", "-1", "0", "5e-324", "1e300", "1e-300", "1_0", '1"0']
@@ -104,3 +109,78 @@ def test_exit_code_and_outputs(run):
                 rows = list(csv.reader(io.StringIO((tmp / "wealth.csv").read_text())))
                 assert len({len(row) for row in rows}) == 1
                 ET.parse(tmp / "wealth.svg")
+
+
+def _tree_document() -> dict:
+    """A valid two-cut tree document on assets a..f."""
+    tree = CutTree.root(tuple("abcdef"), CutObjective.NORMALIZED)
+    tree = tree.split(tree.root_id, [0, 1, 2], [3, 4, 5], 0.5)
+    return tree_to_dict(tree.split(1, [0], [1, 2], 0.75))
+
+
+def _paths(node, path=()):
+    """The key path of every value below ``node``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, path + (key,))
+
+
+TREE_DOCUMENT = _tree_document()
+TREE_PATHS = list(_paths(TREE_DOCUMENT))
+# Values swapped in: non-finite, out of range or wrongly typed.
+ODD_VALUES = [float("inf"), 10 ** 400, float("nan"), -1, None, "0", []]
+
+
+def _mutated(doc: dict, path: tuple, choice) -> dict:
+    """``doc`` with the value at ``path`` dropped, nested in a list or replaced."""
+    *parents, key = path
+    parent = doc
+    for step in parents:
+        parent = parent[step]
+    if choice == "drop":
+        del parent[key]
+    else:
+        parent[key] = [parent[key]] if choice == "nest" else ODD_VALUES[choice]
+    return doc
+
+
+@st.composite
+def mutated_tree_documents(draw):
+    doc = copy.deepcopy(TREE_DOCUMENT)
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from(TREE_PATHS))
+        choice = draw(st.sampled_from([*range(len(ODD_VALUES)), "drop", "nest"]))
+        # An earlier mutation may have removed or replaced the path.
+        with contextlib.suppress(KeyError, IndexError, TypeError):
+            doc = _mutated(doc, path, choice)
+    return doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated_tree_documents(), st.sampled_from(["as1", "as2"]), st.sampled_from(["json", "csv"]))
+@example(_mutated(copy.deepcopy(TREE_DOCUMENT), ("nodes", 2, "members", 0), 0), "as1", "json")
+def test_allocate_exit_code_and_output(doc, scheme, fmt):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "tree.json").write_text(json.dumps(doc))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["allocate", "--tree", str(tmp / "tree.json"), "--scheme", scheme,
+                         "--format", fmt, "-o", str(tmp / "out")])
+        written = sorted(path.name for path in tmp.iterdir())
+        assert stdout.getvalue() == ""
+        assert code in (0, 2)
+        if code == 2:
+            lines = stderr.getvalue().splitlines()
+            assert len(lines) == 1, lines
+            assert json.loads(lines[0])["error"] in ERROR_KINDS
+            assert written == ["tree.json"]
+        else:
+            assert stderr.getvalue() == ""
+            text = (tmp / "out").read_text()
+            if fmt == "json":
+                assert json.loads(text)["kind"] == "weights"
+            else:
+                assert len({len(row) for row in csv.reader(io.StringIO(text))}) == 1

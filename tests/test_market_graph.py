@@ -13,6 +13,7 @@ from portcut import (
     MarketGraph,
     PriceMatrix,
     ReturnsMatrix,
+    block_factor_market,
     market_graph_from_covariance,
     sample_covariance,
     simple_returns,
@@ -91,6 +92,21 @@ class TestPriceMatrixValidation:
          "0 asset ids for 3 assets"),
     ])
     def test_wrong_label_count_named(self, build, message):
+        with pytest.raises(InvalidInputError) as exc:
+            build()
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: PriceMatrix(np.ones(3), ("a", "b", "c"), ("t0",)),
+         "prices must be 2-dimensional, got shape (3,)"),
+        (lambda: ReturnsMatrix(np.array([[0.1, np.nan]]), ("a", "b")),
+         "returns contains non-finite entries"),
+        (lambda: CovarianceMatrix(np.ones((2, 3))), "sigma must be square, got (2, 3)"),
+        (lambda: CovarianceMatrix(np.array([[1.0, 0.5], [0.4, 1.0]])),
+         "sigma is not symmetric to 1e-12 relative tolerance"),
+        (lambda: MarketGraph(np.zeros((2, 3))), "weights must be square, got (2, 3)"),
+    ])
+    def test_malformed_array_named(self, build, message):
         with pytest.raises(InvalidInputError) as exc:
             build()
         assert str(exc.value) == message
@@ -288,3 +304,18 @@ class TestMarketGraphDerivedState:
         assert [f.name for f in dataclasses.fields(MarketGraph)] == ["weights", "asset_ids"]
         with pytest.raises(TypeError):
             MarketGraph(weights=np.zeros((2, 2)), degrees=[3.0, 7.0])
+
+
+class TestBlockFactorMarket:
+    @pytest.mark.parametrize("args, kwargs, message", [
+        (([3, 0], 10), {}, "block_sizes must be positive integers"),
+        (([], 10), {}, "block_sizes must be positive integers"),
+        (([3, 3], 10), {"within_corr": 0.2, "across_corr": 0.3},
+         "need 0 <= across_corr < within_corr < 1"),
+        (([3, 3], 10), {"within_corr": 1.0}, "need 0 <= across_corr < within_corr < 1"),
+        (([3, 3], 1), {}, "need at least 2 periods"),
+    ])
+    def test_bad_arguments_named(self, args, kwargs, message):
+        with pytest.raises(InvalidInputError) as exc:
+            block_factor_market(*args, **kwargs)
+        assert str(exc.value) == message

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -7,6 +8,8 @@ from portcut import (
     BacktestConfig,
     CutPolicy,
     InvalidInputError,
+    NumericalFailureError,
+    StrategyResult,
     WeightVector,
     block_factor_market,
     build_cut_tree,
@@ -71,6 +74,14 @@ class TestTreeDocument:
             assert other.depth == node.depth
             assert other.children == node.children
             assert other.lambda2_at_split == node.lambda2_at_split
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_canonical_json_rejects_non_finite(self, value):
+        with pytest.raises(NumericalFailureError) as exc:
+            canonical_json({"x": value})
+        assert str(exc.value) == ("cannot emit JSON: Out of range float values are not "
+                                  f"JSON compliant: {value!r}")
+        assert exc.value.diagnostics == {}
 
     def test_canonical_json_stable(self, built_tree):
         doc = tree_to_dict(built_tree)
@@ -188,6 +199,18 @@ class TestReportDocuments:
         assert svg.startswith("<svg")
         assert svg.count("<polyline") == 2
         assert "ew" in svg and "mv" in svg
+
+    @pytest.mark.parametrize("emit, message", [
+        (wealth_to_csv, "no successful strategies to emit"),
+        (wealth_to_svg, "no successful strategies to plot"),
+    ])
+    def test_no_successful_strategy_rejected(self, small_report, emit, message):
+        failed = dataclasses.replace(small_report, results=tuple(
+            StrategyResult(label=res.label, error="failed", error_kind="NumericalFailureError")
+            for res in small_report.results))
+        with pytest.raises(InvalidInputError) as exc:
+            emit(failed)
+        assert str(exc.value) == message
 
     def test_plain_outputs_unchanged(self, small_report):
         assert wealth_to_svg(small_report).startswith(

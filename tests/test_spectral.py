@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 import scipy.linalg
+
+import portcut.spectral
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -145,6 +147,17 @@ class TestRayleighQuotient:
         with pytest.raises(InvalidInputError):
             rayleigh_quotient(path4_graph, np.zeros(4), CUTN)
 
+    @pytest.mark.parametrize("x, objective, message", [
+        (np.ones(4), CUTN, "vector has shape (4,), expected (3,)"),
+        (np.ones((3, 1)), CUTV, "vector has shape (3, 1), expected (3,)"),
+        # Vertex 2 has degree zero, so x'Dx = 0.
+        (np.array([0.0, 0.0, 1.0]), CUTV, "x'Dx must be positive for the volume objective"),
+    ])
+    def test_undefined_quotient_named(self, x, objective, message):
+        with pytest.raises(InvalidInputError) as exc:
+            rayleigh_quotient(graph_from_edges(3, [(0, 1, 0.9)]), x, objective)
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("seed", range(8))
     def test_cardinality_indicator_identity(self, seed):
         rng = np.random.default_rng(seed)
@@ -250,6 +263,23 @@ class TestFiedlerVector:
             fiedler_vector(figure_cut_graph, objective)
         assert exc.value.diagnostics == {"n": 8, "objective": objective.value}
 
+    @pytest.mark.parametrize("objective", [CUTN, CUTV])
+    def test_inexact_eigenpair_is_numerical_failure(self, objective, figure_cut_graph,
+                                                    monkeypatch):
+        eigh = scipy.linalg.eigh
+
+        def perturbed_eigh(matrix, **kwargs):
+            evals, evecs = eigh(matrix, **kwargs)
+            return evals, evecs + 1e-3
+
+        monkeypatch.setattr(scipy.linalg, "eigh", perturbed_eigh)
+        with pytest.raises(NumericalFailureError) as exc:
+            fiedler_vector(figure_cut_graph, objective)
+        assert str(exc.value).endswith("exceeds 1e-08 * max|L|")
+        diagnostics = exc.value.diagnostics
+        assert set(diagnostics) == {"residual", "lmax", "lambda2"}
+        assert diagnostics["residual"] > 1e-8 * diagnostics["lmax"]
+
     def test_lapack_failure_exits_2_on_cli(self, tmp_path, monkeypatch, capsys):
         prices, _ = block_factor_market([3, 3], 40, seed=3)
         path = tmp_path / "prices.csv"
@@ -272,6 +302,14 @@ class TestSpectralBisect:
         assert partition_sets(part.side_of) == {
             frozenset({0, 1, 2}), frozenset({3, 4, 5})}
         assert part.lambda2 <= 1e-10
+
+    def test_constant_fiedler_vector_split_by_index(self, path4_graph, monkeypatch):
+        # Neither sign nor median separates equal entries; the index split does.
+        monkeypatch.setattr(portcut.spectral, "fiedler_vector",
+                            lambda graph, objective: (0.25, np.full(4, 0.5)))
+        part = spectral_bisect(path4_graph, CUTN)
+        assert part.side_of.tolist() == [1, 1, 2, 2]
+        assert part.lambda2 == 0.25
 
     def test_path4_matches_oracle(self, path4_graph):
         part = spectral_bisect(path4_graph, CUTN)

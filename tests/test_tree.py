@@ -3,15 +3,18 @@ import operator
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import portcut.tree
 from portcut import (
     CutObjective,
     CutPolicy,
     CutTree,
+    DegenerateDegreeError,
     InvalidInputError,
     LeafSelection,
     MarketGraph,
+    NumericalFailureError,
     block_factor_market,
     build_cut_tree,
     edge_budget_trace,
@@ -223,6 +226,32 @@ class TestBuildCutTree:
         g = MarketGraph(np.zeros((1, 1)))
         with pytest.raises(InvalidInputError):
             build_cut_tree(g, CutPolicy(max_cuts=1))
+
+    def test_failed_cut_keeps_type_and_details(self):
+        g = graph_from_edges(3, [(0, 1, 0.9)])
+        with pytest.raises(DegenerateDegreeError) as exc:
+            build_cut_tree(g, CutPolicy(max_cuts=1, min_leaf_size=1),
+                           CutObjective.VOLUME_NORMALIZED)
+        assert str(exc.value) == (
+            "failed to cut leaf 0 (members [0, 1, 2]): zero-degree vertices [2] are "
+            "incompatible with the volume-normalized objective")
+        assert exc.value.vertices == [2]
+        assert type(exc.value.__cause__) is DegenerateDegreeError
+
+    def test_failed_eigensolver_keeps_diagnostics(self, nested_block_graph, monkeypatch):
+        eigh = scipy.linalg.eigh
+
+        def fail_below_eight(matrix, **kwargs):
+            if len(matrix) < 8:
+                raise scipy.linalg.LinAlgError("simulated LAPACK failure")
+            return eigh(matrix, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", fail_below_eight)
+        with pytest.raises(NumericalFailureError) as exc:
+            build_cut_tree(nested_block_graph, CutPolicy(max_cuts=2, min_leaf_size=1))
+        assert str(exc.value).startswith("failed to cut leaf 1 (members [0, 1, 2, 3]): "
+                                         "eigensolver failed on 4 vertices (cutn)")
+        assert exc.value.diagnostics == {"n": 4, "objective": "cutn"}
 
 
 class TestSplit:
