@@ -156,11 +156,14 @@ def sharpe_ratio(series, annualization: float) -> float:
     return float(np.sqrt(annualization) * x.mean() / std)
 
 
-def _check_split(split_index: int, n_periods: int) -> None:
-    """Reject a split that leaves either window of ``n_periods`` returns under 2 rows."""
-    if not 2 <= split_index <= n_periods - 2:
+def _return_windows(prices: PriceMatrix, split_index: int) -> Tuple[ReturnsMatrix, ReturnsMatrix]:
+    """Return rows [0, split_index) and [split_index, T); each window needs at least 2."""
+    returns = simple_returns(prices)
+    if not 2 <= split_index <= returns.n_periods - 2:
         raise InvalidInputError(f"split_index {split_index} leaves too little data "
-                                f"(need 2 <= t* <= {n_periods - 2})")
+                                f"(need 2 <= t* <= {returns.n_periods - 2})")
+    return (ReturnsMatrix(returns.returns[:split_index], returns.asset_ids),
+            ReturnsMatrix(returns.returns[split_index:], returns.asset_ids))
 
 
 def run_backtest(prices: PriceMatrix, config: BacktestConfig) -> BacktestReport:
@@ -173,12 +176,7 @@ def run_backtest(prices: PriceMatrix, config: BacktestConfig) -> BacktestReport:
     whose estimation fails, or whose out-sample wealth or statistics are not
     finite, is reported with its error and the rest proceed.
     """
-    all_returns = simple_returns(prices)
-    t_total = all_returns.n_periods
-    t_star = config.split_index
-    _check_split(t_star, t_total)
-    in_returns = ReturnsMatrix(all_returns.returns[:t_star], all_returns.asset_ids)
-    out_returns = ReturnsMatrix(all_returns.returns[t_star:], all_returns.asset_ids)
+    in_returns, out_returns = _return_windows(prices, config.split_index)
 
     # Each in-sample estimate is computed at most once, on first use. Failures
     # are not cached: every strategy that needs a failing estimate reports the
@@ -247,11 +245,10 @@ def run_backtest(prices: PriceMatrix, config: BacktestConfig) -> BacktestReport:
             metadata=meta,
         ))
 
-    out_dates = prices.timestamps[t_star:]
     return BacktestReport(
         results=tuple(results),
-        split_index=t_star,
+        split_index=config.split_index,
         annualization_factor=config.annualization_factor,
-        asset_ids=all_returns.asset_ids,
-        out_sample_dates=out_dates,
+        asset_ids=in_returns.asset_ids,
+        out_sample_dates=prices.timestamps[config.split_index:],
     )

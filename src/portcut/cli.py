@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .allocation import AllocationScheme, allocate, asset_weights
-from .backtest import STRATEGIES, BacktestConfig, _check_split, run_backtest
+from .backtest import STRATEGIES, BacktestConfig, _return_windows, run_backtest
 from .errors import DegenerateAssetError, InsufficientDataError, InvalidInputError, PortfolioCutError
 from .ingest import IngestReport, MissingPolicy, PriceCsvSpec, ingest_prices_with_report
 from .market_graph import (
@@ -138,7 +138,7 @@ def _write_outputs(*outputs: Tuple[str, str]) -> None:
     anything fails. Other destinations, such as devices and pipes, are opened
     first and written after the replacements; standard output ('-') is last.
     """
-    staged: List[Tuple[str, str]] = []
+    staged: List[Tuple[str, str, str]] = []
     try:
         with contextlib.ExitStack() as stack:
             direct = []
@@ -148,23 +148,25 @@ def _write_outputs(*outputs: Tuple[str, str]) -> None:
                 target = os.path.realpath(destination)
                 if os.path.exists(target) and not os.path.isfile(target):
                     direct.append((text, stack.enter_context(
-                        open(target, "w", encoding="utf-8"))))
+                        open(target, "w", encoding="utf-8")), destination))
                     continue
                 mode = _new_file_mode(target)
                 head, tail = os.path.split(target)
                 fd, temp = tempfile.mkstemp(dir=head, prefix=f".{tail}.", suffix=".tmp")
-                staged.append((temp, target))
+                staged.append((temp, target, destination))
                 with open(fd, "w", encoding="utf-8") as handle:
                     handle.write(text)
                 os.chmod(temp, mode)
-            for temp, target in staged:
+            for temp, target, destination in staged:
                 os.replace(temp, target)
-            for text, handle in direct:
+            for text, handle, destination in direct:
                 handle.write(text)
+                handle.flush()  # so a failure names this destination, not the last one
     except OSError as exc:
-        raise InvalidInputError(f"cannot write output file: {exc}") from exc
+        raise InvalidInputError(
+            f"cannot write output file {destination}: {exc.strerror or exc}") from exc
     finally:
-        for temp, _ in staged:
+        for temp, _, _ in staged:
             with contextlib.suppress(OSError):
                 os.remove(temp)
     for text, destination in outputs:
@@ -205,10 +207,8 @@ def _load_prices(args) -> Tuple[PriceMatrix, IngestReport, Optional[int]]:
 def _drop_degenerate(matrix: PriceMatrix,
                      split_index: Optional[int] = None) -> Tuple[PriceMatrix, List[str]]:
     """Drop the assets flat on return rows [0, split_index), or on every row if None."""
-    returns = simple_returns(matrix).returns
-    if split_index is not None:
-        _check_split(split_index, returns.shape[0])
-        returns = returns[:split_index]
+    returns = (simple_returns(matrix) if split_index is None
+               else _return_windows(matrix, split_index)[0]).returns
     if returns.shape[0] < 2:
         raise InsufficientDataError("need at least 2 return rows for a sample covariance")
     # Returns are finite, so an overflowing variance is +inf, kept for the covariance to name.

@@ -52,26 +52,24 @@ def tree_to_dict(tree: CutTree) -> dict:
     for node_id in sorted(tree.nodes):
         node = tree.nodes[node_id]
         nodes.append({
-            "id": int(node.id),
-            "depth": int(node.depth),
-            "members": [int(m) for m in node.members],
-            "children": [int(c) for c in node.children],
-            "lambda2_at_split": (
-                None if node.lambda2_at_split is None else float(node.lambda2_at_split)
-            ),
+            "id": node.id,
+            "depth": node.depth,
+            "members": list(node.members),
+            "children": list(node.children),
+            "lambda2_at_split": node.lambda2_at_split,
             "is_leaf": node.is_leaf,
         })
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "cut_tree",
         "objective": tree.objective.value,
-        "root_id": int(tree.root_id),
-        "k_performed": int(tree.k_performed),
-        "leaf_ids": [int(i) for i in tree.leaf_ids],
+        "root_id": tree.root_id,
+        "k_performed": tree.k_performed,
+        "leaf_ids": list(tree.leaf_ids),
         "asset_ids": list(tree.asset_ids),
         "nodes": nodes,
-        "leaf_edge_budget": int(leaf_edge_budget(tree)),
-        "edge_budget_trace": [int(b) for b in edge_budget_trace(tree)],
+        "leaf_edge_budget": leaf_edge_budget(tree),
+        "edge_budget_trace": edge_budget_trace(tree),
     }
 
 
@@ -117,10 +115,8 @@ def weights_to_dict(asset_ids: Sequence[str], weights: WeightVector,
         "schema_version": SCHEMA_VERSION,
         "kind": "weights",
         "scheme": weights.scheme_tag,
-        "weights": [
-            {"asset_id": a, "weight": float(w)}
-            for a, w in zip(asset_ids, weights.weights)
-        ],
+        "weights": [{"asset_id": a, "weight": w}
+                    for a, w in zip(asset_ids, weights.weights.tolist())],
     }
     if cluster_shares is not None:
         payload["cluster_weights"] = {
@@ -132,7 +128,7 @@ def weights_to_dict(asset_ids: Sequence[str], weights: WeightVector,
 def weights_to_csv(asset_ids: Sequence[str], weights: WeightVector) -> str:
     asset_ids = _labels(asset_ids, weights.n_assets, "asset ids", "weights")
     return _csv_text([("asset_id", "weight")] + [
-        (a, repr(float(w))) for a, w in zip(asset_ids, weights.weights)])
+        (a, repr(w)) for a, w in zip(asset_ids, weights.weights.tolist())])
 
 
 def report_to_dict(report: BacktestReport, manifest: dict | None = None) -> dict:
@@ -141,9 +137,9 @@ def report_to_dict(report: BacktestReport, manifest: dict | None = None) -> dict
         if res.ok:
             strategies[res.label] = {
                 "status": "ok",
-                "weights": [float(w) for w in res.weights.weights],
+                "weights": res.weights.weights.tolist(),
                 "scheme": res.weights.scheme_tag,
-                "wealth_curve": [float(v) for v in res.wealth_curve],
+                "wealth_curve": res.wealth_curve.tolist(),
                 "mean_return": res.mean_return,
                 "std_return": res.std_return,
                 "sharpe": res.sharpe,
@@ -184,7 +180,8 @@ def wealth_to_csv(report: BacktestReport) -> str:
     if not ok:
         raise InvalidInputError("no successful strategies to emit")
     rows = [["date"] + [res.label for res in ok]]
-    rows += [[stamp] + [repr(float(res.wealth_curve[i])) for res in ok]
+    curves = [res.wealth_curve.tolist() for res in ok]
+    rows += [[stamp] + [repr(curve[i]) for curve in curves]
              for i, stamp in enumerate(report.out_sample_dates)]
     return _csv_text(rows)
 
@@ -245,8 +242,8 @@ def wealth_to_svg(report: BacktestReport) -> str:
     for k, res in enumerate(ok):
         color = _SVG_COLORS[k % len(_SVG_COLORS)]
         points = " ".join(
-            f"{x_at(i):.2f},{y_at(float(v)):.2f}"
-            for i, v in enumerate(res.wealth_curve)
+            f"{x_at(i):.2f},{y_at(v):.2f}"
+            for i, v in enumerate(res.wealth_curve.tolist())
         )
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '

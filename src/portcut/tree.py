@@ -115,13 +115,18 @@ class CutTree:
         """A new tree in which leaf ``leaf_id`` is cut into ``left`` and ``right``.
 
         The children get the next two ids, ``len(nodes)`` and ``len(nodes) + 1``,
-        so `splits` can replay the build order. Raises `InvalidInputError`
-        unless ``leaf_id`` is a leaf and the sides partition its members.
+        so `splits` can replay the build order; members are stored as `int` and
+        ``lambda2`` as `float`. Raises `InvalidInputError` unless ``leaf_id`` is a
+        leaf, ``lambda2`` is real and the sides are integers partitioning its members.
         """
         if leaf_id not in self.leaf_ids:
             raise InvalidInputError(f"node {leaf_id!r} is not a leaf of the tree")
         leaf = self.nodes[leaf_id]
         left, right = tuple(left), tuple(right)
+        if not (all(isinstance(m, numbers.Integral) for m in left + right)
+                and isinstance(lambda2, numbers.Real)):
+            raise InvalidInputError("split members must be integers and lambda2 a real number")
+        left, right, lambda2 = tuple(map(int, left)), tuple(map(int, right)), float(lambda2)
         if not left or not right or sorted(left + right) != sorted(leaf.members):
             raise InvalidInputError(
                 f"split sides must be nonempty and partition the members of leaf {leaf_id}"
@@ -243,8 +248,7 @@ def build_cut_tree(graph: MarketGraph, policy: CutPolicy,
             ineligible.add(leaf_id)
             continue
         members = np.asarray(leaf.members)
-        left = tuple(int(m) for m in members[part.side_of == 1])
-        right = tuple(int(m) for m in members[part.side_of == 2])
+        left, right = tuple(members[part.side_of == 1]), tuple(members[part.side_of == 2])
         if min(len(left), len(right)) < policy.min_leaf_size:
             ineligible.add(leaf_id)
             continue

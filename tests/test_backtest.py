@@ -94,6 +94,8 @@ class TestRunBacktest:
         prices = make_prices([[100.0, 104.0, 101.0, 99.0, 103.0, 108.0, 105.0]])
         report = run_backtest(prices, BacktestConfig(split_index=2, strategies=(EW,)))
         res = report.result("ew")
+        with pytest.raises(KeyError):
+            report.result("nope")
         path = prices.prices[2:, 0] / prices.prices[2, 0]
         np.testing.assert_allclose(res.wealth_curve, path, rtol=0, atol=1e-12)
         assert res.wealth_curve[0] == 1.0

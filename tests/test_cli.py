@@ -450,8 +450,18 @@ class TestOutputDestinations:
         folder.mkdir()
         assert main(["backtest", market_csv, "--split-index", "20",
                      "-o", str(report), "--svg", str(folder)]) == 2
-        assert one_json_error(capsys.readouterr().err)["error"] == "InvalidInputError"
+        assert one_json_error(capsys.readouterr().err) == {
+            "error": "InvalidInputError",
+            "message": f"cannot write output file {folder}: Is a directory"}
         assert sorted(path.name for path in tmp_path.iterdir()) == ["folder", "prices.csv"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    def test_failed_device_write_names_its_destination(self, market_csv, tmp_path, capsys):
+        assert main(["backtest", market_csv, "--split-index", "20", "--strategies", "ew",
+                     "-o", str(tmp_path / "r.json"), "--wealth-csv", "/dev/full",
+                     "--svg", os.devnull]) == 2
+        assert one_json_error(capsys.readouterr().err)["message"] == (
+            "cannot write output file /dev/full: No space left on device")
 
     def test_interrupted_write_leaves_no_temp_file(self, market_csv, tmp_path,
                                                    monkeypatch):
@@ -551,6 +561,17 @@ class TestBlasThreads:
         assert during == [[1] * len(controls)]
         assert self.counts(controls) == [2] * len(controls)
 
+    def test_unreadable_maps_give_no_controls(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), args[0])
+
+        monkeypatch.setattr(portcut.cli, "open", refuse, raising=False)
+        assert portcut.cli._openblas_thread_controls() == []
+        ran = []
+        with portcut.cli._one_blas_thread():
+            ran.append(True)
+        assert ran == [True]
+
     def test_library_call_keeps_thread_counts(self, controls):
         prices, _ = block_factor_market([3, 5], 40, seed=3)
         run_backtest(prices, BacktestConfig(20, ("ew", "mv", "cutn-as1")))
@@ -620,12 +641,14 @@ class TestExitCodes:
         else:
             argv = ["backtest", market_csv, "--split-index", "20",
                     "--strategies", "ew", "-o", str(tmp_path / "r.json"), flag, target]
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1
-        payload = json.loads(err)
-        assert payload["error"] == "InvalidInputError"
-        assert "no-such-dir" in payload["message"]
+        errors = []
+        for _ in range(2):
+            assert main(argv) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert one_json_error(errors[0]) == {
+            "error": "InvalidInputError",
+            "message": f"cannot write output file {target}: No such file or directory"}
 
     @pytest.mark.parametrize("command, options", [
         ("backtest", ["--split-index", "20", "--strategies", "ew", "--annualization", "nan"]),

@@ -369,6 +369,7 @@ class TestSpectralBisect:
 
 class TestBruteForce:
     def test_candidate_counts(self):
+        assert bipartition_count(0) == bipartition_count(1) == 0
         assert bipartition_count(2) == 1
         assert bipartition_count(4) == 7
         assert sum(1 for _ in iter_bipartitions(2)) == 1

@@ -24,6 +24,7 @@ from portcut import (
     sample_covariance,
     simple_returns,
 )
+from portcut.serialization import tree_from_dict, tree_to_dict
 from portcut.tree import induced_subgraph, select_leaf
 
 from conftest import complete_random_graph, graph_from_edges
@@ -277,6 +278,26 @@ class TestSplit:
         tree = CutTree.root(["a", "b", "c", "d"], CutObjective.NORMALIZED)
         with pytest.raises(InvalidInputError):
             tree.split(0, left, right, 0.1)
+
+    @pytest.mark.parametrize("left, right, lambda2", [
+        ([0.0, 1.0], [2.0], 0.5),
+        ([0, "1"], [2], 0.5),
+        ([0, 1], [2], "x"),
+        ([0, 1], [2], None),
+    ])
+    def test_rejects_non_integer_members_and_non_real_lambda2(self, left, right, lambda2):
+        tree = CutTree.root(["a", "b", "c"], CutObjective.NORMALIZED)
+        with pytest.raises(InvalidInputError, match="integers"):
+            tree.split(0, left, right, lambda2)
+
+    def test_numpy_scalars_are_stored_as_python_numbers(self):
+        tree = CutTree.root(["a", "b", "c"], CutObjective.NORMALIZED)
+        grown = tree.split(0, np.array([0, 2], dtype=np.int64), np.array([1]),
+                           np.float32(0.5))
+        members = grown.nodes[1].members + grown.nodes[2].members
+        assert [type(m) for m in members] == [int, int, int]
+        assert type(grown.nodes[0].lambda2_at_split) is float
+        assert tree_from_dict(tree_to_dict(grown)) == grown
 
     @pytest.mark.parametrize("node_id", [0, 5])
     def test_rejects_a_node_that_is_not_a_leaf(self, node_id):
