@@ -136,7 +136,8 @@ def _write_outputs(*outputs: Tuple[str, str]) -> None:
     symlinks) is written to a temp file beside it; the temp files replace
     their targets only once all of them are written, and are removed if
     anything fails. Other destinations, such as devices and pipes, are opened
-    first and written after the replacements; standard output ('-') is last.
+    first and written before the replacements, so a failed device write
+    replaces no file; standard output ('-') is last.
     """
     staged: List[Tuple[str, str, str]] = []
     try:
@@ -157,11 +158,11 @@ def _write_outputs(*outputs: Tuple[str, str]) -> None:
                 with open(fd, "w", encoding="utf-8") as handle:
                     handle.write(text)
                 os.chmod(temp, mode)
-            for temp, target, destination in staged:
-                os.replace(temp, target)
             for text, handle, destination in direct:
                 handle.write(text)
                 handle.flush()  # so a failure names this destination, not the last one
+            for temp, target, destination in staged:
+                os.replace(temp, target)
     except OSError as exc:
         raise InvalidInputError(
             f"cannot write output file {destination}: {exc.strerror or exc}") from exc

@@ -1,9 +1,11 @@
 """CSV price ingestion.
 
 Reads a header-first CSV with one date column and one column per asset into
-a rectangular PriceMatrix. A file whose every cell is a valid price is parsed
-in one C-level pass; any other goes through a per-cell reader that names the
-first bad cell. Missing cells are rejected, or dropped row-wise or
+a rectangular PriceMatrix. A file whose price cells are numbers, blanks or
+`nan` is parsed in one streamed C-level pass that re-reads only the rows
+holding a missing or bad value; any other (`na`, `null`, whitespace-only
+cells, all-blank rows, bare CR line ends) goes through a per-cell reader that
+names the first bad cell. Missing cells are rejected, or dropped row-wise or
 column-wise, according to the configured policy.
 """
 
@@ -83,49 +85,90 @@ def _nul_free(lines, path: Path):
         yield line
 
 
-def _parse_clean(path: Path, delimiter: str, date_idx: int,
-                 width: int) -> Optional[Tuple[List[str], np.ndarray]]:
-    """Dates and prices from one C-level `np.loadtxt` pass, or None.
+def _blanks_to_nan(line: bytes, delimiter: str, date_idx: int) -> str:
+    """``line`` with ``nan`` in each blank price cell, never in the date cell."""
+    text = line.decode("utf-8")
+    body = text.rstrip("\r\n")
+    cells = body.split(delimiter)
+    if all(cells):
+        return text
+    if '"' in text or not any(cell.strip() for cell in cells):
+        raise ValueError("quoted or blank: the per-cell reader splits or skips it")
+    cells = ["nan" if not cell and i != date_idx else cell for i, cell in enumerate(cells)]
+    return delimiter.join(cells) + text[len(body):]
+
+
+def _parse_clean(path: Path, spec: PriceCsvSpec, asset_ids: List[str],
+                 date_idx: int) -> Optional[Tuple[List[str], np.ndarray]]:
+    """Dates and prices from one streamed `np.loadtxt` pass, or None.
 
     None unless `_parse_cells` would give the same result: every row is one
-    LF-ended line of ``width`` cells and every price is in (0, inf).
+    LF-ended line with a cell per header column, each price a number or blank
+    (read as NaN). A row holding a value outside (0, inf) is read again, and goes to
+    `_parse_cells` unless the policy allows all those cells as missing.
     """
+    width, sep = len(asset_ids) + 1, spec.delimiter.encode("utf-8")
     dates: List[str] = []
+    lengths: List[int] = []
 
     def keep_date(cell: str) -> float:
         dates.append(cell.strip())
         return 0.0
 
-    try:
-        table = np.loadtxt(path, delimiter=delimiter, skiprows=1, quotechar='"',
-                           comments=None, encoding="utf-8", ndmin=2,
-                           converters={date_idx: keep_date})
-    except (TypeError, ValueError):
-        return None
-    prices = np.delete(table, date_idx, axis=1)
-    # Where the cell loop differs: csv.reader keeps line ends inside quotes,
-    # which loadtxt translates, and caps the field size; float() rejects a
-    # number next to bytes 0x1c-0x1f, which loadtxt strips as whitespace; and
-    # `_nul_free` rejects NUL.
+    # Where the cell loop differs: csv.reader caps the field size; float()
+    # rejects a number next to bytes 0x1c-0x1f, which loadtxt strips as
+    # whitespace; and `_nul_free` rejects NUL.
+    def lines(handle):
+        for chunk in iter(lambda: handle.readlines(1 << 16), []):
+            block = b"".join(chunk)
+            lengths.extend(map(len, chunk))
+            if max(map(len, chunk)) > csv.field_size_limit() or any(
+                    byte in block for byte in (b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")):
+                raise ValueError("left to the per-cell reader")
+            # One vector pass finds a delimiter next to another or a line end; a
+            # blank between two cells of a multi-byte delimiter makes loadtxt raise.
+            data = np.frombuffer(block, np.uint8)
+            cut = data == sep[0]
+            stop = cut | (data == 10) | (data == 13)
+            if cut[0] or cut[-1] or (stop[:-1] & stop[1:] & (cut[:-1] | cut[1:])).any():
+                chunk = [_blanks_to_nan(line, spec.delimiter, date_idx) for line in chunk]
+            yield from chunk
+
     with path.open("rb") as handle:
-        lengths = [len(line) for line in handle]
-        handle.seek(0)
-        odd = any(byte in block for block in iter(lambda: handle.read(1 << 16), b"")
-                  for byte in b"\x00\x1c\x1d\x1e\x1f")
-    if (table.shape[1] != width or not np.all((prices > 0.0) & (prices < math.inf))
-            or any("\n" in label for label in dates) or len(lengths) != len(table) + 1
-            or max(lengths) > csv.field_size_limit() or odd):
-        return None
+        header = handle.readline()
+        if b"\r" in header[:-2]:  # csv.reader ends the header at a bare CR
+            return None
+        try:
+            table = np.loadtxt(lines(handle), delimiter=spec.delimiter, quotechar='"',
+                               comments=None, encoding="utf-8", ndmin=2,
+                               converters={date_idx: keep_date})
+        except (TypeError, ValueError):
+            return None
+        # loadtxt skips blank lines and joins lines inside quotes.
+        if table.shape[1] != width or len(table) != len(lengths):
+            return None
+        prices = np.delete(table, date_idx, axis=1)
+        valid = (prices > 0.0) & (prices < math.inf)
+        starts = list(itertools.accumulate(lengths, initial=len(header)))
+        for i in np.flatnonzero(~valid.all(axis=1)).tolist():
+            handle.seek(starts[i])
+            row = next(csv.reader([handle.readline().decode("utf-8")], delimiter=spec.delimiter))
+            cells = row[:date_idx] + row[date_idx + 1:]
+            if spec.missing_policy is MissingPolicy.ERROR or any(
+                    cells[j].strip().lower() not in MISSING_MARKERS
+                    for j in np.flatnonzero(~valid[i])):
+                # Every earlier row is clean, so this raises the full loop's first error.
+                _parse_cells([(i + 2, row)], path, asset_ids, date_idx, spec.missing_policy)
     return dates, prices
 
 
 def _parse_cells(rows_in, path: Path, asset_ids: List[str], date_idx: int,
                  missing_policy: MissingPolicy) -> Tuple[List[str], np.ndarray]:
-    """Dates and prices from csv rows, one float() per cell; NaN marks a missing one."""
+    """Dates and prices from ``(line_no, row)`` pairs, one float() per cell; NaN if missing."""
     width = len(asset_ids) + 1
     dates: List[str] = []
     rows: List[List[float]] = []
-    for line_no, row in enumerate(rows_in, start=2):
+    for line_no, row in rows_in:
         if not row or all(not c.strip() for c in row):
             continue
         if len(row) != width:
@@ -159,10 +202,9 @@ def ingest_prices_with_report(spec: PriceCsvSpec) -> Tuple[PriceMatrix, IngestRe
     ------
     InvalidInputError
         Missing file, bytes that are not UTF-8, text that is not CSV (named
-        by line),
-        missing/duplicated columns, unparseable, non-finite or nonpositive
-        cells (named by line and column), non-increasing dates, or a missing
-        cell under the ERROR policy.
+        by line), missing/duplicated columns, unparseable, non-finite or
+        nonpositive cells (named by line and column), non-increasing dates,
+        or a missing cell under the ERROR policy.
     InsufficientDataError
         Fewer than two usable rows, or no asset columns after drops.
     """
@@ -193,9 +235,10 @@ def ingest_prices_with_report(spec: PriceCsvSpec) -> Tuple[PriceMatrix, IngestRe
         first = next(rows_in, None)
         clean = None
         if reader.line_num == 2 and first and any(cell.strip() for cell in first):
-            clean = _parse_clean(path, spec.delimiter, date_idx, len(header))
-        dates, prices = clean or _parse_cells(itertools.chain([first], rows_in), path,
-                                              asset_ids, date_idx, spec.missing_policy)
+            clean = _parse_clean(path, spec, asset_ids, date_idx)
+        dates, prices = clean or _parse_cells(
+            enumerate(itertools.chain([first], rows_in), start=2), path, asset_ids,
+            date_idx, spec.missing_policy)
 
     dropped_assets: Tuple[str, ...] = ()
     dropped_rows: Tuple[str, ...] = ()

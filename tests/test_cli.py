@@ -463,6 +463,22 @@ class TestOutputDestinations:
         assert one_json_error(capsys.readouterr().err)["message"] == (
             "cannot write output file /dev/full: No space left on device")
 
+    @pytest.mark.skipif(not (os.path.exists("/dev/full")
+                             and stat.S_ISCHR(os.stat("/dev/full").st_mode)),
+                        reason="/dev/full is not a character device")
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_device_write_replaces_no_file(self, market_csv, tmp_path, existing):
+        report = tmp_path / "r.json"
+        if existing:
+            report.write_text("old\n")
+        assert main(["backtest", market_csv, "--split-index", "20", "--strategies", "ew",
+                     "-o", str(report), "--wealth-csv", "/dev/full",
+                     "--svg", os.devnull]) == 2
+        assert sorted(path.name for path in tmp_path.iterdir()) == (
+            ["prices.csv", "r.json"] if existing else ["prices.csv"])
+        if existing:
+            assert report.read_text() == "old\n"
+
     def test_interrupted_write_leaves_no_temp_file(self, market_csv, tmp_path,
                                                    monkeypatch):
         def interrupt(src, dst):

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import portcut.ingest as ingest
 from portcut import (
     InsufficientDataError,
     InvalidInputError,
     MissingPolicy,
+    PortfolioCutError,
     PriceCsvSpec,
     PriceMatrix,
     block_factor_market,
@@ -244,9 +247,11 @@ def test_ingest_orders_dates_like_price_matrix(tmp_path):
 # Whole files and what the per-cell reader makes of them under the ERROR and
 # DROP_ROWS policies: the exact error ("{path}" stands for the file), or the
 # asset ids, dates, prices and dropped rows. The one-pass parser must give the
-# same. ``cell_loop`` says whether the per-cell loop reads the rows: a clean
-# file is parsed in one pass, and a file that is not UTF-8 fails as its header
-# is read.
+# same. ``cell_loop`` says whether the per-cell loop reads rows, as an
+# (ERROR, DROP_ROWS) pair where the policies differ: a clean file is parsed in
+# one pass; of a file whose price cells are numbers, blanks or `nan`, only a
+# row that raises goes through the loop; and a file that is not UTF-8 fails as
+# its header is read.
 HEAD = b"date,aaa,bbb\n2020-01-01,100,50\n"
 TAIL = b"\n2020-01-03,102,51\n"
 CLEAN = HEAD + b"2020-01-02,101,49" + TAIL
@@ -278,13 +283,42 @@ def date_at(position):
     return b"".join(b",".join(cells) + b"\n" for cells in lines)
 
 
+MISSING_AAA = line3("missing price in column 'aaa'")
 MISSING_BBB = line3("missing price in column 'bbb'")
 DIFFERENTIAL = [
     # id, file, cell_loop, ERROR result, DROP_ROWS result
     ("clean", CLEAN, False, PARSED, PARSED),
-    ("blank", with_cell(b""), True, MISSING_BBB, SECOND_DROPPED),
+    ("blank", with_cell(b""), (True, False), MISSING_BBB, SECOND_DROPPED),
     ("na", with_cell(b"na"), True, MISSING_BBB, SECOND_DROPPED),
-    ("nan", with_cell(b"nan"), True, MISSING_BBB, SECOND_DROPPED),
+    ("nan", with_cell(b"nan"), (True, False), MISSING_BBB, SECOND_DROPPED),
+    ("blank-first-price", HEAD + b"2020-01-02,,49" + TAIL, (True, False), MISSING_AAA,
+     SECOND_DROPPED),
+    ("blank-line-start", date_at(2).replace(b"101,49,", b",49,"), (True, False), MISSING_AAA,
+     SECOND_DROPPED),
+    ("blank-before-date", date_at(2).replace(b"101,49,", b"101,,"), (True, False),
+     MISSING_BBB, SECOND_DROPPED),
+    ("blank-crlf", with_cell(b"").replace(b"\n", b"\r\n"), (True, False), MISSING_BBB,
+     SECOND_DROPPED),
+    # Only price cells read a blank as missing; a blank date is kept, and sorts last.
+    ("blank-date", HEAD + b"2020-01-02,101,49\n,102,51\n", False,
+     *[(("aaa", "bbb"), DATES[:2] + ("",), ROWS, ())] * 2),
+    ("blank-prices", HEAD + b"2020-01-02,," + TAIL, (True, False), MISSING_AAA,
+     SECOND_DROPPED),
+    ("nan-upper", with_cell(b"NaN"), (True, False), MISSING_BBB, SECOND_DROPPED),
+    ("nan-spaced", with_cell(b" nan "), (True, False), MISSING_BBB, SECOND_DROPPED),
+    ("nan-minus", with_cell(b"-nan"), True,
+     *[line3("non-finite price '-nan' in column 'bbb'")] * 2),
+    ("nan-plus", with_cell(b"+nan"), True,
+     *[line3("non-finite price '+nan' in column 'bbb'")] * 2),
+    ("blank-quoted-line", HEAD + b'2020-01-02,"101",' + TAIL, True, MISSING_BBB,
+     SECOND_DROPPED),
+    # Errors come in file order, then column order.
+    ("blank-then-negative", HEAD + b"2020-01-02,,49\n2020-01-03,-3,51\n", True,
+     MISSING_AAA, (InvalidInputError, "{path}:4: nonpositive price '-3' in column 'aaa'")),
+    ("negative-then-blank", HEAD + b"2020-01-02,-3,\n2020-01-03,102,51\n", True,
+     *[line3("nonpositive price '-3' in column 'aaa'")] * 2),
+    ("blank-and-word", HEAD + b"2020-01-02,,abc" + TAIL, True, MISSING_AAA,
+     line3("unparseable price 'abc' in column 'bbb'")),
     ("inf", with_cell(b"inf"), True, *[line3("non-finite price 'inf' in column 'bbb'")] * 2),
     ("1e400", with_cell(b"1e400"), True,
      *[line3("non-finite price '1e400' in column 'bbb'")] * 2),
@@ -380,6 +414,8 @@ def test_differential_table(tmp_path, cell_loop_calls, data, cell_loop, results,
         assert matrix.prices.shape == (len(dates), len(assets))
         assert matrix.prices.flags.c_contiguous
         assert (report.dropped_rows, report.dropped_assets) == (dropped, ())
+    if isinstance(cell_loop, tuple):
+        cell_loop = cell_loop[policy is MissingPolicy.DROP_ROWS]
     assert len(cell_loop_calls) == cell_loop
 
 
@@ -400,6 +436,35 @@ def test_clean_file_parsed_in_one_loadtxt_call(tmp_path, cell_loop_calls, monkey
     ingest_prices_with_report(PriceCsvSpec(path=write(tmp_path, WELL_FORMED)))
     assert len(calls) == 1
     assert cell_loop_calls == []
+
+
+def test_missing_cells_parsed_in_one_loadtxt_call(tmp_path, monkeypatch):
+    prices, _ = block_factor_market((5, 4, 3), 300, seed=2)
+    path = tmp_path / "prices.csv"
+    write_prices_csv(path, prices)
+    lines = path.read_text().splitlines(keepends=True)
+    for line_no, cell in ((11, ""), (151, "nan"), (152, "")):
+        cells = lines[line_no].rstrip("\n").split(",")
+        cells[1 + line_no % prices.n_assets] = cell
+        lines[line_no] = ",".join(cells) + "\n"
+    path.write_text("".join(lines))
+    calls, read = [], []
+    loadtxt, cell_loop = np.loadtxt, ingest._parse_cells
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(a) or loadtxt(*a, **k))
+
+    def counted(rows, *args):
+        rows = list(rows)
+        read.append(len(rows))
+        return cell_loop(rows, *args)
+
+    monkeypatch.setattr(ingest, "_parse_cells", counted)
+    matrix, report = ingest_prices_with_report(
+        PriceCsvSpec(path=str(path), missing_policy=MissingPolicy.DROP_ROWS))
+    assert len(calls) == 1
+    assert sum(read) < prices.n_rows
+    dropped = [10, 150, 151]
+    assert report.dropped_rows == tuple(prices.timestamps[i] for i in dropped)
+    assert matrix.prices.tobytes() == np.delete(prices.prices, dropped, axis=0).tobytes()
 
 
 @pytest.mark.parametrize("cell", [b"4\x009", b"\x1d49", b"49\x1f"])
@@ -425,3 +490,44 @@ def test_one_pass_and_cell_loop_agree(tmp_path, cell_loop_calls):
     assert fast.timestamps == slow.timestamps == prices.timestamps
     assert fast.asset_ids == slow.asset_ids == prices.asset_ids
     assert fast_report == slow_report
+
+
+# Price cells the one-pass parser and the per-cell loop must read alike.
+ODD_CELLS = ["", "nan", "NaN", "-nan", "na", "null", "inf", "-3", "0", "abc", '"12.5"']
+
+
+@st.composite
+def price_files(draw):
+    n_assets = draw(st.integers(1, 4))
+    date_idx = draw(st.integers(0, n_assets))
+    cell = st.one_of(st.floats(0.01, 1e4).map(repr), st.sampled_from(ODD_CELLS))
+    rows = [["aaa", "bbb", "ccc", "ddd"][:n_assets]]
+    rows += [[draw(cell) for _ in range(n_assets)] for _ in range(draw(st.integers(1, 5)))]
+    for t, row in enumerate(rows):
+        row.insert(date_idx, draw(st.sampled_from([f"2020-01-{t:02d}", ""])) if t else "date")
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return "".join(",".join(row) + ending for row in rows)
+
+
+def ingest_outcome(path, policy):
+    """What ingesting ``path`` gives: the matrix bytes, labels and report, or the error."""
+    try:
+        matrix, report = ingest_prices_with_report(PriceCsvSpec(path=str(path),
+                                                                missing_policy=policy))
+    except PortfolioCutError as exc:
+        return type(exc), str(exc)
+    return (matrix.prices.tobytes(), matrix.prices.shape, matrix.timestamps,
+            matrix.asset_ids, report)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=price_files())
+def test_one_pass_matches_cell_loop(tmp_path, monkeypatch, text):
+    path = tmp_path / "prices.csv"
+    path.write_bytes(text.encode())
+    for policy in MissingPolicy:
+        one_pass = ingest_outcome(path, policy)
+        with monkeypatch.context() as patch:
+            patch.setattr(ingest, "_parse_clean", lambda *args: None)
+            assert one_pass == ingest_outcome(path, policy)
