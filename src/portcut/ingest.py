@@ -5,8 +5,8 @@ a rectangular PriceMatrix. A file whose price cells are numbers, blanks or
 `nan` is parsed in one streamed C-level pass that re-reads only the rows
 holding a missing or bad value; any other (`na`, `null`, whitespace-only
 cells, all-blank rows, bare CR line ends) goes through a per-cell reader that
-names the first bad cell. Missing cells are rejected, or dropped row-wise or
-column-wise, according to the configured policy.
+names the first bad cell. A blank date is an error; missing prices are
+rejected, or dropped row-wise or column-wise, according to the policy.
 """
 
 from __future__ import annotations
@@ -90,8 +90,6 @@ def _blanks_to_nan(line: bytes, delimiter: str, date_idx: int) -> str:
     text = line.decode("utf-8")
     body = text.rstrip("\r\n")
     cells = body.split(delimiter)
-    if all(cells):
-        return text
     if '"' in text or not any(cell.strip() for cell in cells):
         raise ValueError("quoted or blank: the per-cell reader splits or skips it")
     cells = ["nan" if not cell and i != date_idx else cell for i, cell in enumerate(cells)]
@@ -103,8 +101,8 @@ def _parse_clean(path: Path, spec: PriceCsvSpec, asset_ids: List[str],
     """Dates and prices from one streamed `np.loadtxt` pass, or None.
 
     None unless `_parse_cells` would give the same result: every row is one
-    LF-ended line with a cell per header column, each price a number or blank
-    (read as NaN). A row holding a value outside (0, inf) is read again, and goes to
+    LF-ended line holding a date and, per asset, a number or blank (NaN). A
+    row holding a value outside (0, inf) is read again, and goes to
     `_parse_cells` unless the policy allows all those cells as missing.
     """
     width, sep = len(asset_ids) + 1, spec.delimiter.encode("utf-8")
@@ -127,12 +125,15 @@ def _parse_clean(path: Path, spec: PriceCsvSpec, asset_ids: List[str],
                 raise ValueError("left to the per-cell reader")
             # One vector pass finds a delimiter next to another or a line end; a
             # blank between two cells of a multi-byte delimiter makes loadtxt raise.
-            data = np.frombuffer(block, np.uint8)
+            data = np.frombuffer(b"\n" + block + b"\n", np.uint8)
             cut = data == sep[0]
             stop = cut | (data == 10) | (data == 13)
-            if cut[0] or cut[-1] or (stop[:-1] & stop[1:] & (cut[:-1] | cut[1:])).any():
-                chunk = [_blanks_to_nan(line, spec.delimiter, date_idx) for line in chunk]
-            yield from chunk
+            pairs = np.flatnonzero(stop[:-1] & stop[1:] & (cut[:-1] | cut[1:]))
+            # Pair p: block bytes p - 1 and p; the blank is on byte p's line, or the last.
+            ends = np.cumsum(lengths[-len(chunk):-1])
+            blank = set(np.searchsorted(ends, pairs, side="right").tolist())
+            yield from (_blanks_to_nan(line, spec.delimiter, date_idx) if i in blank else line
+                        for i, line in enumerate(chunk))
 
     with path.open("rb") as handle:
         header = handle.readline()
@@ -144,8 +145,8 @@ def _parse_clean(path: Path, spec: PriceCsvSpec, asset_ids: List[str],
                                converters={date_idx: keep_date})
         except (TypeError, ValueError):
             return None
-        # loadtxt skips blank lines and joins lines inside quotes.
-        if table.shape[1] != width or len(table) != len(lengths):
+        # loadtxt skips blank lines, joins lines inside quotes and keeps blank dates.
+        if table.shape[1] != width or len(table) != len(lengths) or "" in dates:
             return None
         prices = np.delete(table, date_idx, axis=1)
         valid = (prices > 0.0) & (prices < math.inf)
@@ -174,6 +175,8 @@ def _parse_cells(rows_in, path: Path, asset_ids: List[str], date_idx: int,
         if len(row) != width:
             raise InvalidInputError(f"{path}:{line_no}: expected {width} cells, got {len(row)}")
         dates.append(row.pop(date_idx).strip())
+        if not dates[-1]:
+            raise InvalidInputError(f"{path}:{line_no}: missing date")
         values: List[float] = []
         for column, cell in zip(asset_ids, row):
             try:
@@ -203,8 +206,8 @@ def ingest_prices_with_report(spec: PriceCsvSpec) -> Tuple[PriceMatrix, IngestRe
     InvalidInputError
         Missing file, bytes that are not UTF-8, text that is not CSV (named
         by line), missing/duplicated columns, unparseable, non-finite or
-        nonpositive cells (named by line and column), non-increasing dates,
-        or a missing cell under the ERROR policy.
+        nonpositive cells (named by line and column), blank (named by line) or
+        non-increasing dates, or a missing cell under the ERROR policy.
     InsufficientDataError
         Fewer than two usable rows, or no asset columns after drops.
     """

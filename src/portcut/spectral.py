@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -49,13 +49,9 @@ SIGN_TIE_TOL = 1e-12
 RESIDUAL_REL_TOL = 1e-8
 
 # Brute force re-scores exactly every candidate whose screened objective is
-# within this relative distance of the screened minimum. The screen's own
-# rounding error is a few ulps, far inside it.
+# within this relative distance of the screened minimum. The screen sums only
+# nonnegative terms, so its rounding error is a few ulps, far inside it.
 SCREEN_REL_TOL = 1e-9
-
-# Bit masks decoded and screened per block. Bounds the block at N=20, where
-# all 2**19 masks at once would take ~84 MB; measured fastest on 2 vCPUs.
-_MASK_BLOCK = 1024
 
 
 class CutObjective(Enum):
@@ -264,44 +260,44 @@ def bipartition_count(n: int) -> int:
     return 2 ** (n - 1) - 1
 
 
-def _mask_blocks(n: int) -> Iterator[np.ndarray]:
-    """Bit masks 1 .. 2**(n-1) - 1 in order, in blocks of up to _MASK_BLOCK."""
-    stop = 2 ** (n - 1)
-    for first in range(1, stop, _MASK_BLOCK):
-        yield np.arange(first, min(first + _MASK_BLOCK, stop))
+def _half_tables(weights: np.ndarray, mass: np.ndarray, vertices):
+    """Side-2 weight sums, cut and side-2 mass of each side assignment of ``vertices``.
 
-
-def _side2_of(masks: np.ndarray, n: int) -> np.ndarray:
-    """0/1 side-2 indicator rows: bit b of a mask puts vertex b + 1 on side 2.
-
-    Vertex 0 always stays on side 1.
+    Bit b of entry m puts ``vertices[b]`` on side 2; reversed, a table holds side-1 sums.
     """
-    rows = np.zeros((masks.size, n), dtype=int)
-    rows[:, 1:] = (masks[:, None] >> np.arange(n - 1)) & 1
-    return rows
+    rows, cut, m2 = np.zeros((1, len(weights))), np.zeros(1), np.zeros(1)
+    for v in vertices:
+        cut = np.concatenate([cut + rows[:, v], cut + rows[::-1, v]])
+        m2 = np.concatenate([m2, m2 + mass[v]])
+        rows = np.concatenate([rows, rows + weights[v]])
+    return rows, cut, m2
 
 
-def _screen(graph: MarketGraph, side2: np.ndarray,
-            objective: CutObjective) -> np.ndarray:
-    """Objective of each row of 0/1 side-2 indicators, +inf if degenerate.
+def _screen(graph: MarketGraph, objective: CutObjective) -> np.ndarray:
+    """Objective of every bit mask 1 .. 2**(n-1) - 1 in order, +inf if degenerate.
 
-    Sums in a different order from `objective_value`, so values can differ in
-    the last bits. Weights are nonnegative, so no sum cancels and the
-    relative difference stays a few ulps.
+    Bit b puts vertex b + 1 on side 2. Meet in the middle: tables over the
+    high bits and over the low bits combine in a table indexed [high, low],
+    whose ravel is in mask order. Every sum is of nonnegative terms, so none
+    cancels and values stay a few ulps from `objective_value`.
     """
-    s2 = side2.astype(float)
-    s1 = 1.0 - s2
-    cut = np.einsum("ij,ij->i", s2 @ graph.weights, s1)
-    if objective is CutObjective.NORMALIZED:
-        mass = np.ones(graph.n_vertices)
-    else:
-        mass = graph.degrees
-    m1 = s1 @ mass
-    m2 = s2 @ mass
-    score = np.full(cut.shape, np.inf)
-    live = (m1 > 0.0) & (m2 > 0.0)
-    score[live] = (1.0 / m1[live] + 1.0 / m2[live]) * cut[live]
-    return score
+    n = graph.n_vertices
+    bits = (n - 1) // 2
+    mass = np.ones(n) if objective is CutObjective.NORMALIZED else graph.degrees
+    hi_rows, hi_cut, hi_m2 = _half_tables(graph.weights, mass, range(bits + 1, n))
+    lo_rows, lo_cut, lo_m2 = _half_tables(graph.weights, mass, range(1, bits + 1))
+    # Weight from each low vertex (vertex 0 on side 1) to the high half's other side.
+    cross = hi_rows[:, :1]
+    for v in range(1, bits + 1):
+        cross = np.concatenate([cross + hi_rows[:, v:v + 1],
+                                cross + hi_rows[::-1, v:v + 1]], axis=1)
+    cut = cross + hi_cut[:, None] + lo_cut + lo_rows[:, 0]
+    m1 = hi_m2[::-1, None] + lo_m2[::-1] + mass[0]
+    m2 = hi_m2[:, None] + lo_m2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        score = (1.0 / m1 + 1.0 / m2) * cut
+    score[(m1 <= 0.0) | (m2 <= 0.0)] = np.inf
+    return score.ravel()[1:]
 
 
 def brute_force_min_cut(graph: MarketGraph, objective: CutObjective) -> Partition:
@@ -309,12 +305,12 @@ def brute_force_min_cut(graph: MarketGraph, objective: CutObjective) -> Partitio
 
     Enumerates the 2**(N-1) - 1 candidate splits, so it is only usable on
     small graphs; it exists as the correctness oracle for `spectral_bisect`.
-    Candidates are screened in blocks of bit masks with numpy; every
-    candidate within a relative SCREEN_REL_TOL of the screened minimum is
-    then re-scored exactly with `objective_value`. The minimum of those
-    exact values wins, and ties are broken toward the lexicographically
-    smallest side assignment. Candidates with a zero-volume side are
-    skipped under the volume objective.
+    `_screen` scores every candidate at once from tables over two halves of
+    the vertices; every candidate within a relative SCREEN_REL_TOL of the
+    screened minimum is then re-scored exactly with `objective_value`. The
+    minimum of those exact values wins, and ties are broken toward the
+    lexicographically smallest side assignment. Candidates with a
+    zero-volume side are skipped under the volume objective.
 
     Raises
     ------
@@ -332,17 +328,18 @@ def brute_force_min_cut(graph: MarketGraph, objective: CutObjective) -> Partitio
             f"bipartitions (limit N <= {BRUTE_FORCE_MAX_VERTICES})",
             n_vertices=n, candidate_count=count, limit=BRUTE_FORCE_MAX_VERTICES)
 
-    screened = np.concatenate([_screen(graph, _side2_of(masks, n), objective)
-                               for masks in _mask_blocks(n)])
+    screened = _screen(graph, objective)
     low = float(screened.min())
     if low == np.inf:
         raise DegenerateVolumeError(
             "every bipartition has a zero-volume side; the graph has no edges"
         )
     near = 1 + np.flatnonzero(screened <= low + SCREEN_REL_TOL * low)
+    sides = np.ones((near.size, n), dtype=int)
+    sides[:, 1:] += (near[:, None] >> np.arange(n - 1)) & 1
     best_side = None
     best_obj = np.inf
-    for side in 1 + _side2_of(near, n):
+    for side in sides:
         obj = objective_value(graph, side, objective)
         if obj < best_obj or (obj == best_obj and best_side is not None
                               and tuple(side) < tuple(best_side)):

@@ -12,15 +12,19 @@ from portcut import (
     PriceMatrix,
 )
 from portcut.serialization import tree_to_dict
-from portcut.spectral import _mask_blocks, _side2_of
 
 
 def iter_bipartitions(n: int):
-    """Yield every side assignment of n vertices, vertex 0 fixed to side 1."""
+    """Yield every side assignment of n vertices, vertex 0 fixed to side 1.
+
+    Mask k = 1 .. 2**(n-1) - 1 comes k-th; its bit b puts vertex b + 1 on side 2.
+    """
     if n < 2:
         return
-    for masks in _mask_blocks(n):
-        yield from 1 + _side2_of(masks, n)
+    masks = np.arange(1, 2 ** (n - 1))
+    sides = np.ones((masks.size, n), dtype=int)
+    sides[:, 1:] += (masks[:, None] >> np.arange(n - 1)) & 1
+    yield from sides
 
 
 def graph_from_edges(n: int, edges) -> MarketGraph:

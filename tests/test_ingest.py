@@ -299,9 +299,16 @@ DIFFERENTIAL = [
      MISSING_BBB, SECOND_DROPPED),
     ("blank-crlf", with_cell(b"").replace(b"\n", b"\r\n"), (True, False), MISSING_BBB,
      SECOND_DROPPED),
-    # Only price cells read a blank as missing; a blank date is kept, and sorts last.
-    ("blank-date", HEAD + b"2020-01-02,101,49\n,102,51\n", False,
-     *[(("aaa", "bbb"), DATES[:2] + ("",), ROWS, ())] * 2),
+    # A blank at the very start or end of a read block, whose line has no other hit.
+    ("blank-file-start", date_at(2).replace(b"100,50,", b",50,"), (True, False),
+     (InvalidInputError, "{path}:2: missing price in column 'aaa'"),
+     (("aaa", "bbb"), DATES[1:], ROWS[1:], ("2020-01-01",))),
+    ("blank-file-end", HEAD + b"2020-01-02,101,49\n2020-01-03,102,", (True, False),
+     (InvalidInputError, "{path}:4: missing price in column 'bbb'"),
+     (("aaa", "bbb"), DATES[:2], ROWS[:2], ("2020-01-03",))),
+    # Only price cells read a blank as missing; a row needs its date.
+    ("blank-date", HEAD + b"2020-01-02,101,49\n,102,51\n", True,
+     *[(InvalidInputError, "{path}:4: missing date")] * 2),
     ("blank-prices", HEAD + b"2020-01-02,," + TAIL, (True, False), MISSING_AAA,
      SECOND_DROPPED),
     ("nan-upper", with_cell(b"NaN"), (True, False), MISSING_BBB, SECOND_DROPPED),
@@ -419,6 +426,19 @@ def test_differential_table(tmp_path, cell_loop_calls, data, cell_loop, results,
     assert len(cell_loop_calls) == cell_loop
 
 
+@pytest.mark.parametrize("policy", list(MissingPolicy))
+@pytest.mark.parametrize("data", [HEAD + b",101,49" + TAIL, HEAD + b"  ,101,49" + TAIL,
+                                  HEAD + b",,49" + TAIL,
+                                  date_at(2).replace(b"2020-01-02", b"")],
+                         ids=["blank", "spaces", "price-blank-too", "date-last"])
+def test_blank_date_names_its_line(tmp_path, policy, data):
+    path = tmp_path / "prices.csv"
+    path.write_bytes(data)
+    with pytest.raises(InvalidInputError) as exc:
+        ingest_prices_with_report(PriceCsvSpec(path=str(path), missing_policy=policy))
+    assert str(exc.value) == f"{path}:3: missing date"
+
+
 @pytest.mark.parametrize("delimiter", [";", "\t", " ", "|", '"'])
 def test_delimiters(tmp_path, cell_loop_calls, delimiter):
     path = tmp_path / "prices.csv"
@@ -448,9 +468,11 @@ def test_missing_cells_parsed_in_one_loadtxt_call(tmp_path, monkeypatch):
         cells[1 + line_no % prices.n_assets] = cell
         lines[line_no] = ",".join(cells) + "\n"
     path.write_text("".join(lines))
-    calls, read = [], []
-    loadtxt, cell_loop = np.loadtxt, ingest._parse_cells
+    calls, read, rewritten = [], [], []
+    loadtxt, cell_loop, blanks_to_nan = np.loadtxt, ingest._parse_cells, ingest._blanks_to_nan
     monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(a) or loadtxt(*a, **k))
+    monkeypatch.setattr(ingest, "_blanks_to_nan",
+                        lambda line, *a: rewritten.append(line) or blanks_to_nan(line, *a))
 
     def counted(rows, *args):
         rows = list(rows)
@@ -462,6 +484,8 @@ def test_missing_cells_parsed_in_one_loadtxt_call(tmp_path, monkeypatch):
         PriceCsvSpec(path=str(path), missing_policy=MissingPolicy.DROP_ROWS))
     assert len(calls) == 1
     assert sum(read) < prices.n_rows
+    # Only the two lines holding a blank are rewritten, not their whole blocks.
+    assert rewritten == [lines[11].encode(), lines[152].encode()]
     dropped = [10, 150, 151]
     assert report.dropped_rows == tuple(prices.timestamps[i] for i in dropped)
     assert matrix.prices.tobytes() == np.delete(prices.prices, dropped, axis=0).tobytes()

@@ -526,3 +526,37 @@ class TestBruteForceMatchesReference:
         # CutN has no volume to lose: the isolated vertex alone is the zero cut.
         assert partition_sets(brute_force_min_cut(g, CUTN).side_of) == {
             alone, frozenset(others)}
+
+
+def _isolated_graph(rng, n):
+    """Random weights with vertices 0 and n // 2 of degree zero."""
+    w = complete_random_graph(rng, n).weights.copy()
+    for v in (0, n // 2):
+        w[v, :] = w[:, v] = 0.0
+    return MarketGraph(w)
+
+
+class TestScreen:
+    """The screen's values, not just its winner, against the scalar formula.
+
+    Brute force trusts that every screened value is within SCREEN_REL_TOL
+    of `objective_value`; the screen sums only nonnegative terms, so a few
+    ulps per entry must do.
+    """
+
+    @pytest.mark.parametrize("objective", [CUTN, CUTV])
+    @pytest.mark.parametrize("make_graph", [complete_random_graph, _rounded_graph,
+                                            _uniform_graph, _isolated_graph])
+    def test_every_entry_within_ulps_of_objective_value(self, make_graph, objective):
+        for n in range(2, 15):
+            g = make_graph(np.random.default_rng(n), n)
+            screened = portcut.spectral._screen(g, objective)
+            assert screened.shape == (bipartition_count(n),)
+            bound = 8 * n * np.finfo(float).eps
+            for score, side in zip(screened.tolist(), iter_bipartitions(n)):
+                try:
+                    exact = objective_value(g, side, objective)
+                except DegenerateVolumeError:
+                    assert objective is CUTV and score == np.inf, (n, side)
+                    continue
+                assert abs(score - exact) <= bound * exact, (n, side, score, exact)
