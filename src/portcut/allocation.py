@@ -8,6 +8,7 @@ same share.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Optional
@@ -125,7 +126,7 @@ def asset_weights(tree: CutTree, cluster_weights: ClusterWeights) -> WeightVecto
 
 def equal_weights(n: int) -> WeightVector:
     """The 1/N portfolio."""
-    if n < 1:
+    if not isinstance(n, numbers.Integral) or n < 1:
         raise InvalidInputError("need at least one asset")
     return WeightVector(weights=np.full(n, 1.0 / n), scheme_tag="EW")
 
@@ -145,7 +146,7 @@ def min_variance_weights(sigma: CovarianceMatrix, ridge: float = 0.0) -> WeightV
     DegenerateNormalizationError
         If the unnormalized weights sum to (almost) zero.
     """
-    if not 0.0 <= ridge < np.inf:
+    if not (isinstance(ridge, numbers.Real) and 0.0 <= ridge < np.inf):
         raise InvalidInputError("ridge must be nonnegative and finite")
     a = sigma.sigma + ridge * np.eye(sigma.n_assets)
     cond = float(np.linalg.cond(a))

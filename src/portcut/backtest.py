@@ -148,7 +148,7 @@ def sharpe_ratio(series, annualization: float) -> float:
     x = np.asarray(series, dtype=float)
     if x.ndim != 1 or x.size < 2:
         raise InsufficientDataError("Sharpe ratio needs at least 2 observations")
-    if not 0.0 < annualization < np.inf:
+    if not (isinstance(annualization, numbers.Real) and 0.0 < annualization < np.inf):
         raise InvalidInputError("annualization must be positive and finite")
     std = float(x.std(ddof=1))
     if std == 0.0:

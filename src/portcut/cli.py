@@ -137,12 +137,13 @@ def _write_outputs(*outputs: Tuple[str, str]) -> None:
     their targets only once all of them are written, and are removed if
     anything fails. Other destinations, such as devices and pipes, are opened
     first and written before the replacements, so a failed device write
-    replaces no file; standard output ('-') is last.
+    replaces no file; standard output ('-') is last. Two destinations that
+    resolve to one staged file are refused before any is written.
     """
     staged: List[Tuple[str, str, str]] = []
     try:
         with contextlib.ExitStack() as stack:
-            direct = []
+            direct, pending = [], {}
             for text, destination in outputs:
                 if destination == "-":
                     continue
@@ -150,7 +151,12 @@ def _write_outputs(*outputs: Tuple[str, str]) -> None:
                 if os.path.exists(target) and not os.path.isfile(target):
                     direct.append((text, stack.enter_context(
                         open(target, "w", encoding="utf-8")), destination))
-                    continue
+                elif target in pending:
+                    raise InvalidInputError(f"output files {pending[target][1]} and "
+                                            f"{destination} are the same file")
+                else:
+                    pending[target] = (text, destination)
+            for target, (text, destination) in pending.items():
                 mode = _new_file_mode(target)
                 head, tail = os.path.split(target)
                 fd, temp = tempfile.mkstemp(dir=head, prefix=f".{tail}.", suffix=".tmp")

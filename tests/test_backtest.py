@@ -7,6 +7,7 @@ import portcut.backtest
 
 from portcut import (
     BacktestConfig,
+    CovarianceMatrix,
     CutPolicy,
     DegenerateSeriesError,
     InsufficientDataError,
@@ -16,6 +17,7 @@ from portcut import (
     WeightVector,
     block_factor_market,
     equal_weights,
+    min_variance_weights,
     run_backtest,
     sharpe_ratio,
 )
@@ -341,6 +343,29 @@ class TestConfigValidation:
     def test_wrongly_typed_fields_rejected(self, make):
         with pytest.raises(InvalidInputError):
             make()
+
+    # Library scalars are checked like the config fields above: a wrong type is an
+    # InvalidInputError with the message a bad value of the right type gets.
+    @pytest.mark.parametrize("call, message", [
+        (lambda: equal_weights(None), "need at least one asset"),
+        (lambda: equal_weights(2.0), "need at least one asset"),
+        (lambda: equal_weights("3"), "need at least one asset"),
+        (lambda: equal_weights(0), "need at least one asset"),
+        (lambda: min_variance_weights(CovarianceMatrix(np.eye(2)), ridge=None),
+         "ridge must be nonnegative and finite"),
+        (lambda: min_variance_weights(CovarianceMatrix(np.eye(2)), ridge="0"),
+         "ridge must be nonnegative and finite"),
+        (lambda: min_variance_weights(CovarianceMatrix(np.eye(2)), ridge=-1.0),
+         "ridge must be nonnegative and finite"),
+        (lambda: sharpe_ratio([0.1, 0.2], None), "annualization must be positive and finite"),
+        (lambda: sharpe_ratio([0.1, 0.2], "252"), "annualization must be positive and finite"),
+        (lambda: sharpe_ratio([0.1, 0.2], 0.0), "annualization must be positive and finite"),
+    ], ids=["n-none", "n-float", "n-str", "n-zero", "ridge-none", "ridge-str",
+            "ridge-negative", "annualization-none", "annualization-str", "annualization-zero"])
+    def test_wrongly_typed_library_scalars_rejected(self, call, message):
+        with pytest.raises(InvalidInputError) as exc:
+            call()
+        assert str(exc.value) == message
 
     def test_numpy_floats_accepted(self):
         prices, _ = block_factor_market([4, 5], 60, seed=11)

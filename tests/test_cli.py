@@ -525,6 +525,33 @@ class TestOutputDestinations:
         assert one_json_error(capsys.readouterr().err)["error"] == "InvalidInputError"
         assert out.read_text() == "old\n"
 
+    @pytest.mark.parametrize("first, second", [
+        (("-o", "r.json"), ("--wealth-csv", "./r.json")),
+        (("-o", "r.json"), ("--svg", "./r.json")),
+        (("--wealth-csv", "r.json"), ("--svg", "{tmp}/r.json")),
+        (("-o", "r.json"), ("--svg", "link.json")),
+    ], ids=["output-csv", "output-svg", "csv-svg", "symlink"])
+    def test_two_outputs_in_one_file_exit_2(self, market_csv, tmp_path, first, second,
+                                            capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "r.json").write_text("old\n")
+        (tmp_path / "link.json").symlink_to(tmp_path / "r.json")
+        second = (second[0], second[1].format(tmp=tmp_path))
+        assert main(["backtest", market_csv, "--split-index", "20", "--strategies", "ew",
+                     *first, *second]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert one_json_error(captured.err) == {
+            "error": "InvalidInputError",
+            "message": f"output files {first[1]} and {second[1]} are the same file"}
+        assert (tmp_path / "r.json").read_text() == "old\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "link.json", "prices.csv", "r.json"]
+
+    def test_two_outputs_to_one_device_allowed(self, market_csv, capsys):
+        assert main(["backtest", market_csv, "--split-index", "20", "--strategies", "ew",
+                     "-o", os.devnull, "--svg", os.devnull]) == 0
+
 
 class TestDeterminism:
     def test_cut_byte_identical(self, market_csv, tmp_path):
@@ -645,13 +672,38 @@ class TestExitCodes:
     def test_data_error_bad_split(self, market_csv, capsys):
         assert main(["backtest", market_csv, "--split-index", "1",
                      "--strategies", "ew"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert one_json_error(captured.err) == {
+            "error": "InvalidInputError",
+            "message": "split_index 1 leaves too little data (need 2 <= t* <= 38)"}
 
     def test_success_zero(self, market_csv, capsys):
         assert main(["cut", market_csv, "--max-cuts", "0"]) == 0
 
-    @pytest.mark.parametrize("flag", ["-o", "--wealth-csv", "--svg"])
-    def test_unwritable_output_exits_2(self, market_csv, tmp_path, flag, capsys):
-        target = str(tmp_path / "no-such-dir" / "out")
+    @pytest.mark.parametrize("options, code", [
+        (["cut", "--max-cuts", "0"], 0),
+        (["backtest", "--split-index", "20", "--strategies", "warp"], 1),
+        (["backtest", "--split-index", "1", "--strategies", "ew"], 2),
+    ])
+    def test_console_main_exits_with_the_code(self, market_csv, options, code, capsys,
+                                              monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["portcut", options[0], market_csv, *options[1:]])
+        with pytest.raises(SystemExit) as exit_info:
+            portcut.cli.console_main()
+        assert exit_info.value.code == code
+
+    @pytest.mark.parametrize("flag, relative", [
+        (flag, relative) for relative in (False, True) for flag in ("-o", "--wealth-csv", "--svg")
+    ], ids=["-o", "--wealth-csv", "--svg", "-o-relative", "--wealth-csv-relative",
+            "--svg-relative"])
+    def test_unwritable_output_exits_2(self, market_csv, tmp_path, flag, relative, capsys,
+                                       monkeypatch):
+        target = os.path.join("no-such-dir", "out")
+        if relative:
+            monkeypatch.chdir(tmp_path)
+        else:
+            target = str(tmp_path / target)
         if flag == "-o":
             argv = ["cut", market_csv, "--max-cuts", "1", "-o", target]
         else:

@@ -1,9 +1,12 @@
-"""The package surface: exported names resolve, and the README quickstart runs."""
+"""The package surface: exported names resolve, the README quickstart runs and
+the README's command lines parse."""
 
 import re
+import shlex
 from pathlib import Path
 
 import portcut
+from portcut.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -21,3 +24,13 @@ def test_readme_quickstart_runs(capsys):
         exec(compile(block, "<README.md python block>", "exec"), {})
     # The quickstart ends by printing the cut strategy's Sharpe ratio.
     float(capsys.readouterr().out.split()[-1])
+
+
+def test_readme_commands_parse():
+    blocks = re.findall(r"```bash\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line, comments=True) for line in lines]
+    commands = [argv[1:] for argv in commands if argv[:1] == ["portcut"]]
+    assert commands, "README has no portcut command"
+    for argv in commands:
+        build_parser().parse_args(argv)
