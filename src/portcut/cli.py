@@ -313,8 +313,11 @@ def _resolve_split(args, matrix: PriceMatrix) -> Optional[int]:
         return getattr(args, "split_index", None)
     key = timestamp_sort_key(args.split_date)
     # Return row t realizes at timestamps[t+1]; in-sample keeps dates <= split.
-    return sum(1 for stamp in matrix.timestamps[1:]
-               if timestamp_sort_key(stamp) <= key)
+    split_index = sum(1 for stamp in matrix.timestamps[1:] if timestamp_sort_key(stamp) <= key)
+    if not 2 <= split_index <= matrix.n_rows - 3:  # as `_return_windows` requires
+        raise InvalidInputError(f"--split-date {args.split_date} leaves {split_index} in-sample "
+                                f"return rows (need 2 <= t* <= {matrix.n_rows - 3})")
+    return split_index
 
 
 def cmd_backtest(args) -> int:

@@ -182,6 +182,14 @@ class MarketGraph:
         ids = _labels(tuple(self.asset_ids) or range(len(w)), len(w), "asset ids", "vertices")
         object.__setattr__(self, "asset_ids", ids)
 
+    @classmethod
+    def _checked_submatrix(cls, weights: np.ndarray, asset_ids: tuple) -> MarketGraph:
+        """A graph on a fresh principal submatrix of checked weights; nothing is checked again."""
+        weights.flags.writeable = False
+        graph = object.__new__(cls)
+        graph.__dict__.update(weights=weights, asset_ids=asset_ids)
+        return graph
+
     # cached_property writes the instance __dict__ directly, so it works on a
     # frozen dataclass.
     @cached_property

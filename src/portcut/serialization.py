@@ -7,10 +7,14 @@ bytes.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
+from json.encoder import encode_basestring
 from typing import Dict, Sequence
+
+import numpy as np
 
 from .allocation import WeightVector
 from .backtest import BacktestReport
@@ -35,10 +39,12 @@ SCHEMA_VERSION = 1
 
 
 def canonical_json(payload) -> str:
-    """Deterministic JSON text: sorted keys, 2-space indent, trailing newline.
+    """``json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False)`` and a newline.
 
     NaN and infinities, which JSON cannot hold, raise `NumericalFailureError`.
     """
+    with contextlib.suppress(ValueError, RecursionError):  # json.dumps renders it or raises
+        return _render(payload, "\n") + "\n"
     try:
         text = json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False,
                           allow_nan=False)
@@ -47,18 +53,42 @@ def canonical_json(payload) -> str:
     return text + "\n"
 
 
+def _render(value, pad: str) -> str:
+    """``value`` as JSON text indented from ``pad``, joined in C; ValueError unless it holds
+    only str-keyed dicts, lists, tuples, str, exact ints, finite exact floats, bools and None."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring(value)
+    if kind is int or kind is float and np.isfinite(value):
+        return repr(value)
+    if value is None or kind is bool:
+        return {None: "null", True: "true", False: "false"}[value]
+    kinds = set(map(type, value)) if kind in (dict, list, tuple) else None
+    if kinds is None or kind is dict and kinds - {str}:
+        raise ValueError(f"not rendered: a {kind.__name__} or a key that is not a str")
+    inner, brackets = pad + "  ", "{}" if kind is dict else "[]"
+    if not value:
+        return brackets
+    if kind is dict:
+        body = (f"{encode_basestring(k)}: {_render(v, inner)}" for k, v in sorted(value.items()))
+    elif kinds == {float} and np.isfinite(sum(value)):  # a finite sum has finite terms
+        body = map(float.__repr__, value)
+    elif kinds == {str}:
+        body = map(encode_basestring, value)
+    else:
+        body = (_render(v, inner) for v in value)
+    return brackets[0] + inner + ("," + inner).join(body) + pad + brackets[1]
+
+
 def tree_to_dict(tree: CutTree) -> dict:
-    nodes = []
-    for node_id in sorted(tree.nodes):
-        node = tree.nodes[node_id]
-        nodes.append({
-            "id": node.id,
-            "depth": node.depth,
-            "members": list(node.members),
-            "children": list(node.children),
-            "lambda2_at_split": node.lambda2_at_split,
-            "is_leaf": node.is_leaf,
-        })
+    nodes = [{
+        "id": node.id,
+        "depth": node.depth,
+        "members": list(node.members),
+        "children": list(node.children),
+        "lambda2_at_split": node.lambda2_at_split,
+        "is_leaf": node.is_leaf,
+    } for node in map(tree.nodes.__getitem__, sorted(tree.nodes))]
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "cut_tree",
@@ -179,11 +209,13 @@ def wealth_to_csv(report: BacktestReport) -> str:
     ok = [res for res in report.results if res.ok]
     if not ok:
         raise InvalidInputError("no successful strategies to emit")
-    rows = [["date"] + [res.label for res in ok]]
-    curves = [res.wealth_curve.tolist() for res in ok]
-    rows += [[stamp] + [repr(curve[i]) for curve in curves]
-             for i, stamp in enumerate(report.out_sample_dates)]
-    return _csv_text(rows)
+    dates = report.out_sample_dates
+    if _csv_text(zip(dates)) != "\n".join([*dates, ""]):
+        # Some date needs quoting: quote each cell as csv does when another follows it.
+        dates = [_csv_text([(stamp, "")])[:-2] for stamp in dates]
+    columns = (map(float.__repr__, res.wealth_curve.tolist()) for res in ok)
+    return _csv_text([["date"] + [res.label for res in ok]]) + "\n".join(
+        [*map(",".join, zip(dates, *columns)), ""])
 
 
 def _csv_text(rows) -> str:
@@ -214,12 +246,10 @@ def wealth_to_svg(report: BacktestReport) -> str:
     hi = max(float(res.wealth_curve.max()) for res in ok)
     if hi == lo:
         hi = lo + 1.0
+    frac = np.arange(n_points) / (n_points - 1) if n_points > 1 else np.zeros(1)
+    xs = list(map("%.2f".__mod__, (margin + frac * plot_w).tolist()))
 
-    def x_at(i: int) -> float:
-        frac = i / (n_points - 1) if n_points > 1 else 0.0
-        return margin + frac * plot_w
-
-    def y_at(value: float) -> float:
+    def y_at(value):  # a float or an array, by the same operations
         return margin + (1.0 - (value - lo) / (hi - lo)) * plot_h
 
     parts = [
@@ -241,10 +271,9 @@ def wealth_to_svg(report: BacktestReport) -> str:
     ]
     for k, res in enumerate(ok):
         color = _SVG_COLORS[k % len(_SVG_COLORS)]
-        points = " ".join(
-            f"{x_at(i):.2f},{y_at(v):.2f}"
-            for i, v in enumerate(res.wealth_curve.tolist())
-        )
+        with np.errstate(over="ignore", invalid="ignore"):  # as float arithmetic is silent
+            ys = map("%.2f".__mod__, y_at(res.wealth_curve).tolist())
+        points = " ".join(map(",".join, zip(xs, ys)))
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
             f'points="{points}"/>'

@@ -173,8 +173,8 @@ def induced_subgraph(graph: MarketGraph, members) -> MarketGraph:
         raise InvalidInputError(
             f"members out of range for a graph with {graph.n_vertices} vertices"
         )
-    return MarketGraph(weights=graph.weights[np.ix_(idx, idx)],
-                       asset_ids=tuple(graph.asset_ids[i] for i in idx))
+    return MarketGraph._checked_submatrix(graph.weights[np.ix_(idx, idx)],
+                                          tuple(graph.asset_ids[i] for i in idx.tolist()))
 
 
 def select_leaf(tree: CutTree, graph: MarketGraph, policy: CutPolicy,
@@ -248,7 +248,7 @@ def build_cut_tree(graph: MarketGraph, policy: CutPolicy,
             ineligible.add(leaf_id)
             continue
         members = np.asarray(leaf.members)
-        left, right = tuple(members[part.side_of == 1]), tuple(members[part.side_of == 2])
+        left, right = members[part.side_of == 1].tolist(), members[part.side_of == 2].tolist()
         if min(len(left), len(right)) < policy.min_leaf_size:
             ineligible.add(leaf_id)
             continue

@@ -2,16 +2,23 @@
 
 from __future__ import annotations
 
+import csv
+import io
+import json
+
 import numpy as np
 import pytest
 
 from portcut import (
+    BacktestReport,
     CutObjective,
     CutTree,
+    InvalidInputError,
     MarketGraph,
+    NumericalFailureError,
     PriceMatrix,
 )
-from portcut.serialization import tree_to_dict
+from portcut.serialization import _SVG_COLORS, _XML_TEXT, tree_to_dict
 
 
 def iter_bipartitions(n: int):
@@ -205,3 +212,83 @@ def six_asset_tree_doc(defect: str | None = None) -> dict:
     elif defect == "asset-ids-string":
         doc["asset_ids"] = "abcdef"
     return doc
+
+
+# Reference renderers: the per-element forms `portcut.serialization` must match
+# byte for byte.
+
+def reference_canonical_json(payload) -> str:
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False,
+                          allow_nan=False)
+    except ValueError as exc:
+        raise NumericalFailureError(f"cannot emit JSON: {exc}", diagnostics={}) from exc
+    return text + "\n"
+
+
+def reference_wealth_to_csv(report: BacktestReport) -> str:
+    ok = [res for res in report.results if res.ok]
+    if not ok:
+        raise InvalidInputError("no successful strategies to emit")
+    rows = [["date"] + [res.label for res in ok]]
+    curves = [res.wealth_curve.tolist() for res in ok]
+    rows += [[stamp] + [repr(curve[i]) for curve in curves]
+             for i, stamp in enumerate(report.out_sample_dates)]
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+def reference_wealth_to_svg(report: BacktestReport) -> str:
+    ok = [res for res in report.results if res.ok]
+    if not ok:
+        raise InvalidInputError("no successful strategies to plot")
+    width, height, margin = 720, 420, 50.0
+    plot_w = width - 2 * margin
+    plot_h = height - 2 * margin
+    n_points = len(report.out_sample_dates)
+    lo = min(float(res.wealth_curve.min()) for res in ok)
+    hi = max(float(res.wealth_curve.max()) for res in ok)
+    if hi == lo:
+        hi = lo + 1.0
+
+    def x_at(i: int) -> float:
+        frac = i / (n_points - 1) if n_points > 1 else 0.0
+        return margin + frac * plot_w
+
+    def y_at(value: float) -> float:
+        return margin + (1.0 - (value - lo) / (hi - lo)) * plot_h
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<line x1="{margin}" y1="{margin}" x2="{margin}" '
+        f'y2="{height - margin}" stroke="black"/>',
+        f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
+        f'y2="{height - margin}" stroke="black"/>',
+        f'<text x="{margin - 6:.1f}" y="{y_at(hi):.1f}" text-anchor="end" '
+        f'font-size="11">{hi:.3f}</text>',
+        f'<text x="{margin - 6:.1f}" y="{y_at(lo):.1f}" text-anchor="end" '
+        f'font-size="11">{lo:.3f}</text>',
+        f'<text x="{margin:.1f}" y="{height - margin + 16:.1f}" '
+        f'font-size="11">{report.out_sample_dates[0].translate(_XML_TEXT)}</text>',
+        f'<text x="{width - margin:.1f}" y="{height - margin + 16:.1f}" text-anchor="end" '
+        f'font-size="11">{report.out_sample_dates[-1].translate(_XML_TEXT)}</text>',
+    ]
+    for k, res in enumerate(ok):
+        color = _SVG_COLORS[k % len(_SVG_COLORS)]
+        points = " ".join(
+            f"{x_at(i):.2f},{y_at(v):.2f}"
+            for i, v in enumerate(res.wealth_curve.tolist())
+        )
+        parts.append(
+            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
+            f'points="{points}"/>'
+        )
+        parts.append(
+            f'<text x="{width - margin + 4:.1f}" y="{margin + 14 * k + 10:.1f}" '
+            f'font-size="11" fill="{color}">{res.label}</text>'
+        )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"

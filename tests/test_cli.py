@@ -13,6 +13,7 @@ import pytest
 
 import portcut
 import portcut.cli
+import portcut.serialization
 
 from portcut import (
     AllocationScheme,
@@ -292,6 +293,24 @@ class TestBacktestCommand:
         assert json.loads(err[0])["error"] == "InvalidInputError"
         assert not report_path.exists()
         assert not wealth_path.exists()
+
+    def test_report_rendered_without_json_dumps(self, market_csv, tmp_path, monkeypatch):
+        """The report takes the C-join path; falling back to json.dumps would be slower."""
+        def run(folder):
+            folder.mkdir()
+            paths = [folder / name for name in ("r.json", "w.csv", "w.svg")]
+            assert main(["backtest", market_csv, "--split-index", "20", "--max-cuts", "2",
+                         "-o", str(paths[0]), "--wealth-csv", str(paths[1]),
+                         "--svg", str(paths[2])]) == 0
+            return [path.read_bytes() for path in paths]
+
+        expected = run(tmp_path / "plain")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("json.dumps called")
+
+        monkeypatch.setattr(portcut.serialization.json, "dumps", refuse)
+        assert run(tmp_path / "patched") == expected
 
     @pytest.mark.parametrize("report", ["r.json", "-"])
     def test_failed_write_leaves_no_output(self, market_csv, tmp_path, report, capsys):
@@ -839,6 +858,17 @@ class TestDropDegenerate:
         assert error["error"] == "InvalidInputError"
         assert error["message"] == (
             f"split_index {split} leaves too little data (need 2 <= t* <= 38)")
+
+    @pytest.mark.parametrize("date, rows", [("t00001", 1), ("1999-01-01", 0),
+                                            ("t00039", 39), ("zzz", 40)])
+    def test_out_of_range_split_date_named(self, market_csv, date, rows, capsys):
+        assert main(["backtest", market_csv, "--split-date", date, "--drop-degenerate"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert one_json_error(captured.err) == {
+            "error": "InvalidInputError",
+            "message": f"--split-date {date} leaves {rows} in-sample return rows "
+                       "(need 2 <= t* <= 38)"}
 
     @pytest.mark.parametrize("command", [["cut"], ["backtest", "--split-index", "3"]])
     def test_every_asset_flat_exits_2(self, tmp_path, command, capsys):

@@ -3,9 +3,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from portcut import (
     BacktestConfig,
+    BacktestReport,
     CutPolicy,
     InvalidInputError,
     NumericalFailureError,
@@ -31,6 +34,9 @@ from conftest import (
     WRITTEN_FIELD_DEFECTS,
     break_tree_doc,
     random_cut_tree,
+    reference_canonical_json,
+    reference_wealth_to_csv,
+    reference_wealth_to_svg,
     single_leaf_tree_doc,
     six_asset_tree_doc,
 )
@@ -217,3 +223,89 @@ class TestReportDocuments:
             '<svg xmlns="http://www.w3.org/2000/svg" width="720" height="420" ')
         assert weights_to_csv(("x", "y"), WeightVector(
             weights=np.array([0.5, 0.5]), scheme_tag="EW")) == "asset_id,weight\nx,0.5\ny,0.5\n"
+
+
+def _outcome(render, argument):
+    """The text ``render`` returns, or the type and message of what it raises."""
+    try:
+        return render(argument)
+    except Exception as exc:  # the exception itself is what gets compared
+        return type(exc), str(exc)
+
+
+_TEXT = st.text(st.one_of(
+    st.characters(), st.characters(codec=None, categories=["Cs", "Cc"]),
+    st.sampled_from(['"', "\\", "\u2028", "\x7f", "\u00e9", "\U0001f600"])), max_size=6)
+_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, 1.5, 1e16, 0.1]))
+_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(),
+                    st.integers(-10 ** 40, 10 ** 40), _FLOATS, _TEXT)
+_PAYLOADS = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+        st.lists(_FLOATS, max_size=8), st.lists(_TEXT, max_size=4),
+        st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=20)
+
+
+class TestRendererParity:
+    """The renderers match the per-element references in tests/conftest.py byte for byte."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_PAYLOADS)
+    def test_canonical_json_matches_json_dumps(self, payload):
+        assert canonical_json(payload) == reference_canonical_json(payload)
+
+    @pytest.mark.parametrize("payload", [
+        {}, [], (), {"a": {}, "b": [], "c": ()}, [[], [[]], {}], "", 0, -0.0, None,
+        {"k": [1.0, float("nan")]}, [float("inf")], {"x": [float("-inf"), 1.0]},
+        [1e308, 1e308], [1.0, True], [1, 2.0], {"a": np.int64(3)}, [np.float64(2.5)],
+        {1: "a"}, {1: "a", "b": 2}, {"a": 1, 2.5: "b"}, [10 ** 5000], [True, False, None],
+        {"z": 1, "a": {"y": [1.5, -2.0], "b": "\ud800 \x00 \u2028 \u00e9"}},
+    ])
+    def test_edge_payloads_match(self, payload):
+        assert _outcome(canonical_json, payload) == _outcome(reference_canonical_json, payload)
+
+    def test_circular_payload_raises_as_json_dumps(self):
+        loop = [1.0]
+        loop.append({"again": loop})
+        expected = _outcome(reference_canonical_json, loop)
+        assert expected == (NumericalFailureError, "cannot emit JSON: Circular reference detected")
+        assert _outcome(canonical_json, loop) == expected
+
+    @staticmethod
+    def _report(curves, dates, labels=None):
+        labels = labels or [f"s{k}" for k in range(len(curves))]
+        return BacktestReport(
+            results=tuple(StrategyResult(label=label, wealth_curve=np.asarray(curve, dtype=float))
+                          for label, curve in zip(labels, curves)),
+            split_index=2, annualization_factor=252.0, asset_ids=("a",),
+            out_sample_dates=tuple(dates))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(_FLOATS, min_size=n, max_size=n), min_size=1, max_size=3),
+        st.lists(st.one_of(_TEXT, st.sampled_from(
+            ["a,b", 'say "hi"', "line\nbreak", "cr\rhere", " lead", "trail ", " both ", ""])),
+            min_size=n, max_size=n))))
+    def test_wealth_csv_matches_csv_writer(self, drawn):
+        report = self._report(*drawn)
+        assert wealth_to_csv(report) == reference_wealth_to_csv(report)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from([1, 2, 3, 501]).flatmap(lambda n: st.lists(st.one_of(
+        st.lists(st.floats(0.01, 10.0), min_size=n, max_size=n),
+        st.lists(st.floats(-1e300, 1e300), min_size=n, max_size=n),
+        st.floats(-1e6, 1e6).map(lambda v: [v] * n)), min_size=1, max_size=3)))
+    def test_wealth_svg_matches_per_point_format(self, curves):
+        n = len(curves[0])
+        report = self._report(curves, [f"2020-{i:04d}" for i in range(n)],
+                              labels=["ew", "mv", "cutn-as1"][:len(curves)])
+        assert _outcome(wealth_to_svg, report) == _outcome(reference_wealth_to_svg, report)
+
+    def test_backtest_outputs_match(self, small_report):
+        doc = report_to_dict(small_report, manifest={"command": "backtest"})
+        assert canonical_json(doc) == reference_canonical_json(doc)
+        assert wealth_to_csv(small_report) == reference_wealth_to_csv(small_report)
+        assert wealth_to_svg(small_report) == reference_wealth_to_svg(small_report)

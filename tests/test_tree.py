@@ -71,6 +71,22 @@ class TestInducedSubgraph:
         assert sub.degrees[1] < full_degree
         np.testing.assert_allclose(sub.degrees, sub.weights.sum(axis=1), atol=0)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bit_identical_to_checked_constructor(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 12))
+        graph = complete_random_graph(rng, n)
+        members = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        sub = induced_subgraph(graph, members)
+        checked = MarketGraph(graph.weights[np.ix_(members, members)],
+                              asset_ids=[graph.asset_ids[m] for m in members])
+        for name in ("weights", "degrees", "laplacian"):
+            ours, theirs = getattr(sub, name), getattr(checked, name)
+            assert ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes(), name
+        assert sub.asset_ids == checked.asset_ids
+        assert all(type(label) is str for label in sub.asset_ids)
+        assert not sub.weights.flags.writeable
+
     def test_invalid_members(self, figure_cut_graph):
         with pytest.raises(InvalidInputError):
             induced_subgraph(figure_cut_graph, [])
