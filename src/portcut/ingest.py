@@ -1,12 +1,11 @@
 """CSV price ingestion.
 
-Reads a header-first CSV with one date column and one column per asset into
-a rectangular PriceMatrix. A file whose price cells are numbers, blanks or
-`nan` is parsed in one streamed C-level pass that re-reads only the rows
-holding a missing or bad value; any other (`na`, `null`, whitespace-only
-cells, all-blank rows, bare CR line ends) goes through a per-cell reader that
-names the first bad cell. A blank date is an error; missing prices are
-rejected, or dropped row-wise or column-wise, according to the policy.
+Reads a header-first CSV with one date column and one column per asset into a
+rectangular PriceMatrix, 64 KiB of lines at a time: one `np.loadtxt` call parses
+a block once its blank price cells read `nan`, and the per-cell reader, which
+names the first bad cell, reads a block loadtxt refuses or may read otherwise,
+or with a value outside (0, inf) the policy does not drop. A blank date is an
+error; missing prices are rejected, or dropped row-wise or column-wise.
 """
 
 from __future__ import annotations
@@ -15,10 +14,11 @@ import csv
 import itertools
 import logging
 import math
+import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -67,100 +67,90 @@ class IngestReport:
     dropped_assets: Tuple[str, ...]
 
 
-def _decoded_rows(reader, path: Path):
-    """The reader's rows; text that is not CSV or not UTF-8 is invalid input."""
+def _lines(handle, path: Path):
+    """The file's lines; if some bytes are not UTF-8, that error in place of the rest."""
     try:
-        yield from reader
-    except csv.Error as exc:
-        raise InvalidInputError(f"{path}:{reader.line_num}: {exc}") from None
+        yield from handle
     except UnicodeDecodeError as exc:
-        raise InvalidInputError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        yield InvalidInputError(f"{path}: not UTF-8 text ({exc.reason})")
 
 
-def _nul_free(lines, path: Path):
-    """The lines; one holding NUL is invalid input, as csv reports it on Python 3.10."""
-    for line_no, line in enumerate(lines, start=1):
-        if "\x00" in line:
-            raise InvalidInputError(f"{path}:{line_no}: line contains NUL")
-        yield line
+def _records(block: List[str], lines, numbers, path: Path, delimiter: str, line_no: int):
+    """``(next(numbers), row)`` per csv record starting in ``block`` (from line ``line_no``);
+    one that runs on past the block appends the lines it takes to it."""
+    def checked():
+        for number, line in enumerate(itertools.chain(block, lines), start=line_no):
+            if number - line_no == len(block):
+                block.append(line)
+            if not isinstance(line, str):
+                raise line
+            if "\x00" in line:  # as csv.reader rejects it on Python 3.10
+                raise InvalidInputError(f"{path}:{number}: line contains NUL")
+            yield line
+
+    reader = csv.reader(checked(), delimiter=delimiter)
+    try:
+        while reader.line_num < len(block):
+            yield next(numbers), next(reader)
+    except csv.Error as exc:
+        raise InvalidInputError(f"{path}:{line_no - 1 + reader.line_num}: {exc}") from None
 
 
-def _blanks_to_nan(line: bytes, delimiter: str, date_idx: int) -> str:
-    """``line`` with ``nan`` in each blank price cell, never in the date cell."""
-    text = line.decode("utf-8")
-    body = text.rstrip("\r\n")
-    cells = body.split(delimiter)
-    if '"' in text or not any(cell.strip() for cell in cells):
-        raise ValueError("quoted or blank: the per-cell reader splits or skips it")
-    cells = ["nan" if not cell and i != date_idx else cell for i, cell in enumerate(cells)]
-    return delimiter.join(cells) + text[len(body):]
+def _blocks(lines):
+    """The lines in lists of about 64 KiB; a decode error ends the last one."""
+    block, size = [], 0
+    for line in lines:
+        block.append(line)
+        size += len(line) if isinstance(line, str) else 1 << 16
+        if size >= 1 << 16:
+            yield block
+            block, size = [], 0
+    if block:
+        yield block
 
 
-def _parse_clean(path: Path, spec: PriceCsvSpec, asset_ids: List[str],
-                 date_idx: int) -> Optional[Tuple[List[str], np.ndarray]]:
-    """Dates and prices from one streamed `np.loadtxt` pass, or None.
+def _blanks_to_nan(line: str, delimiter: str, date_idx: int, pair: re.Pattern) -> str:
+    """``line`` with ``nan`` in each blank price cell, never in the date cell; a line with
+    a quote keeps its blanks, which loadtxt refuses, as a split could cut a quoted cell."""
+    body = line.rstrip("\r\n")
+    if '"' in line or not (pair.search(body) or delimiter in (body[:1], body[-1:])):
+        return line
+    cells = ["nan" if not cell and i != date_idx else cell
+             for i, cell in enumerate(body.split(delimiter))]
+    return delimiter.join(cells) + line[len(body):]
 
-    None unless `_parse_cells` would give the same result: every row is one
-    LF-ended line holding a date and, per asset, a number or blank (NaN). A
-    row holding a value outside (0, inf) is read again, and goes to
-    `_parse_cells` unless the policy allows all those cells as missing.
-    """
-    width, sep = len(asset_ids) + 1, spec.delimiter.encode("utf-8")
+
+def _loadtxt(block: List[str], spec: PriceCsvSpec, date_idx: int, width: int):
+    """Dates and prices of a block by one `np.loadtxt` call; None where `_parse_cells` may
+    read it otherwise or raise: at a field past csv's size limit, NUL or bytes 0x1c-0x1f
+    (loadtxt strips them), a blank line or date, or a record across lines."""
+    delimiter, text = spec.delimiter, "".join(block)
+    if max(map(len, block)) > csv.field_size_limit() or any(
+            byte in text for byte in "\x00\x1c\x1d\x1e\x1f"):
+        return None
+    pair = re.compile(re.escape(delimiter) * 2)
+    rows = [_blanks_to_nan(line, delimiter, date_idx, pair) for line in block]
+    # A closing row keeps loadtxt from warning on a block of blank lines, and a quoted
+    # cell left open on the last line would swallow it.
+    if '"' in block[-1] or text.isspace():
+        rows.append(delimiter.join(["1"] * width) + "\n")
     dates: List[str] = []
-    lengths: List[int] = []
-
-    def keep_date(cell: str) -> float:
-        dates.append(cell.strip())
-        return 0.0
-
-    # Where the cell loop differs: csv.reader caps the field size; float()
-    # rejects a number next to bytes 0x1c-0x1f, which loadtxt strips as
-    # whitespace; and `_nul_free` rejects NUL.
-    def lines(handle):
-        for chunk in iter(lambda: handle.readlines(1 << 16), []):
-            block = b"".join(chunk)
-            lengths.extend(map(len, chunk))
-            if max(map(len, chunk)) > csv.field_size_limit() or any(
-                    byte in block for byte in (b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")):
-                raise ValueError("left to the per-cell reader")
-            # One vector pass finds a delimiter next to another or a line end; a
-            # blank between two cells of a multi-byte delimiter makes loadtxt raise.
-            data = np.frombuffer(b"\n" + block + b"\n", np.uint8)
-            cut = data == sep[0]
-            stop = cut | (data == 10) | (data == 13)
-            pairs = np.flatnonzero(stop[:-1] & stop[1:] & (cut[:-1] | cut[1:]))
-            # Pair p: block bytes p - 1 and p; the blank is on byte p's line, or the last.
-            ends = np.cumsum(lengths[-len(chunk):-1])
-            blank = set(np.searchsorted(ends, pairs, side="right").tolist())
-            yield from (_blanks_to_nan(line, spec.delimiter, date_idx) if i in blank else line
-                        for i, line in enumerate(chunk))
-
-    with path.open("rb") as handle:
-        header = handle.readline()
-        if b"\r" in header[:-2]:  # csv.reader ends the header at a bare CR
+    try:
+        table = np.loadtxt(rows, delimiter=delimiter, quotechar='"', comments=None,
+                           encoding="utf-8", ndmin=2, converters={
+                               date_idx: lambda cell: dates.append(cell.strip()) or 1.0})
+    except (TypeError, ValueError):
+        return None
+    if table.shape != (len(rows), width) or "" in dates:
+        return None
+    # Dates read 1.0, so a cell outside (0, inf) is a price; the policy may take it as missing.
+    bad = ~((table > 0.0) & (table < math.inf))
+    for i in np.flatnonzero(bad.any(axis=1)).tolist():
+        cells = block[i].split(delimiter)
+        if spec.missing_policy is MissingPolicy.ERROR or '"' in block[i] or any(
+                cells[j].strip().lower() not in MISSING_MARKERS for j in np.flatnonzero(bad[i])):
             return None
-        try:
-            table = np.loadtxt(lines(handle), delimiter=spec.delimiter, quotechar='"',
-                               comments=None, encoding="utf-8", ndmin=2,
-                               converters={date_idx: keep_date})
-        except (TypeError, ValueError):
-            return None
-        # loadtxt skips blank lines, joins lines inside quotes and keeps blank dates.
-        if table.shape[1] != width or len(table) != len(lengths) or "" in dates:
-            return None
-        prices = np.delete(table, date_idx, axis=1)
-        valid = (prices > 0.0) & (prices < math.inf)
-        starts = list(itertools.accumulate(lengths, initial=len(header)))
-        for i in np.flatnonzero(~valid.all(axis=1)).tolist():
-            handle.seek(starts[i])
-            row = next(csv.reader([handle.readline().decode("utf-8")], delimiter=spec.delimiter))
-            cells = row[:date_idx] + row[date_idx + 1:]
-            if spec.missing_policy is MissingPolicy.ERROR or any(
-                    cells[j].strip().lower() not in MISSING_MARKERS
-                    for j in np.flatnonzero(~valid[i])):
-                # Every earlier row is clean, so this raises the full loop's first error.
-                _parse_cells([(i + 2, row)], path, asset_ids, date_idx, spec.missing_policy)
-    return dates, prices
+    return dates[:len(block)], np.delete(table[:len(block)], date_idx, axis=1)
 
 
 def _parse_cells(rows_in, path: Path, asset_ids: List[str], date_idx: int,
@@ -216,13 +206,12 @@ def ingest_prices_with_report(spec: PriceCsvSpec) -> Tuple[PriceMatrix, IngestRe
         raise InvalidInputError(f"price file not found: {path}")
     # utf-8-sig drops the byte-order mark spreadsheet "CSV UTF-8" exports begin with.
     with path.open(newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(_nul_free(handle, path), delimiter=spec.delimiter)
-        rows_in = _decoded_rows(reader, path)
-        try:
-            header = next(rows_in)
-        except StopIteration:
-            raise InvalidInputError(f"{path}: empty file, header row required") from None
-        header = [h.strip() for h in header]
+        lines = _lines(handle, path)
+        block = list(itertools.islice(lines, 1))
+        if not block:
+            raise InvalidInputError(f"{path}: empty file, header row required")
+        header = [h.strip() for h in next(
+            _records(block, lines, itertools.count(), path, spec.delimiter, 1))[1]]
         if spec.date_column not in header:
             raise InvalidInputError(
                 f"{path}: date column {spec.date_column!r} not in header {header}"
@@ -233,15 +222,25 @@ def ingest_prices_with_report(spec: PriceCsvSpec) -> Tuple[PriceMatrix, IngestRe
             raise InvalidInputError(f"{path}: no asset columns besides the date")
         if len(set(asset_ids)) != len(asset_ids):
             raise InvalidInputError(f"{path}: duplicate asset columns in header")
-
-        # loadtxt skips the header as one line and warns on a file without rows.
-        first = next(rows_in, None)
-        clean = None
-        if reader.line_num == 2 and first and any(cell.strip() for cell in first):
-            clean = _parse_clean(path, spec, asset_ids, date_idx)
-        dates, prices = clean or _parse_cells(
-            enumerate(itertools.chain([first], rows_in), start=2), path, asset_ids,
-            date_idx, spec.missing_policy)
+        # Blocks are checked in full, in file order. Their rows fill one table, doubled as
+        # it fills and trimmed in place. csv and NUL errors count lines; row errors, records.
+        dates: List[str] = []
+        prices = np.empty((0, len(asset_ids)))
+        line_no, numbers = len(block) + 1, itertools.count(2)
+        for block in _blocks(lines):
+            parsed = isinstance(block[-1], str) and _loadtxt(block, spec, date_idx, len(header))
+            if not parsed:
+                parsed = _parse_cells(
+                    _records(block, lines, numbers, path, spec.delimiter, line_no),
+                    path, asset_ids, date_idx, spec.missing_policy)
+            else:
+                numbers = itertools.count(next(numbers) + len(block))
+            line_no += len(block)
+            dates += parsed[0]
+            if len(dates) > len(prices):
+                prices.resize((2 * len(dates), len(asset_ids)), refcheck=False)
+            prices[len(dates) - len(parsed[1]):len(dates)] = parsed[1]
+        prices.resize((len(dates), len(asset_ids)), refcheck=False)
 
     dropped_assets: Tuple[str, ...] = ()
     dropped_rows: Tuple[str, ...] = ()

@@ -244,8 +244,8 @@ def wealth_to_svg(report: BacktestReport) -> str:
     n_points = len(report.out_sample_dates)
     lo = min(float(res.wealth_curve.min()) for res in ok)
     hi = max(float(res.wealth_curve.max()) for res in ok)
-    if hi == lo:
-        hi = lo + 1.0
+    if hi == lo:  # widen a flat range by 1, or by one step where rounding loses the 1
+        hi = max(lo + 1.0, float(np.nextafter(lo, np.inf)))
     frac = np.arange(n_points) / (n_points - 1) if n_points > 1 else np.zeros(1)
     xs = list(map("%.2f".__mod__, (margin + frac * plot_w).tolist()))
 
@@ -280,7 +280,7 @@ def wealth_to_svg(report: BacktestReport) -> str:
         )
         parts.append(
             f'<text x="{width - margin + 4:.1f}" y="{margin + 14 * k + 10:.1f}" '
-            f'font-size="11" fill="{color}">{res.label}</text>'
+            f'font-size="11" fill="{color}">{res.label.translate(_XML_TEXT)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

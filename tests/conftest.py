@@ -5,6 +5,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +15,11 @@ from portcut import (
     BacktestReport,
     CutObjective,
     CutTree,
+    IngestReport,
+    InsufficientDataError,
     InvalidInputError,
     MarketGraph,
+    MissingPolicy,
     NumericalFailureError,
     PriceMatrix,
 )
@@ -288,7 +293,103 @@ def reference_wealth_to_svg(report: BacktestReport) -> str:
         )
         parts.append(
             f'<text x="{width - margin + 4:.1f}" y="{margin + 14 * k + 10:.1f}" '
-            f'font-size="11" fill="{color}">{res.label}</text>'
+            f'font-size="11" fill="{color}">{res.label.translate(_XML_TEXT)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+# Reference price reader: the whole-file per-cell form `portcut.ingest` must
+# match, result for result and error for error.
+
+def _reference_rows(handle, path: Path, delimiter: str):
+    def nul_free():
+        for line_no, line in enumerate(handle, start=1):
+            if "\x00" in line:
+                raise InvalidInputError(f"{path}:{line_no}: line contains NUL")
+            yield line
+
+    reader = csv.reader(nul_free(), delimiter=delimiter)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise InvalidInputError(f"{path}:{reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _reference_cells(rows_in, path, asset_ids, date_idx, missing_policy):
+    width = len(asset_ids) + 1
+    dates, rows = [], []
+    for line_no, row in rows_in:
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != width:
+            raise InvalidInputError(f"{path}:{line_no}: expected {width} cells, got {len(row)}")
+        dates.append(row.pop(date_idx).strip())
+        if not dates[-1]:
+            raise InvalidInputError(f"{path}:{line_no}: missing date")
+        values = []
+        for column, cell in zip(asset_ids, row):
+            try:
+                value = float(cell)
+            except ValueError:
+                value = None
+            if value is None or not 0.0 < value < math.inf:
+                if cell.strip().lower() not in {"", "na", "nan", "null"}:
+                    problem = ("unparseable" if value is None
+                               else "nonpositive" if value <= 0.0 else "non-finite")
+                    raise InvalidInputError(f"{path}:{line_no}: {problem} price "
+                                            f"{cell!r} in column {column!r}")
+                if missing_policy is MissingPolicy.ERROR:
+                    raise InvalidInputError(
+                        f"{path}:{line_no}: missing price in column {column!r}")
+                value = math.nan
+            values.append(value)
+        rows.append(values)
+    return dates, np.array(rows, dtype=float).reshape(len(rows), len(asset_ids))
+
+
+def reference_ingest(spec):
+    """``ingest_prices_with_report(spec)``, every row read by csv.reader and float()."""
+    path = Path(spec.path)
+    if not path.is_file():
+        raise InvalidInputError(f"price file not found: {path}")
+    with path.open(newline="", encoding="utf-8-sig") as handle:
+        rows_in = _reference_rows(handle, path, spec.delimiter)
+        try:
+            header = [h.strip() for h in next(rows_in)]
+        except StopIteration:
+            raise InvalidInputError(f"{path}: empty file, header row required") from None
+        if spec.date_column not in header:
+            raise InvalidInputError(
+                f"{path}: date column {spec.date_column!r} not in header {header}")
+        date_idx = header.index(spec.date_column)
+        asset_ids = [h for i, h in enumerate(header) if i != date_idx]
+        if not asset_ids:
+            raise InvalidInputError(f"{path}: no asset columns besides the date")
+        if len(set(asset_ids)) != len(asset_ids):
+            raise InvalidInputError(f"{path}: duplicate asset columns in header")
+        dates, prices = _reference_cells(enumerate(rows_in, start=2), path, asset_ids,
+                                         date_idx, spec.missing_policy)
+    dropped_assets, dropped_rows = (), ()
+    if spec.missing_policy is MissingPolicy.DROP_ASSETS:
+        incomplete = np.isnan(prices).any(axis=0)
+        dropped_assets = tuple(a for a, bad in zip(asset_ids, incomplete) if bad)
+        asset_ids = [a for a, bad in zip(asset_ids, incomplete) if not bad]
+        prices = prices[:, ~incomplete]
+        if not asset_ids:
+            raise InsufficientDataError(f"{path}: every asset column has missing cells")
+    elif spec.missing_policy is MissingPolicy.DROP_ROWS:
+        incomplete = np.isnan(prices).any(axis=1)
+        dropped_rows = tuple(d for d, bad in zip(dates, incomplete) if bad)
+        dates = [d for d, bad in zip(dates, incomplete) if not bad]
+        prices = prices[~incomplete]
+    if len(dates) < 2:
+        raise InsufficientDataError(
+            f"{path}: {len(dates)} usable rows after drops, need at least 2")
+    try:
+        matrix = PriceMatrix(prices=prices, asset_ids=tuple(asset_ids), timestamps=tuple(dates))
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from None
+    return matrix, IngestReport(dropped_rows=dropped_rows, dropped_assets=dropped_assets)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -15,7 +17,7 @@ from portcut import (
     ingest_prices_with_report,
 )
 
-from conftest import write_prices_csv
+from conftest import reference_ingest, write_prices_csv
 
 
 def write(tmp_path, text, name="prices.csv"):
@@ -246,12 +248,13 @@ def test_ingest_orders_dates_like_price_matrix(tmp_path):
 
 # Whole files and what the per-cell reader makes of them under the ERROR and
 # DROP_ROWS policies: the exact error ("{path}" stands for the file), or the
-# asset ids, dates, prices and dropped rows. The one-pass parser must give the
-# same. ``cell_loop`` says whether the per-cell loop reads rows, as an
-# (ERROR, DROP_ROWS) pair where the policies differ: a clean file is parsed in
-# one pass; of a file whose price cells are numbers, blanks or `nan`, only a
-# row that raises goes through the loop; and a file that is not UTF-8 fails as
-# its header is read.
+# asset ids, dates, prices and dropped rows. The block reader must give the
+# same. Each file is one block, and ``cell_loop`` is how many times
+# `_parse_cells` reads it, as an (ERROR, DROP_ROWS) pair where the policies
+# differ: loadtxt reads a block whose price cells are numbers, blanks or `nan`
+# unless a cell raises; lines split at bare CR as csv splits them; a header
+# across lines is read apart from the block; and a file that is not UTF-8 fails
+# as its header is read.
 HEAD = b"date,aaa,bbb\n2020-01-01,100,50\n"
 TAIL = b"\n2020-01-03,102,51\n"
 CLEAN = HEAD + b"2020-01-02,101,49" + TAIL
@@ -359,7 +362,7 @@ DIFFERENTIAL = [
     ("all-blank-row", HEAD + b",," + TAIL, True, SECOND_SKIPPED, SECOND_SKIPPED),
     ("whitespace-line", HEAD + b"  \t" + TAIL, True, SECOND_SKIPPED, SECOND_SKIPPED),
     ("crlf", CLEAN.replace(b"\n", b"\r\n"), False, PARSED, PARSED),
-    ("bare-cr", CLEAN.replace(b"\n", b"\r"), True, PARSED, PARSED),
+    ("bare-cr", CLEAN.replace(b"\n", b"\r"), False, PARSED, PARSED),
     # A leading UTF-8 byte-order mark, as spreadsheet "CSV UTF-8" exports write, is dropped.
     ("bom", b"\xef\xbb\xbf" + date_at(1), False, PARSED, PARSED),
     ("bom-date-first", b"\xef\xbb\xbf" + CLEAN, False, PARSED, PARSED),
@@ -371,13 +374,14 @@ DIFFERENTIAL = [
      *[(InvalidInputError, "{path}:1: line contains NUL")] * 2),
     ("latin-1", with_cell(b"4\xe9"), False,
      *[(InvalidInputError, "{path}: not UTF-8 text (invalid continuation byte)")] * 2),
-    ("header-only", b"date,aaa,bbb\n", True,
+    ("header-only", b"date,aaa,bbb\n", False,
      *[(InsufficientDataError, "{path}: 0 usable rows after drops, need at least 2")] * 2),
     ("blank-lines-only", b"date,aaa,bbb\n\n\n", True,
      *[(InsufficientDataError, "{path}: 0 usable rows after drops, need at least 2")] * 2),
     ("blank-first-line", CLEAN.replace(b"bbb\n", b"bbb\n\n"), True, PARSED, PARSED),
-    # Line 2 alone reads as a row: date 'date"', prices 1 and 2.
-    ("multi-line-header", CLEAN.replace(b"date,aaa,bbb", b'"\ndate",1,2'), True,
+    # The header is the first csv record, here across two lines; read alone, line 2
+    # would be a row with date 'date"' and prices 1 and 2.
+    ("multi-line-header", CLEAN.replace(b"date,aaa,bbb", b'"\ndate",1,2'), False,
      *[(("1", "2"), DATES, ROWS, ())] * 2),
     ("one-row", HEAD, False,
      *[(InsufficientDataError, "{path}: 1 usable rows after drops, need at least 2")] * 2),
@@ -458,7 +462,7 @@ def test_clean_file_parsed_in_one_loadtxt_call(tmp_path, cell_loop_calls, monkey
     assert cell_loop_calls == []
 
 
-def test_missing_cells_parsed_in_one_loadtxt_call(tmp_path, monkeypatch):
+def test_missing_cells_parsed_in_one_loadtxt_call_per_block(tmp_path, monkeypatch):
     prices, _ = block_factor_market((5, 4, 3), 300, seed=2)
     path = tmp_path / "prices.csv"
     write_prices_csv(path, prices)
@@ -470,9 +474,15 @@ def test_missing_cells_parsed_in_one_loadtxt_call(tmp_path, monkeypatch):
     path.write_text("".join(lines))
     calls, read, rewritten = [], [], []
     loadtxt, cell_loop, blanks_to_nan = np.loadtxt, ingest._parse_cells, ingest._blanks_to_nan
+
+    def rewrite(line, *args):
+        new = blanks_to_nan(line, *args)
+        if new != line:
+            rewritten.append(line)
+        return new
+
     monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(a) or loadtxt(*a, **k))
-    monkeypatch.setattr(ingest, "_blanks_to_nan",
-                        lambda line, *a: rewritten.append(line) or blanks_to_nan(line, *a))
+    monkeypatch.setattr(ingest, "_blanks_to_nan", rewrite)
 
     def counted(rows, *args):
         rows = list(rows)
@@ -482,10 +492,11 @@ def test_missing_cells_parsed_in_one_loadtxt_call(tmp_path, monkeypatch):
     monkeypatch.setattr(ingest, "_parse_cells", counted)
     matrix, report = ingest_prices_with_report(
         PriceCsvSpec(path=str(path), missing_policy=MissingPolicy.DROP_ROWS))
-    assert len(calls) == 1
-    assert sum(read) < prices.n_rows
+    # The file spans two 64 KiB blocks.
+    assert len(calls) == 2 and sum(len(rows) for rows, *_ in calls) == prices.n_rows
+    assert read == []
     # Only the two lines holding a blank are rewritten, not their whole blocks.
-    assert rewritten == [lines[11].encode(), lines[152].encode()]
+    assert rewritten == [lines[11], lines[152]]
     dropped = [10, 150, 151]
     assert report.dropped_rows == tuple(prices.timestamps[i] for i in dropped)
     assert matrix.prices.tobytes() == np.delete(prices.prices, dropped, axis=0).tobytes()
@@ -533,11 +544,10 @@ def price_files(draw):
     return "".join(",".join(row) + ending for row in rows)
 
 
-def ingest_outcome(path, policy):
+def ingest_outcome(path, policy, ingest_with_report=ingest_prices_with_report):
     """What ingesting ``path`` gives: the matrix bytes, labels and report, or the error."""
     try:
-        matrix, report = ingest_prices_with_report(PriceCsvSpec(path=str(path),
-                                                                missing_policy=policy))
+        matrix, report = ingest_with_report(PriceCsvSpec(path=str(path), missing_policy=policy))
     except PortfolioCutError as exc:
         return type(exc), str(exc)
     return (matrix.prices.tobytes(), matrix.prices.shape, matrix.timestamps,
@@ -547,11 +557,105 @@ def ingest_outcome(path, policy):
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=price_files())
-def test_one_pass_matches_cell_loop(tmp_path, monkeypatch, text):
+def test_one_pass_matches_cell_loop(tmp_path, text):
     path = tmp_path / "prices.csv"
     path.write_bytes(text.encode())
     for policy in MissingPolicy:
-        one_pass = ingest_outcome(path, policy)
-        with monkeypatch.context() as patch:
-            patch.setattr(ingest, "_parse_clean", lambda *args: None)
-            assert one_pass == ingest_outcome(path, policy)
+        assert ingest_outcome(path, policy) == ingest_outcome(path, policy, reference_ingest)
+
+
+# Files of 2300 32-character lines, two 64 KiB blocks, with one odd shape just
+# before, on or just after the end of the first block: its lines, given the
+# date of the row it stands in for.
+BLOCK = 1 << 16
+ODD_SHAPES = {
+    "na": lambda date: [f"{date},na,50.5\n"],
+    "all-blank-row": lambda date: [",,\n"],
+    "blank-line": lambda date: ["\n"],
+    "bare-cr": lambda date: [f"{date}a,1.5,2.5\r", f"{date}b,1.5,2.5\r"],
+    "quoted-crlf-date": lambda date: [f'"{date}\r\n', 'x",1.5,2.5\n'],
+    "quoted-crlf-price": lambda date: [f'{date},1.5,"2.5\r\n', '"\n'],
+    "oversized-field": lambda date: [f"{date},1.5,2.{'0' * 140_000}5\n"],
+    "nul": lambda date: [f"{date},1.5,2\x005\n"],
+}
+
+
+def boundary_file(shape, where, late_error):
+    """The file's lines and the first record number of the block holding the odd shape.
+
+    The first row's first price is padded so that the first block ends right
+    after the line after the shape ("before"), its first line ("on") or the
+    line before it ("after"). A late error, if any, is a negative price in the
+    last block.
+    """
+    lines = ["date,aaa,bbb\n"] + [
+        f"d{t:06d},{1000 + t % 9000:5d}.{t % 10 ** 5:05d},"
+        f"{100 + t % 900:5d}.{t * 7 % 10 ** 5:05d}\n" for t in range(2300)]
+    at = 1800
+    odd = ODD_SHAPES[shape](f"d{at:06d}")
+    lines[at + 1:at + 2] = odd
+    if late_error:
+        lines[-50] = lines[-50].split(",")[0] + ",-3,1.5\n"
+    last = {"before": at + len(odd) + 1, "on": at + 1, "after": at}[where]
+    pad = BLOCK - sum(map(len, lines[1:last + 1]))
+    if pad > 0:
+        lines[1] = lines[1].replace(".", "." + "0" * pad, 1)
+    sizes = list(itertools.accumulate(map(len, lines[1:])))
+    assert sizes[last - 2] < BLOCK <= sizes[last - 1], "the first block must end at `last`"
+    return lines, 2 if where != "after" else at + 2
+
+
+@pytest.fixture
+def cell_rows(monkeypatch):
+    """The record numbers `_parse_cells` reads, one list per call."""
+    calls, parse = [], ingest._parse_cells
+
+    def spied(rows_in, *args):
+        calls.append([])
+
+        def numbered():
+            for line_no, row in rows_in:
+                calls[-1].append(line_no)
+                yield line_no, row
+        return parse(numbered(), *args)
+
+    monkeypatch.setattr(ingest, "_parse_cells", spied)
+    return calls
+
+
+@pytest.mark.parametrize("late_error", [False, True], ids=["", "late-error"])
+@pytest.mark.parametrize("policy", [MissingPolicy.ERROR, MissingPolicy.DROP_ROWS])
+@pytest.mark.parametrize("shape, where", [
+    (shape, where) for shape in ODD_SHAPES for where in ("before", "on", "after")
+    if (shape, where) != ("oversized-field", "before")])
+def test_block_boundaries(tmp_path, cell_rows, shape, where, policy, late_error):
+    lines, first_record = boundary_file(shape, where, late_error)
+    path = tmp_path / "prices.csv"
+    path.write_bytes("".join(lines).encode())
+    # A late error checks that records are numbered on past the shape.
+    assert ingest_outcome(path, policy) == ingest_outcome(path, policy, reference_ingest)
+    if late_error:
+        return
+    # The cell function reads the rows of the block holding the shape, and no other.
+    assert len(cell_rows) == (shape != "bare-cr")
+    if cell_rows:
+        read = cell_rows[0]
+        assert read == list(range(first_record, first_record + len(read)))
+        assert len(read) <= BLOCK // 32 + 1
+
+
+@pytest.mark.parametrize("lines_at", [
+    {100: b"d000100,-3,2.5\n", 1200: b"d001200,\xe9,2.5\n"},
+    {100: b"d000100,-3,2.5\n", 110: b"d000110,\xe9,2.5\n"},
+    {100: b"d000100,\xe9,2.5\n", 1200: b"d001200,-3,2.5\n"},
+    {600: b'd000600,"1.5\n', 601: b" " * 10_000 + b'\xe9",2.5\n'},
+], ids=["row-error-chunks-before", "same-chunk", "decode-error-first", "in-a-record"])
+def test_non_utf8_bytes_raise_as_the_cell_loop(tmp_path, lines_at):
+    # Text is decoded 8 KiB at a time, so rows in earlier chunks are read first.
+    lines = [b"date,aaa,bbb\n"] + [b"d%06d,1.5,2.5\n" % t for t in range(1, 1300)]
+    for at, line in lines_at.items():
+        lines[at] = line
+    path = tmp_path / "prices.csv"
+    path.write_bytes(b"".join(lines))
+    for policy in MissingPolicy:
+        assert ingest_outcome(path, policy) == ingest_outcome(path, policy, reference_ingest)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -302,7 +303,32 @@ class TestRendererParity:
         n = len(curves[0])
         report = self._report(curves, [f"2020-{i:04d}" for i in range(n)],
                               labels=["ew", "mv", "cutn-as1"][:len(curves)])
-        assert _outcome(wealth_to_svg, report) == _outcome(reference_wealth_to_svg, report)
+        # The reference divides by zero on a flat range at 2**53 or more; see
+        # test_flat_range_past_2_53_renders.
+        expected = _outcome(reference_wealth_to_svg, report)
+        if isinstance(expected, str):
+            assert wealth_to_svg(report) == expected
+
+    @pytest.mark.parametrize("value", [2.0 ** 53, -2.0 ** 54, 1e300])
+    def test_flat_range_past_2_53_renders(self, value):
+        report = self._report([[value] * 3, [value] * 3], ["d1", "d2", "d3"])
+        assert _outcome(reference_wealth_to_svg, report)[0] is ZeroDivisionError
+        svg = ET.fromstring(wealth_to_svg(report))
+        ns = "{http://www.w3.org/2000/svg}"
+        for line in svg.iter(ns + "polyline"):
+            assert line.get("points") == "50.00,370.00 360.00,370.00 670.00,370.00"
+
+    @pytest.mark.parametrize("value", [1.0, -5.0, 0.0, 2.0 ** 53 - 1.0, -2.0 ** 53])
+    def test_flat_range_below_2_53_renders_as_before(self, value):
+        report = self._report([[value] * 3], ["d1", "d2", "d3"])
+        assert wealth_to_svg(report) == reference_wealth_to_svg(report)
+
+    def test_labels_are_escaped(self):
+        labels = ["a<b", "x&y", "p>q"]
+        report = self._report([[1.0, 1.1], [1.0, 0.9], [1.0, 1.0]], ["d1", "d2"], labels)
+        svg = ET.fromstring(wealth_to_svg(report))
+        texts = [text.text for text in svg.iter("{http://www.w3.org/2000/svg}text")]
+        assert texts[-3:] == labels
 
     def test_backtest_outputs_match(self, small_report):
         doc = report_to_dict(small_report, manifest={"command": "backtest"})
