@@ -11,6 +11,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 from json.encoder import encode_basestring
 from typing import Dict, Sequence
 
@@ -245,7 +246,9 @@ def wealth_to_svg(report: BacktestReport) -> str:
     lo = min(float(res.wealth_curve.min()) for res in ok)
     hi = max(float(res.wealth_curve.max()) for res in ok)
     if hi == lo:  # widen a flat range by 1, or by one step where rounding loses the 1
-        hi = max(lo + 1.0, float(np.nextafter(lo, np.inf)))
+        hi = max(lo + 1.0, math.nextafter(lo, math.inf))
+        if hi == math.inf:  # at the largest double, widen downward instead
+            hi, lo = lo, math.nextafter(lo, -math.inf)
     frac = np.arange(n_points) / (n_points - 1) if n_points > 1 else np.zeros(1)
     xs = list(map("%.2f".__mod__, (margin + frac * plot_w).tolist()))
 

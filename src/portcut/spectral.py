@@ -205,15 +205,14 @@ def _partition_from_sides(graph: MarketGraph, side_of,
         raise InvalidPartitionError(
             f"side assignment has shape {side.shape}, expected ({graph.n_vertices},)"
         )
-    m1, m2 = side == 1, side == 2
-    n1, n2 = int(np.count_nonzero(m1)), int(np.count_nonzero(m2))
+    i1, i2 = np.flatnonzero(side == 1), np.flatnonzero(side == 2)
+    n1, n2 = i1.size, i2.size
     if n1 + n2 != side.size:
         raise InvalidPartitionError("side assignment entries must be 1 or 2")
     if n1 == 0 or n2 == 0:
         raise InvalidPartitionError("both sides of a cut must be nonempty")
-    v1 = float(graph.degrees[m1].sum())
-    v2 = float(graph.degrees[m2].sum())
-    cut = float(graph.weights[np.ix_(m1, m2)].sum())
+    v1, v2 = float(graph.degrees.take(i1).sum()), float(graph.degrees.take(i2).sum())
+    cut = float(graph.weights.take(i1, 0).take(i2, 1).sum())  # C-contiguous, as in _exact_scores
     if objective is CutObjective.NORMALIZED:
         scale = 1.0 / n1 + 1.0 / n2
     elif v1 <= 0.0 or v2 <= 0.0:
@@ -265,39 +264,74 @@ def _half_tables(weights: np.ndarray, mass: np.ndarray, vertices):
 
     Bit b of entry m puts ``vertices[b]`` on side 2; reversed, a table holds side-1 sums.
     """
-    rows, cut, m2 = np.zeros((1, len(weights))), np.zeros(1), np.zeros(1)
-    for v in vertices:
-        cut = np.concatenate([cut + rows[:, v], cut + rows[::-1, v]])
-        m2 = np.concatenate([m2, m2 + mass[v]])
-        rows = np.concatenate([rows, rows + weights[v]])
-    return rows, cut, m2
+    ext = np.column_stack([weights, mass])  # the mass sums fill the last column
+    rows, cut = np.zeros((2 ** len(vertices), len(ext[0]))), np.zeros(2 ** len(vertices))
+    for b, v in enumerate(vertices):  # double the filled part in place
+        lo, hi = slice(0, 1 << b), slice(1 << b, 2 << b)
+        np.add(cut[lo], rows[lo][::-1, v], out=cut[hi])
+        cut[lo] += rows[lo, v]
+        np.add(rows[lo], ext[v], out=rows[hi])
+    return rows[:, :-1], cut, rows[:, -1]
 
 
 def _screen(graph: MarketGraph, objective: CutObjective) -> np.ndarray:
     """Objective of every bit mask 1 .. 2**(n-1) - 1 in order, +inf if degenerate.
 
-    Bit b puts vertex b + 1 on side 2. Meet in the middle: tables over the
-    high bits and over the low bits combine in a table indexed [high, low],
-    whose ravel is in mask order. Every sum is of nonnegative terms, so none
+    Bit b puts vertex b + 1 on side 2. Meet in the middle: tables over the high
+    and the low bits fill one table [high, low] in place, in mask order, then
+    scale it in blocks of rows. Every sum is of nonnegative terms, so none
     cancels and values stay a few ulps from `objective_value`.
     """
     n = graph.n_vertices
     bits = (n - 1) // 2
-    mass = np.ones(n) if objective is CutObjective.NORMALIZED else graph.degrees
-    hi_rows, hi_cut, hi_m2 = _half_tables(graph.weights, mass, range(bits + 1, n))
+    cutn = objective is CutObjective.NORMALIZED
+    mass = np.ones(n) if cutn else graph.degrees
+    _, hi_cut, hi_m2 = _half_tables(graph.weights, mass, range(bits + 1, n))
     lo_rows, lo_cut, lo_m2 = _half_tables(graph.weights, mass, range(1, bits + 1))
-    # Weight from each low vertex (vertex 0 on side 1) to the high half's other side.
-    cross = hi_rows[:, :1]
-    for v in range(1, bits + 1):
-        cross = np.concatenate([cross + hi_rows[:, v:v + 1],
-                                cross + hi_rows[::-1, v:v + 1]], axis=1)
-    cut = cross + hi_cut[:, None] + lo_cut + lo_rows[:, 0]
-    m1 = hi_m2[::-1, None] + lo_m2[::-1] + mass[0]
-    m2 = hi_m2[:, None] + lo_m2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        score = (1.0 / m1 + 1.0 / m2) * cut
-    score[(m1 <= 0.0) | (m2 <= 0.0)] = np.inf
+    hi_m1, lo_m1 = hi_m2[::-1], lo_m2[::-1] + mass[0]
+    # Double rows per high vertex: on side 1 it crosses low side 2; on side 2, low side 1 and 0.
+    to2, to1 = lo_rows[:, bits + 1:], lo_rows[::-1, bits + 1:] + graph.weights[0, bits + 1:]
+    score = np.empty((hi_cut.size, lo_cut.size))
+    score[0] = lo_cut + lo_rows[:, 0]
+    for j in range(n - 1 - bits):
+        lo, hi = slice(0, 1 << j), slice(1 << j, 2 << j)
+        np.add(score[lo], to1[:, j], out=score[hi])
+        score[lo] += to2[:, j]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if cutn:  # 1/N1 + 1/N2 by side-2 count: one row per count of the high bits
+            k = np.arange(n - bits)[:, None] + lo_m2.astype(int)
+            by_count = 1.0 / (n - k) + 1.0 / k
+        step = max(1, 8192 // lo_cut.size)  # rows per block of 64 KiB
+        for top in range(0, hi_cut.size, step):
+            rows, block = slice(top, top + step), score[top:top + step]
+            block += hi_cut[rows, None]
+            block *= (by_count[hi_m2[rows].astype(int)] if cutn else
+                      1.0 / (hi_m1[rows, None] + lo_m1) + 1.0 / (hi_m2[rows, None] + lo_m2))
+    if not mass.all():  # a side of zero mass scores inf, not 0 * inf
+        score[np.ix_(hi_m2 <= 0.0, lo_m2 <= 0.0)] = np.inf
+        score[np.ix_(hi_m1 <= 0.0, lo_m1 <= 0.0)] = np.inf
     return score.ravel()[1:]
+
+
+def _exact_scores(graph: MarketGraph, objective: CutObjective, masks: np.ndarray) -> np.ndarray:
+    """`objective_value` of each mask's sides, bit for bit: in chunks, masks of one side-2
+    count gather C-contiguous (count, N1, N2) cut blocks, as `_partition_from_sides` does."""
+    n = graph.n_vertices
+    mass = np.ones(n) if objective is CutObjective.NORMALIZED else graph.degrees
+    exact, step = np.empty(masks.size), max(1, 2 ** 21 // n ** 2)  # 4 MiB of blocks a chunk
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for start in range(0, masks.size, step):
+            on2 = np.zeros((len(masks[start:start + step]), n), dtype=bool)
+            on2[:, 1:] = masks[start:start + step, None] >> np.arange(n - 1) & 1
+            count = np.count_nonzero(on2, axis=1)
+            for k in np.unique(count).tolist():
+                rows = np.flatnonzero(count == k)
+                i1 = (np.flatnonzero(~on2[rows]) % n).reshape(rows.size, n - k)
+                i2 = (np.flatnonzero(on2[rows]) % n).reshape(rows.size, k)
+                cut = graph.weights[i1[:, :, None], i2[:, None, :]].reshape(rows.size, -1)
+                scale = 1.0 / mass[i1].sum(axis=1) + 1.0 / mass[i2].sum(axis=1)
+                exact[start + rows] = scale * cut.sum(axis=1)
+    return exact
 
 
 def brute_force_min_cut(graph: MarketGraph, objective: CutObjective) -> Partition:
@@ -305,18 +339,18 @@ def brute_force_min_cut(graph: MarketGraph, objective: CutObjective) -> Partitio
 
     Enumerates the 2**(N-1) - 1 candidate splits, so it is only usable on
     small graphs; it exists as the correctness oracle for `spectral_bisect`.
-    `_screen` scores every candidate at once from tables over two halves of
-    the vertices; every candidate within a relative SCREEN_REL_TOL of the
-    screened minimum is then re-scored exactly with `objective_value`. The
-    minimum of those exact values wins, and ties are broken toward the
-    lexicographically smallest side assignment. Candidates with a
-    zero-volume side are skipped under the volume objective.
+    `_screen` scores every candidate; those within a relative SCREEN_REL_TOL of
+    its minimum are re-scored bit for bit. The lowest finite value wins (none
+    has a side of zero or subnormal volume under CutV); ties go to the
+    lexicographically smallest side assignment.
 
     Raises
     ------
     SizeLimitError
         If N exceeds BRUTE_FORCE_MAX_VERTICES. The error reports the
         candidate count that enumeration would have required.
+    DegenerateVolumeError
+        If no bipartition has a finite objective value.
     """
     n = graph.n_vertices
     if n < 2:
@@ -329,21 +363,17 @@ def brute_force_min_cut(graph: MarketGraph, objective: CutObjective) -> Partitio
             n_vertices=n, candidate_count=count, limit=BRUTE_FORCE_MAX_VERTICES)
 
     screened = _screen(graph, objective)
-    low = float(screened.min())
-    if low == np.inf:
-        raise DegenerateVolumeError(
-            "every bipartition has a zero-volume side; the graph has no edges"
-        )
-    near = 1 + np.flatnonzero(screened <= low + SCREEN_REL_TOL * low)
-    sides = np.ones((near.size, n), dtype=int)
-    sides[:, 1:] += (near[:, None] >> np.arange(n - 1)) & 1
-    best_side = None
-    best_obj = np.inf
-    for side in sides:
-        obj = objective_value(graph, side, objective)
-        if obj < best_obj or (obj == best_obj and best_side is not None
-                              and tuple(side) < tuple(best_side)):
-            best_obj = obj
-            best_side = side
-    # best_side is a row view; copy it so the result does not pin every near tie.
-    return _partition_from_sides(graph, best_side.copy(), objective)
+    low = np.fmin.reduce(screened)  # skips NaN, the inf * 0 of a subnormal volume
+    near = 1 + np.flatnonzero(screened <= (low + SCREEN_REL_TOL * low if low < np.inf else -1))
+    # A lone candidate is scored exactly once, by the result's `_partition_from_sides`.
+    exact = _exact_scores(graph, objective, near) if near.size > 1 else np.zeros(near.size)
+    tied, b = near[exact == np.fmin.reduce(exact, initial=np.inf)], 0  # NaN never wins
+    while tied.size > 1:  # the smallest side_of: bit b is the side of vertex b + 1
+        tied = tied[tied >> b & 1 == (tied >> b & 1).min()]
+        b += 1
+    if tied.size:
+        part = _partition_from_sides(graph, 1 + (2 * tied[0] >> np.arange(n) & 1), objective)
+        if part.objective_value < np.inf:
+            return part
+    raise DegenerateVolumeError("no bipartition has a finite objective value; each has a side "
+                                "of zero or subnormal volume")

@@ -323,6 +323,19 @@ class TestRendererParity:
         report = self._report([[value] * 3], ["d1", "d2", "d3"])
         assert wealth_to_svg(report) == reference_wealth_to_svg(report)
 
+    @pytest.mark.parametrize("value", [1.0, 2.0 ** 53, np.finfo(float).max])
+    def test_flat_range_coordinates_and_labels_are_finite(self, value):
+        report = self._report([[value] * 3, [value] * 3], ["d1", "d2", "d3"])
+        svg = ET.fromstring(wealth_to_svg(report))
+        ns = "{http://www.w3.org/2000/svg}"
+        coords = [float(v) for element in svg.iter() for key, v in element.attrib.items()
+                  if key in ("x", "y", "x1", "y1", "x2", "y2")]
+        coords += [float(v) for line in svg.iter(ns + "polyline")
+                   for point in line.get("points").split() for v in point.split(",")]
+        top, bottom = (float(text.text) for text in list(svg.iter(ns + "text"))[:2])
+        assert np.isfinite(coords).all()
+        assert np.isfinite([top, bottom]).all() and top > bottom
+
     def test_labels_are_escaped(self):
         labels = ["a<b", "x&y", "p>q"]
         report = self._report([[1.0, 1.1], [1.0, 0.9], [1.0, 1.0]], ["d1", "d2"], labels)

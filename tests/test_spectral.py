@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -493,15 +494,27 @@ def _uniform_graph(rng, n):
     return MarketGraph(np.where(np.eye(n) == 1, 0.0, weight))
 
 
+def _isolated_graph(rng, n):
+    """Random weights with vertices 0 and n // 2 of degree zero."""
+    w = complete_random_graph(rng, n).weights.copy()
+    for v in (0, n // 2):
+        w[v, :] = w[:, v] = 0.0
+    return MarketGraph(w)
+
+
 class TestBruteForceMatchesReference:
     @pytest.mark.parametrize("objective", [CUTN, CUTV])
     @pytest.mark.parametrize("make_graph", [complete_random_graph, _rounded_graph,
-                                            _uniform_graph])
+                                            _uniform_graph, _isolated_graph])
     def test_same_side_and_bit_identical_objective(self, make_graph, objective):
         for n in range(2, 13):
             for seed in range(2):
                 g = make_graph(np.random.default_rng(1000 * n + seed), n)
                 side, obj = _reference_min_cut(g, objective)
+                if side is None:  # CutV on an isolated graph with no edge left
+                    with pytest.raises(DegenerateVolumeError):
+                        brute_force_min_cut(g, objective)
+                    continue
                 part = brute_force_min_cut(g, objective)
                 assert part.side_of.tolist() == side.tolist(), (n, seed)
                 assert part.objective_value == obj, (n, seed)
@@ -527,13 +540,59 @@ class TestBruteForceMatchesReference:
         assert partition_sets(brute_force_min_cut(g, CUTN).side_of) == {
             alone, frozenset(others)}
 
+    def test_subnormal_volume_never_wins(self):
+        # {0, 1} has volume 2e-310, whose inverse overflows: its CutV value is
+        # inf * 0 = NaN, which the reference never picks.
+        g = graph_from_edges(5, [(0, 1, 1e-310), (2, 3, 0.5), (3, 4, 0.5), (2, 4, 0.5)])
+        assert np.isnan(objective_value(g, [1, 1, 2, 2, 2], CUTV))
+        for objective in (CUTN, CUTV):
+            side, obj = _reference_min_cut(g, objective)
+            part = brute_force_min_cut(g, objective)
+            assert part.side_of.tolist() == side.tolist()
+            assert part.objective_value == obj
+        assert side.tolist() == [1, 1, 1, 1, 2] and obj == 1.5
 
-def _isolated_graph(rng, n):
-    """Random weights with vertices 0 and n // 2 of degree zero."""
-    w = complete_random_graph(rng, n).weights.copy()
-    for v in (0, n // 2):
-        w[v, :] = w[:, v] = 0.0
-    return MarketGraph(w)
+    def test_no_finite_value_raises(self):
+        g = graph_from_edges(2, [(0, 1, 1e-310)])
+        assert _reference_min_cut(g, CUTV) == (None, np.inf)
+        with pytest.raises(DegenerateVolumeError, match="no bipartition has a finite"):
+            brute_force_min_cut(g, CUTV)
+        assert brute_force_min_cut(g, CUTN).objective_value == 2 * 1e-310
+
+
+class TestExactRescore:
+    """The batched re-score against the scalar formula, and its cost at N = 20."""
+
+    @pytest.mark.parametrize("objective", [CUTN, CUTV])
+    def test_bit_identical_to_objective_value(self, objective):
+        for n in range(13, 21):
+            rng = np.random.default_rng(n)
+            g = complete_random_graph(rng, n)
+            masks = rng.choice(np.arange(1, 2 ** (n - 1)), size=200, replace=False)
+            sides = np.ones((masks.size, n), dtype=int)
+            sides[:, 1:] += masks[:, None] >> np.arange(n - 1) & 1
+            exact = portcut.spectral._exact_scores(g, objective, masks)
+            assert exact.tolist() == [objective_value(g, side, objective) for side in sides]
+
+    @pytest.mark.parametrize("objective", [CUTN, CUTV])
+    @pytest.mark.parametrize("make_graph", [complete_random_graph, _uniform_graph])
+    def test_one_scalar_call_and_bounded_peak_at_n20(self, make_graph, objective,
+                                                     monkeypatch):
+        # Every cut of the uniform graph ties, so all 2**19 - 1 are re-scored.
+        g = make_graph(np.random.default_rng(20), 20)
+        calls = []
+        scalar = portcut.spectral._partition_from_sides
+        monkeypatch.setattr(portcut.spectral, "_partition_from_sides",
+                            lambda *args, **kw: calls.append(1) or scalar(*args, **kw))
+        tracemalloc.start()
+        try:
+            part = brute_force_min_cut(g, objective)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(calls) == 1  # the result's own Partition
+        assert peak <= 24 * 2 ** 20
+        assert part.objective_value == objective_value(g, part.side_of, objective)
 
 
 class TestScreen:
