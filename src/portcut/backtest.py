@@ -156,14 +156,35 @@ def sharpe_ratio(series, annualization: float) -> float:
     return float(np.sqrt(annualization) * x.mean() / std)
 
 
-def _return_windows(prices: PriceMatrix, split_index: int) -> Tuple[ReturnsMatrix, ReturnsMatrix]:
-    """Return rows [0, split_index) and [split_index, T); each window needs at least 2."""
+def _return_windows(prices: PriceMatrix, split_index: Optional[int]):
+    """Return rows [0, split_index) and [split_index, T); each window needs at least 2.
+
+    With no ``split_index`` every return row is in-sample, and the out-sample window is None.
+    """
     returns = simple_returns(prices)
+    if split_index is None:
+        if returns.n_periods < 2:
+            raise InsufficientDataError("need at least 2 return rows for a sample covariance")
+        return returns, None
     if not 2 <= split_index <= returns.n_periods - 2:
         raise InvalidInputError(f"split_index {split_index} leaves too little data "
                                 f"(need 2 <= t* <= {returns.n_periods - 2})")
     return (ReturnsMatrix(returns.returns[:split_index], returns.asset_ids),
             ReturnsMatrix(returns.returns[split_index:], returns.asset_ids))
+
+
+def _in_sample_estimates(in_returns: ReturnsMatrix, policy: CutPolicy):
+    """``(sigma, cut_tree)``: the covariance of ``in_returns`` and its cut tree per objective.
+
+    Each estimate, and the market graph between them, is computed at most once, on first
+    use. Failures are not cached: every caller that needs a failing estimate gets its error.
+    """
+    sigma = functools.cache(lambda: sample_covariance(in_returns))
+    graph = functools.cache(
+        lambda: market_graph_from_covariance(sigma(), asset_ids=in_returns.asset_ids))
+    cut_tree = functools.cache(
+        lambda objective: build_cut_tree(graph(), policy, CutObjective(objective)))
+    return sigma, cut_tree
 
 
 def run_backtest(prices: PriceMatrix, config: BacktestConfig) -> BacktestReport:
@@ -177,22 +198,13 @@ def run_backtest(prices: PriceMatrix, config: BacktestConfig) -> BacktestReport:
     finite, is reported with its error and the rest proceed.
     """
     in_returns, out_returns = _return_windows(prices, config.split_index)
+    return _run_backtest(in_returns, out_returns, prices.timestamps[config.split_index:], config)
 
-    # Each in-sample estimate is computed at most once, on first use. Failures
-    # are not cached: every strategy that needs a failing estimate reports the
-    # same error.
-    @functools.cache
-    def sigma():
-        return sample_covariance(in_returns)
 
-    @functools.cache
-    def graph():
-        return market_graph_from_covariance(sigma(), asset_ids=in_returns.asset_ids)
-
-    @functools.cache
-    def cut_tree(objective):
-        return build_cut_tree(graph(), config.policy, CutObjective(objective))
-
+def _run_backtest(in_returns: ReturnsMatrix, out_returns: ReturnsMatrix,
+                  out_sample_dates: Tuple[str, ...], config: BacktestConfig) -> BacktestReport:
+    """`run_backtest` on return windows already taken; ``out_sample_dates`` label the wealth."""
+    sigma, cut_tree = _in_sample_estimates(in_returns, config.policy)
     results = []
     for label in config.strategies:
         try:
@@ -228,27 +240,12 @@ def run_backtest(prices: PriceMatrix, config: BacktestConfig) -> BacktestReport:
                 raise NumericalFailureError(
                     "out-sample wealth or return statistics are not finite", diagnostics={})
         except PortfolioCutError as exc:
-            results.append(StrategyResult(
-                label=label,
-                error=str(exc),
-                error_kind=type(exc).__name__,
-            ))
+            results.append(StrategyResult(label=label, error=str(exc),
+                                          error_kind=type(exc).__name__))
             continue
         results.append(StrategyResult(
-            label=label,
-            weights=wv,
-            wealth_curve=wealth,
-            mean_return=mean,
-            std_return=std,
-            sharpe=sharpe,
-            sharpe_degenerate=degenerate,
-            metadata=meta,
-        ))
-
-    return BacktestReport(
-        results=tuple(results),
-        split_index=config.split_index,
-        annualization_factor=config.annualization_factor,
-        asset_ids=in_returns.asset_ids,
-        out_sample_dates=prices.timestamps[config.split_index:],
-    )
+            label=label, weights=wv, wealth_curve=wealth, mean_return=mean, std_return=std,
+            sharpe=sharpe, sharpe_degenerate=degenerate, metadata=meta))
+    return BacktestReport(results=tuple(results), split_index=config.split_index,
+                          annualization_factor=config.annualization_factor,
+                          asset_ids=in_returns.asset_ids, out_sample_dates=out_sample_dates)

@@ -7,6 +7,7 @@ are emitted as one-line JSON objects on stderr so callers can parse them.
 from __future__ import annotations
 
 import argparse
+import bisect
 import contextlib
 import ctypes
 import dataclasses
@@ -24,16 +25,11 @@ import numpy as np
 
 from . import __version__
 from .allocation import AllocationScheme, allocate, asset_weights
-from .backtest import STRATEGIES, BacktestConfig, _return_windows, run_backtest
-from .errors import DegenerateAssetError, InsufficientDataError, InvalidInputError, PortfolioCutError
+from .backtest import (STRATEGIES, BacktestConfig, _in_sample_estimates, _return_windows,
+                       _run_backtest)
+from .errors import DegenerateAssetError, InvalidInputError, PortfolioCutError
 from .ingest import IngestReport, MissingPolicy, PriceCsvSpec, ingest_prices_with_report
-from .market_graph import (
-    PriceMatrix,
-    market_graph_from_covariance,
-    sample_covariance,
-    simple_returns,
-    timestamp_sort_key,
-)
+from .market_graph import PriceMatrix, ReturnsMatrix, timestamp_sort_key
 from .serialization import (
     canonical_json,
     report_to_dict,
@@ -45,7 +41,7 @@ from .serialization import (
     weights_to_dict,
 )
 from .spectral import CutObjective
-from .tree import CutPolicy, LeafSelection, build_cut_tree
+from .tree import CutPolicy, LeafSelection
 
 __all__ = ["main", "console_main", "cmd_cut", "cmd_allocate", "cmd_backtest"]
 
@@ -196,38 +192,35 @@ def _new_file_mode(target: str) -> int:
     return 0o666 & ~umask
 
 
-def _load_prices(args) -> Tuple[PriceMatrix, IngestReport, Optional[int]]:
-    """Prices, ingest report and backtest split; --drop-degenerate judges in-sample rows."""
+def _estimation_step(args, check_options):
+    """Prices, ingest report, checked options and return windows of ``cut`` or ``backtest``.
+
+    Checks run in this order: ingest, resolve the split, ``check_options(split_index)``,
+    take the windows (all in-sample without a split), and under --drop-degenerate drop
+    the assets flat on the in-sample rows from both windows, naming them in the report.
+    """
     matrix, report = ingest_prices_with_report(PriceCsvSpec(
         args.prices, args.date_column, args.delimiter, MissingPolicy(args.missing_policy)))
     split_index = _resolve_split(args, matrix)
+    options = check_options(split_index)
+    windows = _return_windows(matrix, split_index)
     if args.drop_degenerate:
-        matrix, dropped = _drop_degenerate(matrix, split_index)
+        # Returns are finite, so an overflowing variance is +inf, kept for the covariance to name.
+        with np.errstate(all="ignore"):
+            keep = windows[0].returns.var(axis=0, ddof=1) > 0.0
+        ids = np.array(windows[0].asset_ids, dtype=object)
+        dropped = tuple(ids[~keep])
         if dropped:
-            print(f"dropped zero-variance asset(s): {', '.join(dropped)}",
-                  file=sys.stderr)
-            report = dataclasses.replace(
-                report, dropped_assets=report.dropped_assets + tuple(dropped))
-    return matrix, report, split_index
-
-
-def _drop_degenerate(matrix: PriceMatrix,
-                     split_index: Optional[int] = None) -> Tuple[PriceMatrix, List[str]]:
-    """Drop the assets flat on return rows [0, split_index), or on every row if None."""
-    returns = (simple_returns(matrix) if split_index is None
-               else _return_windows(matrix, split_index)[0]).returns
-    if returns.shape[0] < 2:
-        raise InsufficientDataError("need at least 2 return rows for a sample covariance")
-    # Returns are finite, so an overflowing variance is +inf, kept for the covariance to name.
-    with np.errstate(all="ignore"):
-        keep = returns.var(axis=0, ddof=1) > 0.0
-    ids = np.array(matrix.asset_ids, dtype=object)
-    dropped = list(ids[~keep])
-    if not dropped:
-        return matrix, []
-    if not keep.any():
-        raise DegenerateAssetError("every asset has zero variance", asset_ids=dropped)
-    return PriceMatrix(matrix.prices[:, keep], ids[keep], matrix.timestamps), dropped
+            if not keep.any():
+                raise DegenerateAssetError("every asset has zero variance",
+                                           asset_ids=list(dropped))
+            windows = tuple(None if window is None else
+                            ReturnsMatrix(window.returns[:, keep], ids[keep])
+                            for window in windows)
+            print(f"dropped zero-variance asset(s): {', '.join(dropped)}", file=sys.stderr)
+            report = dataclasses.replace(report,
+                                         dropped_assets=report.dropped_assets + dropped)
+    return matrix, report, options, windows
 
 
 def _policy_from_args(args) -> CutPolicy:
@@ -260,13 +253,11 @@ def _manifest(args, matrix: PriceMatrix, report: IngestReport, **resolved) -> di
 
 
 def cmd_cut(args) -> int:
-    matrix, report, _ = _load_prices(args)
-    graph = market_graph_from_covariance(
-        sample_covariance(simple_returns(matrix)), asset_ids=matrix.asset_ids
-    )
-    tree = build_cut_tree(graph, _policy_from_args(args), CutObjective(args.objective))
-    payload = tree_to_dict(tree)
-    payload["manifest"] = _manifest(args, matrix, report)
+    matrix, report, policy, (in_returns, _) = _estimation_step(
+        args, lambda split_index: _policy_from_args(args))
+    _, cut_tree = _in_sample_estimates(in_returns, policy)
+    payload = tree_to_dict(cut_tree(args.objective))
+    payload["manifest"] = _manifest(args, matrix, report, n_assets=in_returns.n_assets)
     _write_outputs((canonical_json(payload), args.output))
     return EXIT_OK
 
@@ -311,9 +302,10 @@ def _parse_strategies(tokens: str) -> Tuple[str, ...]:
 def _resolve_split(args, matrix: PriceMatrix) -> Optional[int]:
     if getattr(args, "split_date", None) is None:
         return getattr(args, "split_index", None)
-    key = timestamp_sort_key(args.split_date)
-    # Return row t realizes at timestamps[t+1]; in-sample keeps dates <= split.
-    split_index = sum(1 for stamp in matrix.timestamps[1:] if timestamp_sort_key(stamp) <= key)
+    # Return row t realizes at timestamps[t+1]; in-sample keeps dates <= split. The
+    # timestamps' keys strictly increase, as `PriceMatrix` checks.
+    split_index = bisect.bisect_right(matrix.timestamps, timestamp_sort_key(args.split_date),
+                                      lo=1, key=timestamp_sort_key) - 1
     if not 2 <= split_index <= matrix.n_rows - 3:  # as `_return_windows` requires
         raise InvalidInputError(f"--split-date {args.split_date} leaves {split_index} in-sample "
                                 f"return rows (need 2 <= t* <= {matrix.n_rows - 3})")
@@ -321,18 +313,15 @@ def _resolve_split(args, matrix: PriceMatrix) -> Optional[int]:
 
 
 def cmd_backtest(args) -> int:
-    matrix, report, split_index = _load_prices(args)
     tokens = _parse_strategies(args.strategies)
-    config = BacktestConfig(
-        split_index=split_index,
-        strategies=tokens,
-        policy=_policy_from_args(args),
-        annualization_factor=args.annualization_factor,
-        mv_ridge=args.mv_ridge,
-    )
-    result = run_backtest(matrix, config)
-    manifest = _manifest(args, matrix, report, split_index=split_index,
-                         strategies=list(tokens))
+    matrix, report, config, (in_returns, out_returns) = _estimation_step(
+        args, lambda split_index: BacktestConfig(
+            split_index, tokens, _policy_from_args(args), args.annualization_factor,
+            args.mv_ridge))
+    result = _run_backtest(in_returns, out_returns, matrix.timestamps[config.split_index:],
+                           config)
+    manifest = _manifest(args, matrix, report, n_assets=in_returns.n_assets,
+                         split_index=config.split_index, strategies=list(tokens))
     # Render every output before writing any, so a rendering error leaves no file.
     outputs = [(canonical_json(report_to_dict(result, manifest)), args.output)]
     if args.wealth_csv:

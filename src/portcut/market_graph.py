@@ -52,10 +52,12 @@ def _labels(values, count: int, what: str, of: str) -> tuple:
 
 def timestamp_sort_key(label: str):
     """ISO dates compare as dates; anything else compares as a string."""
-    try:
-        return (0, date.fromisoformat(label))
-    except ValueError:
-        return (1, label)
+    if label[:4].isdigit():  # every form `date.fromisoformat` reads opens with the year
+        try:
+            return (0, date.fromisoformat(label))
+        except ValueError:
+            pass
+    return (1, label)
 
 
 @dataclass(frozen=True)

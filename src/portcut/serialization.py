@@ -234,6 +234,12 @@ _SVG_COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
                "#17becf", "#7f7f7f"]
 
 
+def _axis_label(value: float) -> str:
+    """``value`` to 3 decimals, or to 6 significant digits where that would be long."""
+    text = f"{value:.3f}"
+    return text if len(text) <= 12 else f"{value:.6g}"
+
+
 def wealth_to_svg(report: BacktestReport) -> str:
     """Minimal static line chart of the wealth curves."""
     ok = [res for res in report.results if res.ok]
@@ -264,9 +270,9 @@ def wealth_to_svg(report: BacktestReport) -> str:
         f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
         f'y2="{height - margin}" stroke="black"/>',
         f'<text x="{margin - 6:.1f}" y="{y_at(hi):.1f}" text-anchor="end" '
-        f'font-size="11">{hi:.3f}</text>',
+        f'font-size="11">{_axis_label(hi)}</text>',
         f'<text x="{margin - 6:.1f}" y="{y_at(lo):.1f}" text-anchor="end" '
-        f'font-size="11">{lo:.3f}</text>',
+        f'font-size="11">{_axis_label(lo)}</text>',
         f'<text x="{margin:.1f}" y="{height - margin + 16:.1f}" '
         f'font-size="11">{report.out_sample_dates[0].translate(_XML_TEXT)}</text>',
         f'<text x="{width - margin:.1f}" y="{height - margin + 16:.1f}" text-anchor="end" '

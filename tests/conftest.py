@@ -264,6 +264,10 @@ def reference_wealth_to_svg(report: BacktestReport) -> str:
     def y_at(value: float) -> float:
         return margin + (1.0 - (value - lo) / (hi - lo)) * plot_h
 
+    def label(value: float) -> str:
+        fixed = f"{value:.3f}"
+        return fixed if len(fixed) <= 12 else f"{value:.6g}"
+
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
@@ -273,9 +277,9 @@ def reference_wealth_to_svg(report: BacktestReport) -> str:
         f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
         f'y2="{height - margin}" stroke="black"/>',
         f'<text x="{margin - 6:.1f}" y="{y_at(hi):.1f}" text-anchor="end" '
-        f'font-size="11">{hi:.3f}</text>',
+        f'font-size="11">{label(hi)}</text>',
         f'<text x="{margin - 6:.1f}" y="{y_at(lo):.1f}" text-anchor="end" '
-        f'font-size="11">{lo:.3f}</text>',
+        f'font-size="11">{label(lo)}</text>',
         f'<text x="{margin:.1f}" y="{height - margin + 16:.1f}" '
         f'font-size="11">{report.out_sample_dates[0].translate(_XML_TEXT)}</text>',
         f'<text x="{width - margin:.1f}" y="{height - margin + 16:.1f}" text-anchor="end" '

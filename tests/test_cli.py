@@ -31,7 +31,7 @@ from portcut import (
     simple_returns,
     PriceCsvSpec,
 )
-from portcut.cli import _drop_degenerate, main
+from portcut.cli import main
 from portcut.serialization import report_to_dict
 
 from conftest import (
@@ -612,12 +612,13 @@ class TestBlasThreads:
     def test_main_restores_thread_counts(self, controls, market_csv, tmp_path, split_index,
                                          code, monkeypatch, capsys):
         during = []
+        return_windows = portcut.cli._return_windows
 
         def spy(*args):
             during.append(self.counts(controls))
-            return run_backtest(*args)
+            return return_windows(*args)
 
-        monkeypatch.setattr(portcut.cli, "run_backtest", spy)
+        monkeypatch.setattr(portcut.cli, "_return_windows", spy)
         assert main(["backtest", market_csv, "--split-index", split_index,
                      "-o", str(tmp_path / "r.json")]) == code
         assert during == [[1] * len(controls)]
@@ -880,15 +881,19 @@ class TestDropDegenerate:
                          "message": "every asset has zero variance"}
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_keeps_exactly_the_nonzero_covariance_diagonal(self, seed):
+    def test_keeps_exactly_the_nonzero_covariance_diagonal(self, seed, tmp_path, capsys):
         rng = np.random.default_rng(seed)
         prices = rng.uniform(90.0, 110.0, (8, 7))
         prices[:, rng.choice(7, size=3, replace=False)] = 50.0
         matrix = make_prices(prices.T)
-        kept, dropped = _drop_degenerate(matrix)
+        csv_path = tmp_path / "prices.csv"
+        write_prices_csv(csv_path, matrix)
+        assert main(["cut", str(csv_path), "--drop-degenerate", "--min-leaf-size", "1"]) == 0
+        payload = json.loads(capsys.readouterr().out)
         alive = np.diag(sample_covariance(simple_returns(matrix)).sigma) > 0.0
-        assert kept.asset_ids == tuple(np.array(matrix.asset_ids)[alive])
-        assert dropped == list(np.array(matrix.asset_ids)[~alive])
+        assert payload["asset_ids"] == list(np.array(matrix.asset_ids)[alive])
+        assert payload["manifest"]["dropped_assets"] == list(np.array(matrix.asset_ids)[~alive])
+        assert payload["manifest"]["n_assets"] == alive.sum()
 
 
 class TestManifest:

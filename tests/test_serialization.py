@@ -323,8 +323,16 @@ class TestRendererParity:
         report = self._report([[value] * 3], ["d1", "d2", "d3"])
         assert wealth_to_svg(report) == reference_wealth_to_svg(report)
 
-    @pytest.mark.parametrize("value", [1.0, 2.0 ** 53, np.finfo(float).max])
-    def test_flat_range_coordinates_and_labels_are_finite(self, value):
+    # A label is fixed-point up to 12 characters, else 6 significant digits; on a flat
+    # range past 2**53 the two ends are one step apart, so their short labels read alike.
+    @pytest.mark.parametrize("value, labels", [
+        (1.0, ["2.000", "1.000"]),
+        (2.0 ** 53, ["9.0072e+15", "9.0072e+15"]),
+        (np.finfo(float).max, ["1.79769e+308", "1.79769e+308"]),
+        (-np.finfo(float).max, ["-1.79769e+308", "-1.79769e+308"]),
+        (99999999.999, ["1e+08", "99999999.999"]),
+    ])
+    def test_flat_range_coordinates_and_labels_are_finite(self, value, labels):
         report = self._report([[value] * 3, [value] * 3], ["d1", "d2", "d3"])
         svg = ET.fromstring(wealth_to_svg(report))
         ns = "{http://www.w3.org/2000/svg}"
@@ -332,9 +340,11 @@ class TestRendererParity:
                   if key in ("x", "y", "x1", "y1", "x2", "y2")]
         coords += [float(v) for line in svg.iter(ns + "polyline")
                    for point in line.get("points").split() for v in point.split(",")]
-        top, bottom = (float(text.text) for text in list(svg.iter(ns + "text"))[:2])
+        texts = [text.text for text in list(svg.iter(ns + "text"))[:2]]
+        top, bottom = map(float, texts)
         assert np.isfinite(coords).all()
-        assert np.isfinite([top, bottom]).all() and top > bottom
+        assert np.isfinite([top, bottom]).all() and top >= bottom
+        assert texts == labels
 
     def test_labels_are_escaped(self):
         labels = ["a<b", "x&y", "p>q"]

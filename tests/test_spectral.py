@@ -457,6 +457,41 @@ class TestOracleAgreement:
             f"{disagreements}")
 
 
+def _three_equal_blocks(n):
+    """Three blocks of n // 3 vertices, 0.9 within and 0.1 across: λ2 is repeated."""
+    block = np.arange(n) // (n // 3)
+    return MarketGraph(np.where(block[:, None] == block[None, :], 0.9, 0.1))
+
+
+class TestLambda2Certificate:
+    """λ2 ≤ the optimal objective ≤ the spectral cut's objective.
+
+    Every bipartition's objective is the Rayleigh quotient of its indicator,
+    which is orthogonal to 1 (CutN) or D-orthogonal to 1 (CutV), so λ2 bounds
+    it from below, whichever eigenvector the solver returns. The spectral
+    cut may label its sides the other way round from the oracle, which sums
+    the same cut in another order, so the upper bound allows 1e-12 relative.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["random", "planted", "three_blocks"]),
+           n=st.integers(3, 12), seed=st.integers(0, 2 ** 32 - 1))
+    def test_lambda2_bounds_the_optimum(self, kind, n, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "random":
+            graph = complete_random_graph(rng, n)
+        elif kind == "planted":
+            graph = planted_two_block_graph(rng, max(n, 4))[0]
+        else:
+            graph = _three_equal_blocks(n - n % 3)
+        slack = 1e-9 * np.max(np.abs(graph.laplacian))
+        for objective in (CUTN, CUTV):
+            spectral = spectral_bisect(graph, objective)
+            optimum = brute_force_min_cut(graph, objective).objective_value
+            assert spectral.lambda2 <= optimum + slack
+            assert optimum <= spectral.objective_value * (1.0 + 1e-12)
+
+
 def _reference_min_cut(graph, objective):
     """The per-candidate loop `brute_force_min_cut` replaced, kept as its reference."""
     n = graph.n_vertices
