@@ -150,10 +150,16 @@ def sharpe_ratio(series, annualization: float) -> float:
         raise InsufficientDataError("Sharpe ratio needs at least 2 observations")
     if not (isinstance(annualization, numbers.Real) and 0.0 < annualization < np.inf):
         raise InvalidInputError("annualization must be positive and finite")
-    std = float(x.std(ddof=1))
-    if std == 0.0:
+    sharpe = _moments(x, annualization)[2]
+    if sharpe is None:
         raise DegenerateSeriesError("return series has zero variance")
-    return float(np.sqrt(annualization) * x.mean() / std)
+    return sharpe
+
+
+def _moments(series: np.ndarray, annualization: float):
+    """``(mean, std, sharpe)`` of a return series; ``sharpe`` is None when ``std`` is 0."""
+    mean, std = float(series.mean()), float(series.std(ddof=1))
+    return mean, std, float(np.sqrt(annualization) * mean / std) if std != 0.0 else None
 
 
 def _return_windows(prices: PriceMatrix, split_index: Optional[int]):
@@ -231,11 +237,7 @@ def _run_backtest(in_returns: ReturnsMatrix, out_returns: ReturnsMatrix,
                 wealth = np.empty(port.size + 1)
                 wealth[0] = 1.0
                 np.cumprod(1.0 + port, out=wealth[1:])
-                mean, std = float(port.mean()), float(port.std(ddof=1))
-                try:
-                    sharpe, degenerate = sharpe_ratio(port, config.annualization_factor), False
-                except DegenerateSeriesError:
-                    sharpe, degenerate = None, True
+                mean, std, sharpe = _moments(port, config.annualization_factor)
             if not (np.isfinite(wealth).all() and np.isfinite([mean, std, sharpe or 0.0]).all()):
                 raise NumericalFailureError(
                     "out-sample wealth or return statistics are not finite", diagnostics={})
@@ -245,7 +247,7 @@ def _run_backtest(in_returns: ReturnsMatrix, out_returns: ReturnsMatrix,
             continue
         results.append(StrategyResult(
             label=label, weights=wv, wealth_curve=wealth, mean_return=mean, std_return=std,
-            sharpe=sharpe, sharpe_degenerate=degenerate, metadata=meta))
+            sharpe=sharpe, sharpe_degenerate=sharpe is None, metadata=meta))
     return BacktestReport(results=tuple(results), split_index=config.split_index,
                           annualization_factor=config.annualization_factor,
                           asset_ids=in_returns.asset_ids, out_sample_dates=out_sample_dates)

@@ -157,9 +157,9 @@ class CovarianceMatrix:
 class MarketGraph:
     """Weighted market graph; degrees and Laplacian derive from the weights.
 
-    Any nonnegative square matrix with entries up to 1 is accepted: an
-    asymmetric one is averaged with its transpose and the diagonal is zeroed,
-    so the stored, read-only ``weights`` is symmetric with zero diagonal and
+    Any nonnegative square matrix with entries up to 1 is accepted: it is
+    averaged with its transpose and the diagonal is zeroed, so the stored,
+    read-only ``weights`` is symmetric with zero diagonal and
     entries in [0, 1]. ``degrees[m] == weights[m].sum()`` and
     ``laplacian == diag(degrees) - weights`` are computed on first use.
     """
@@ -173,24 +173,15 @@ class MarketGraph:
             raise InvalidInputError(f"weights must be square, got {w.shape}")
         if np.any(w < 0.0):
             raise InvalidInputError("weights must be nonnegative")
-        if np.max(np.abs(w - w.T)) != 0.0:
-            w = (w + w.T) / 2.0
+        with np.errstate(over="ignore"):  # an overflow fails the range check below
+            w = (w + w.T) / 2.0  # a fresh array, and bit for bit w itself if w is symmetric
         if np.any(w > 1.0 + 1e-12):
             raise InvalidInputError("weights must not exceed 1 (absolute correlations)")
-        w = w.copy()
         np.fill_diagonal(w, 0.0)
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
         ids = _labels(tuple(self.asset_ids) or range(len(w)), len(w), "asset ids", "vertices")
         object.__setattr__(self, "asset_ids", ids)
-
-    @classmethod
-    def _checked_submatrix(cls, weights: np.ndarray, asset_ids: tuple) -> MarketGraph:
-        """A graph on a fresh principal submatrix of checked weights; nothing is checked again."""
-        weights.flags.writeable = False
-        graph = object.__new__(cls)
-        graph.__dict__.update(weights=weights, asset_ids=asset_ids)
-        return graph
 
     # cached_property writes the instance __dict__ directly, so it works on a
     # frozen dataclass.

@@ -195,34 +195,40 @@ def fiedler_vector(graph: MarketGraph, objective: CutObjective):
     return lam2, u2
 
 
-def _partition_from_sides(graph: MarketGraph, side_of,
-                          objective: CutObjective,
+def _partition_from_sides(graph: MarketGraph, side_of, objective: CutObjective,
                           lambda2: Optional[float] = None,
                           fiedler: Optional[np.ndarray] = None) -> Partition:
-    """Check a side assignment and score it: the one scalar cut formula."""
+    """Check a side assignment and score it as one row of `_scores`."""
     side = np.asarray(side_of, dtype=int)
     if side.shape != (graph.n_vertices,):
-        raise InvalidPartitionError(
-            f"side assignment has shape {side.shape}, expected ({graph.n_vertices},)"
-        )
+        raise InvalidPartitionError(f"side assignment has shape {side.shape}, "
+                                    f"expected ({graph.n_vertices},)")
     i1, i2 = np.flatnonzero(side == 1), np.flatnonzero(side == 2)
     n1, n2 = i1.size, i2.size
     if n1 + n2 != side.size:
         raise InvalidPartitionError("side assignment entries must be 1 or 2")
     if n1 == 0 or n2 == 0:
         raise InvalidPartitionError("both sides of a cut must be nonempty")
-    v1, v2 = float(graph.degrees.take(i1).sum()), float(graph.degrees.take(i2).sum())
-    cut = float(graph.weights.take(i1, 0).take(i2, 1).sum())  # C-contiguous, as in _exact_scores
-    if objective is CutObjective.NORMALIZED:
-        scale = 1.0 / n1 + 1.0 / n2
-    elif v1 <= 0.0 or v2 <= 0.0:
+    a, b = (i2, i1) if i2[0] == 0 else (i1, i2)  # score with vertex 0 on side 1
+    cut, va, vb, value = (float(x[0]) for x in _scores(graph, objective, a[None], b[None]))
+    v1, v2 = (va, vb) if a is i1 else (vb, va)
+    if objective is CutObjective.VOLUME_NORMALIZED and (v1 <= 0.0 or v2 <= 0.0):
         raise DegenerateVolumeError(f"zero-volume side (v1={v1}, v2={v2}) under the "
                                     "volume-normalized objective")
-    else:
-        scale = 1.0 / v1 + 1.0 / v2
     return Partition(side_of=side, n1=n1, n2=n2, v1=v1, v2=v2, cut_value=cut,
-                     objective_value=scale * cut, objective=objective,
+                     objective_value=value, objective=objective,
                      lambda2=lambda2, fiedler=fiedler)
+
+
+def _scores(graph: MarketGraph, objective: CutObjective, side_a, side_b):
+    """``(cut, va, vb, objective)`` of each cut whose sides are sorted rows of ``side_a`` (with
+    vertex 0) and ``side_b``: the one cut formula, on C-contiguous blocks and with no BLAS."""
+    cut = graph.weights[side_a[:, :, None], side_b[:, None, :]].reshape(len(side_a), -1).sum(1)
+    va, vb = graph.degrees.take(side_a).sum(axis=1), graph.degrees.take(side_b).sum(axis=1)
+    if objective is CutObjective.NORMALIZED:
+        return cut, va, vb, (1.0 / side_a.shape[1] + 1.0 / side_b.shape[1]) * cut
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return cut, va, vb, (1.0 / va + 1.0 / vb) * cut
 
 
 def spectral_bisect(graph: MarketGraph, objective: CutObjective) -> Partition:
@@ -314,23 +320,16 @@ def _screen(graph: MarketGraph, objective: CutObjective) -> np.ndarray:
 
 
 def _exact_scores(graph: MarketGraph, objective: CutObjective, masks: np.ndarray) -> np.ndarray:
-    """`objective_value` of each mask's sides, bit for bit: in chunks, masks of one side-2
-    count gather C-contiguous (count, N1, N2) cut blocks, as `_partition_from_sides` does."""
+    """`objective_value` of each bit mask's sides by `_scores`, 4 MiB of cut blocks a chunk."""
     n = graph.n_vertices
-    mass = np.ones(n) if objective is CutObjective.NORMALIZED else graph.degrees
-    exact, step = np.empty(masks.size), max(1, 2 ** 21 // n ** 2)  # 4 MiB of blocks a chunk
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for start in range(0, masks.size, step):
-            on2 = np.zeros((len(masks[start:start + step]), n), dtype=bool)
-            on2[:, 1:] = masks[start:start + step, None] >> np.arange(n - 1) & 1
-            count = np.count_nonzero(on2, axis=1)
-            for k in np.unique(count).tolist():
-                rows = np.flatnonzero(count == k)
-                i1 = (np.flatnonzero(~on2[rows]) % n).reshape(rows.size, n - k)
-                i2 = (np.flatnonzero(on2[rows]) % n).reshape(rows.size, k)
-                cut = graph.weights[i1[:, :, None], i2[:, None, :]].reshape(rows.size, -1)
-                scale = 1.0 / mass[i1].sum(axis=1) + 1.0 / mass[i2].sum(axis=1)
-                exact[start + rows] = scale * cut.sum(axis=1)
+    exact, step = np.empty(masks.size), max(1, 2 ** 21 // n ** 2)
+    for start in range(0, masks.size, step):
+        on2 = (2 * masks[start:start + step, None] >> np.arange(n) & 1).astype(bool)
+        order, count = np.argsort(on2, axis=1, kind="stable"), np.add.reduce(on2, axis=1)
+        for k in np.unique(count).tolist():  # the rows of one side-2 count are scored together
+            rows = np.flatnonzero(count == k)
+            exact[start + rows] = _scores(graph, objective, order[rows, :n - k],
+                                          order[rows, n - k:])[3]
     return exact
 
 
@@ -340,7 +339,7 @@ def brute_force_min_cut(graph: MarketGraph, objective: CutObjective) -> Partitio
     Enumerates the 2**(N-1) - 1 candidate splits, so it is only usable on
     small graphs; it exists as the correctness oracle for `spectral_bisect`.
     `_screen` scores every candidate; those within a relative SCREEN_REL_TOL of
-    its minimum are re-scored bit for bit. The lowest finite value wins (none
+    its minimum are re-scored by `_scores`. The lowest finite value wins (none
     has a side of zero or subnormal volume under CutV); ties go to the
     lexicographically smallest side assignment.
 
@@ -365,7 +364,7 @@ def brute_force_min_cut(graph: MarketGraph, objective: CutObjective) -> Partitio
     screened = _screen(graph, objective)
     low = np.fmin.reduce(screened)  # skips NaN, the inf * 0 of a subnormal volume
     near = 1 + np.flatnonzero(screened <= (low + SCREEN_REL_TOL * low if low < np.inf else -1))
-    # A lone candidate is scored exactly once, by the result's `_partition_from_sides`.
+    # A lone candidate is scored once, by the result's `_partition_from_sides`.
     exact = _exact_scores(graph, objective, near) if near.size > 1 else np.zeros(near.size)
     tied, b = near[exact == np.fmin.reduce(exact, initial=np.inf)], 0  # NaN never wins
     while tied.size > 1:  # the smallest side_of: bit b is the side of vertex b + 1

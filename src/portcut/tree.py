@@ -173,8 +173,8 @@ def induced_subgraph(graph: MarketGraph, members) -> MarketGraph:
         raise InvalidInputError(
             f"members out of range for a graph with {graph.n_vertices} vertices"
         )
-    return MarketGraph._checked_submatrix(graph.weights[np.ix_(idx, idx)],
-                                          tuple(graph.asset_ids[i] for i in idx.tolist()))
+    return MarketGraph(graph.weights[np.ix_(idx, idx)],
+                       tuple(graph.asset_ids[i] for i in idx.tolist()))
 
 
 def select_leaf(tree: CutTree, graph: MarketGraph, policy: CutPolicy,

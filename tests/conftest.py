@@ -219,6 +219,23 @@ def six_asset_tree_doc(defect: str | None = None) -> dict:
     return doc
 
 
+def reference_cut_stats(graph: MarketGraph, side_of, objective: CutObjective):
+    """``(n1, n2, v1, v2, cut, objective)`` by the scalar formula `spectral._scores` replaced.
+
+    It sums the cut block in the labelling it is given, so the same cut labelled the other
+    way round may score an ulp apart; the scorer always sums with vertex 0 on side 1.
+    """
+    side = np.asarray(side_of)
+    i1, i2 = np.flatnonzero(side == 1), np.flatnonzero(side == 2)
+    v1, v2 = float(graph.degrees.take(i1).sum()), float(graph.degrees.take(i2).sum())
+    cut = float(graph.weights.take(i1, 0).take(i2, 1).sum())
+    if objective is CutObjective.NORMALIZED:
+        scale = 1.0 / i1.size + 1.0 / i2.size
+    else:
+        scale = 1.0 / v1 + 1.0 / v2
+    return i1.size, i2.size, v1, v2, cut, scale * cut
+
+
 # Reference renderers: the per-element forms `portcut.serialization` must match
 # byte for byte.
 

@@ -2,6 +2,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import portcut.backtest
 
@@ -123,21 +125,22 @@ class TestRunBacktest:
         assert res.sharpe_degenerate
         assert res.ok
 
-    def test_sharpe_from_sharpe_ratio(self, monkeypatch):
+    def test_sharpe_from_sharpe_ratio(self):
         prices, _ = block_factor_market([3, 3], 30, seed=5)
         config = BacktestConfig(split_index=10, strategies=(EW,))
         res = run_backtest(prices, config).result("ew")
         port = np.diff(prices.prices, axis=0)[10:] / prices.prices[10:-1] @ res.weights.weights
-        assert res.sharpe == pytest.approx(sharpe_ratio(port, 252.0), rel=1e-12)
+        assert (res.mean_return, res.std_return) == (port.mean(), port.std(ddof=1))
+        assert res.sharpe == sharpe_ratio(port, 252.0)
+        assert not res.sharpe_degenerate
 
-        def flat(series, annualization):
-            raise DegenerateSeriesError("flat")
-
-        monkeypatch.setattr(portcut.backtest, "sharpe_ratio", flat)
-        res = run_backtest(prices, config).result("ew")
-        assert res.ok
-        assert res.sharpe is None
-        assert res.sharpe_degenerate
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(2, 50),
+           annualization=st.sampled_from([1.0, 12.0, 52.0, 252.0, 365.25]))
+    def test_sharpe_ratio_bits_of_mean_over_std(self, seed, size, annualization):
+        x = np.random.default_rng(seed).normal(0.0005, 0.01, size)
+        expected = np.sqrt(annualization) * x.mean() / x.std(ddof=1)
+        assert sharpe_ratio(x, annualization) == float(expected)
 
     def test_no_look_ahead(self):
         prices, _ = block_factor_market([4, 5], 60, seed=11)

@@ -19,7 +19,7 @@ from portcut import (
     simple_returns,
 )
 
-from conftest import make_prices
+from conftest import complete_random_graph, make_prices
 
 
 class TestSimpleReturns:
@@ -277,6 +277,19 @@ class TestMarketGraphFromWeights:
         g = MarketGraph(np.array([[0.0, 0.2, 0.4], [0.6, 0.0, 0.1], [0.0, 0.3, 0.0]]))
         np.testing.assert_array_equal(
             g.weights, [[0.0, 0.4, 0.2], [0.4, 0.0, 0.2], [0.2, 0.2, 0.0]])
+
+    def test_symmetric_matrix_keeps_its_bits(self):
+        w = complete_random_graph(np.random.default_rng(7), 9).weights.copy()
+        w[0, 1] = w[1, 0] = 5e-324  # subnormal, odd: halving it alone would round
+        assert MarketGraph(w).weights.tobytes() == w.tobytes()
+
+    def test_signed_zero_across_the_diagonal_becomes_positive(self):
+        g = MarketGraph(np.array([[0.0, -0.0, 0.5], [0.0, 0.0, 0.5], [0.5, 0.5, 0.0]]))
+        assert not np.signbit(g.weights).any()
+
+    def test_overflowing_average_is_a_weight_above_one(self):
+        with pytest.raises(InvalidInputError, match="must not exceed 1"):
+            MarketGraph(np.array([[0.0, 1e308], [1e308, 0.0]]))
 
     def test_callers_array_not_aliased(self):
         w = np.array([[0.0, 0.5], [0.5, 0.0]])

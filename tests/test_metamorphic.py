@@ -40,6 +40,18 @@ def run_pipeline(folder, monkeypatch, text, *flags):
             if path.name != "prices.csv"}
 
 
+def report_weights(folder, monkeypatch, text, split, *flags):
+    """Each strategy's weights, by asset, from a `backtest` of ``text`` at ``split``."""
+    folder.mkdir()
+    monkeypatch.chdir(folder)
+    (folder / "prices.csv").write_bytes(text.encode())
+    assert main(["backtest", "prices.csv", "--split-index", str(split), *flags,
+                 "-o", "report.json"]) == 0
+    report = json.loads((folder / "report.json").read_text())
+    return {label: dict(zip(report["asset_ids"], entry["weights"]))
+            for label, entry in report["strategies"].items()}
+
+
 def csv_text(prices, tmp_path):
     write_prices_csv(tmp_path / "source.csv", prices)
     return (tmp_path / "source.csv").read_text()
@@ -76,6 +88,28 @@ class TestRelations:
                    for marker, variant in variants.items()]
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("policy", ["error", "drop-rows"])
+    def test_rows_after_the_out_sample_change_no_weight(self, blocks, n_periods, seed, policy,
+                                                        tmp_path, monkeypatch):
+        lines = csv_text(market(blocks, n_periods, seed), tmp_path).splitlines(keepends=True)
+        base, split = lines[:len(lines) - 40], (len(lines) - 40) // 2
+        appended = lines[len(lines) - 40:]
+        if policy == "drop-rows":  # a blank cell in an appended row drops only that row
+            appended[3] = ",".join(appended[3].split(",")[:-1] + ["\n"])
+        flags = [*POLICY, "--missing-policy", policy]
+        weights = [report_weights(tmp_path / name, monkeypatch, "".join(text), split, *flags)
+                   for name, text in (("base", base), ("longer", base + appended))]
+        assert set(weights[0]) == set(STRATEGIES)
+        assert weights[0] == weights[1]
+
+    def test_date_column_last_and_semicolons_change_nothing(self, blocks, n_periods, seed,
+                                                            tmp_path, monkeypatch):
+        text = csv_text(market(blocks, n_periods, seed), tmp_path)
+        moved = "".join(";".join(cells[1:] + cells[:1]) + "\n"
+                        for cells in (line.split(",") for line in text.splitlines()))
+        assert (run_pipeline(tmp_path / "a", monkeypatch, text)
+                == run_pipeline(tmp_path / "b", monkeypatch, moved, "--delimiter", ";"))
+
     def test_permuting_columns_permutes_weights(self, blocks, n_periods, seed, tmp_path,
                                                 monkeypatch):
         prices = market(blocks, n_periods, seed)
@@ -100,3 +134,27 @@ class TestRelations:
                 assert weights[0][label] == weights[1][label], label
         mv = [np.array([run["mv"][a] for a in prices.asset_ids]) for run in weights]
         np.testing.assert_allclose(mv[1], mv[0], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("seed", [4, 5, 6])
+def test_cut_then_allocate_gives_the_backtest_weights(seed, tmp_path, monkeypatch):
+    # `cut` on the in-sample price rows, then `allocate`, is each cut strategy's estimation.
+    prices = market((40, 30, 20, 10), 400, seed)
+    lines = csv_text(prices, tmp_path).splitlines(keepends=True)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "all.csv").write_text("".join(lines))
+    (tmp_path / "in.csv").write_text("".join(lines[:1 + 201]))  # the header, then rows 0..200
+    policy = ["--max-cuts", "4"]
+    assert main(["backtest", "all.csv", "--split-index", "200", *policy,
+                 "-o", "report.json"]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    for objective in ("cutn", "cutv"):
+        assert main(["cut", "in.csv", *policy, "--objective", objective,
+                     "-o", f"{objective}.json"]) == 0
+        for scheme in ("as1", "as2"):
+            assert main(["allocate", "--tree", f"{objective}.json", "--scheme", scheme,
+                         "-o", "weights.json"]) == 0
+            allocated = json.loads((tmp_path / "weights.json").read_text())["weights"]
+            assert [entry["asset_id"] for entry in allocated] == report["asset_ids"]
+            assert ([entry["weight"] for entry in allocated]
+                    == report["strategies"][f"{objective}-{scheme}"]["weights"])

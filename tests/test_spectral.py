@@ -36,6 +36,7 @@ from conftest import (
     iter_bipartitions,
     partition_sets,
     planted_two_block_graph,
+    reference_cut_stats,
     write_prices_csv,
 )
 
@@ -132,6 +133,29 @@ class TestOneScoringPath:
             SCORERS[scorer](g, [1, 1, 2])
         assert str(info.value) == (
             "zero-volume side (v1=1.8, v2=0.0) under the volume-normalized objective")
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 40), seed=st.integers(0, 2 ** 32 - 1))
+    def test_value_is_a_function_of_the_cut(self, n, seed):
+        rng = np.random.default_rng(seed)
+        g = complete_random_graph(rng, n)
+        side = rng.integers(1, 3, size=n)
+        side[rng.choice(n, size=2, replace=False)] = (1, 2)
+        assert cut_value(g, side) == cut_value(g, 3 - side)
+        for objective in (CUTN, CUTV):
+            part, flipped = (portcut.spectral._partition_from_sides(g, s, objective)
+                             for s in (side, 3 - side))
+            assert objective_value(g, side, objective) == objective_value(g, 3 - side, objective)
+            assert (part.n1, part.v1, part.n2, part.v2) == (
+                flipped.n2, flipped.v2, flipped.n1, flipped.v1)
+
+    def test_spectral_and_oracle_score_one_cut_alike(self):
+        # Spectral labels this cut [2, 2, 2, 1, 1] and brute force [1, 1, 1, 2, 2]; summed
+        # in each labelling's own order, the two values would be one ulp apart.
+        g = planted_two_block_graph(np.random.default_rng(0), 5)[0]
+        spectral, oracle = spectral_bisect(g, CUTN), brute_force_min_cut(g, CUTN)
+        assert partition_sets(spectral.side_of) == partition_sets(oracle.side_of)
+        assert spectral.objective_value == oracle.objective_value == 0.3509570699107868
 
     def test_figure_graph_values_pinned(self, figure_cut_graph):
         assert repr(cut_value(figure_cut_graph, FIGURE_SPLIT)) == "0.79"
@@ -468,9 +492,7 @@ class TestLambda2Certificate:
 
     Every bipartition's objective is the Rayleigh quotient of its indicator,
     which is orthogonal to 1 (CutN) or D-orthogonal to 1 (CutV), so λ2 bounds
-    it from below, whichever eigenvector the solver returns. The spectral
-    cut may label its sides the other way round from the oracle, which sums
-    the same cut in another order, so the upper bound allows 1e-12 relative.
+    it from below, whichever eigenvector the solver returns.
     """
 
     @settings(max_examples=40, deadline=None)
@@ -489,7 +511,7 @@ class TestLambda2Certificate:
             spectral = spectral_bisect(graph, objective)
             optimum = brute_force_min_cut(graph, objective).objective_value
             assert spectral.lambda2 <= optimum + slack
-            assert optimum <= spectral.objective_value * (1.0 + 1e-12)
+            assert optimum <= spectral.objective_value
 
 
 def _reference_min_cut(graph, objective):
@@ -596,7 +618,7 @@ class TestBruteForceMatchesReference:
 
 
 class TestExactRescore:
-    """The batched re-score against the scalar formula, and its cost at N = 20."""
+    """The batched scorer against the scalar reference, and its cost at N = 20."""
 
     @pytest.mark.parametrize("objective", [CUTN, CUTV])
     def test_bit_identical_to_objective_value(self, objective):
@@ -607,25 +629,56 @@ class TestExactRescore:
             sides = np.ones((masks.size, n), dtype=int)
             sides[:, 1:] += masks[:, None] >> np.arange(n - 1) & 1
             exact = portcut.spectral._exact_scores(g, objective, masks)
+            assert exact.tolist() == [reference_cut_stats(g, side, objective)[5]
+                                      for side in sides]
             assert exact.tolist() == [objective_value(g, side, objective) for side in sides]
 
     @pytest.mark.parametrize("objective", [CUTN, CUTV])
+    def test_arbitrary_rows_match_the_reference(self, objective):
+        # Rows of one size with vertex 0 in side_a; a Partition labels the cut either way.
+        for n in (2, 3, 7, 31, 64, 100):
+            rng = np.random.default_rng(n)
+            g = complete_random_graph(rng, n)
+            size_b = int(rng.integers(1, n))
+            perms = np.array([np.r_[0, 1 + rng.permutation(n - 1)] for _ in range(40)])
+            side_a, side_b = np.sort(perms[:, :n - size_b]), np.sort(perms[:, n - size_b:])
+            scores = np.array(portcut.spectral._scores(g, objective, side_a, side_b)).T
+            for a, got in zip(side_a, scores.tolist()):
+                side = np.full(n, 2)
+                side[a] = 1
+                n1, n2, v1, v2, cut, value = reference_cut_stats(g, side, objective)
+                assert got == [cut, v1, v2, value]
+                part, flipped = (portcut.spectral._partition_from_sides(g, s, objective)
+                                 for s in (side, 3 - side))
+                assert (part.n1, part.n2, part.v1, part.v2, part.cut_value,
+                        part.objective_value) == (n1, n2, v1, v2, cut, value)
+                assert (flipped.n1, flipped.n2, flipped.v1, flipped.v2, flipped.cut_value,
+                        flipped.objective_value) == (n2, n1, v2, v1, cut, value)
+
+    @pytest.mark.parametrize("objective", [CUTN, CUTV])
     @pytest.mark.parametrize("make_graph", [complete_random_graph, _uniform_graph])
-    def test_one_scalar_call_and_bounded_peak_at_n20(self, make_graph, objective,
-                                                     monkeypatch):
-        # Every cut of the uniform graph ties, so all 2**19 - 1 are re-scored.
+    def test_every_candidate_scored_once_and_bounded_peak_at_n20(self, make_graph, objective,
+                                                                monkeypatch):
+        # Every cut of the uniform graph ties, so all 2**19 - 1 are re-scored; the random
+        # graph's lone candidate is scored only by the result's Partition.
         g = make_graph(np.random.default_rng(20), 20)
-        calls = []
-        scalar = portcut.spectral._partition_from_sides
+        rows, partitions = [], []
+        scorer, scalar = portcut.spectral._scores, portcut.spectral._partition_from_sides
+        monkeypatch.setattr(portcut.spectral, "_scores",
+                            lambda g, o, a, b: rows.append(len(a)) or scorer(g, o, a, b))
         monkeypatch.setattr(portcut.spectral, "_partition_from_sides",
-                            lambda *args, **kw: calls.append(1) or scalar(*args, **kw))
+                            lambda *args, **kw: partitions.append(1) or scalar(*args, **kw))
         tracemalloc.start()
         try:
             part = brute_force_min_cut(g, objective)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(calls) == 1  # the result's own Partition
+        near = 2 ** 19 - 1 if make_graph is _uniform_graph else 0
+        assert len(partitions) == 1  # the result's own Partition
+        assert sum(rows) == near + 1
+        # At most one call per side-2 count in each chunk of 2**21 // 400 masks.
+        assert len(rows) <= 1 + 19 * -(-near // (2 ** 21 // 400))
         assert peak <= 24 * 2 ** 20
         assert part.objective_value == objective_value(g, part.side_of, objective)
 
