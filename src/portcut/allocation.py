@@ -99,6 +99,8 @@ def allocate(tree: CutTree, scheme: AllocationScheme) -> ClusterWeights:
 
     AS2, the flat scheme: every one of the K+1 leaves gets 1 / (K+1).
     """
+    if not isinstance(scheme, AllocationScheme):
+        raise InvalidInputError("scheme must be an AllocationScheme")
     leaves = tree.leaves()
     if scheme is AllocationScheme.AS1:
         shares = {leaf.id: 2.0 ** (-leaf.depth) for leaf in leaves}

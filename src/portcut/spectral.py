@@ -1,9 +1,11 @@
 """Single spectral bisection of a market graph.
 
 Two cut objectives are supported: cardinality-normalized (CutN) and
-volume-normalized (CutV). Both are driven by the Fiedler vector of the
-corresponding (generalized) Laplacian eigenproblem, with an exhaustive
-brute-force minimizer available as an oracle for small graphs.
+volume-normalized (CutV). They differ only in the vertex mass M that
+measures a side: 1 per vertex under CutN, the degree under CutV (`_mass`).
+Both minimize cut * (1/M1 + 1/M2) and relax to L x = lambda M x, solved for
+the Fiedler vector, with an exhaustive brute-force minimizer available as
+an oracle for small graphs.
 """
 
 from __future__ import annotations
@@ -81,6 +83,13 @@ class Partition:
     fiedler: Optional[np.ndarray] = None
 
 
+def _mass(graph: MarketGraph, objective: CutObjective) -> np.ndarray:
+    """Vertex masses: ones under CutN, the degrees under CutV."""
+    if not isinstance(objective, CutObjective):
+        raise InvalidInputError("objective must be a CutObjective")
+    return np.ones(graph.n_vertices) if objective is CutObjective.NORMALIZED else graph.degrees
+
+
 def cut_value(graph: MarketGraph, side_of) -> float:
     """Sum of weights crossing between side 1 and side 2."""
     return _partition_from_sides(graph, side_of, CutObjective.NORMALIZED).cut_value
@@ -89,8 +98,8 @@ def cut_value(graph: MarketGraph, side_of) -> float:
 def objective_value(graph: MarketGraph, side_of, objective: CutObjective) -> float:
     """Normalized cut value of a bipartition.
 
-    CutN multiplies the crossing weight by (1/N1 + 1/N2); CutV multiplies it
-    by (1/V1 + 1/V2) where V is the sum of degrees on each side.
+    The crossing weight times (1/M1 + 1/M2), where M is a side's mass: the
+    vertex counts N1, N2 under CutN, the degree sums V1, V2 under CutV.
 
     Raises
     ------
@@ -103,17 +112,16 @@ def objective_value(graph: MarketGraph, side_of, objective: CutObjective) -> flo
 def partition_indicator(graph: MarketGraph, side_of, objective: CutObjective) -> np.ndarray:
     """Piecewise-constant indicator vector encoding a bipartition.
 
-    Takes the value 1/N1 (resp. 1/V1) on side 1 and -1/N2 (resp. -1/V2) on
-    side 2, so that its Rayleigh quotient reproduces the cut objective.
+    Takes the value 1/M1 on side 1 and -1/M2 on side 2, so that its Rayleigh
+    quotient reproduces the cut objective.
     """
-    part = _partition_from_sides(graph, side_of, objective)
-    if objective is CutObjective.NORMALIZED:
-        return np.where(part.side_of == 1, 1.0 / part.n1, -1.0 / part.n2)
-    return np.where(part.side_of == 1, 1.0 / part.v1, -1.0 / part.v2)
+    mass = _mass(graph, objective)
+    on1 = _partition_from_sides(graph, side_of, objective).side_of == 1
+    return np.where(on1, 1.0 / mass[on1].sum(), -1.0 / mass[~on1].sum())
 
 
 def rayleigh_quotient(graph: MarketGraph, x, objective: CutObjective) -> float:
-    """x'Lx / x'x (normalized) or x'Lx / x'Dx (volume-normalized)."""
+    """x'Lx / x'Mx: M = I under CutN and M = D under CutV."""
     vec = np.asarray(x, dtype=float)
     if vec.shape != (graph.n_vertices,):
         raise InvalidInputError(
@@ -121,23 +129,19 @@ def rayleigh_quotient(graph: MarketGraph, x, objective: CutObjective) -> float:
         )
     if not np.any(vec != 0.0):
         raise InvalidInputError("Rayleigh quotient of the zero vector is undefined")
-    num = float(vec @ graph.laplacian @ vec)
-    if objective is CutObjective.NORMALIZED:
-        return num / float(vec @ vec)
-    den = float(vec @ (graph.degrees * vec))
+    den = float(vec @ (_mass(graph, objective) * vec))
     if den <= 0.0:
-        raise InvalidInputError("x'Dx must be positive for the volume objective")
-    return num / den
+        raise InvalidInputError(f"x'Mx must be positive for the {objective.value} objective")
+    return float(vec @ graph.laplacian @ vec) / den
 
 
 def fiedler_vector(graph: MarketGraph, objective: CutObjective):
     """Second-smallest eigenpair of the cut objective's eigenproblem.
 
-    Solves L x = lambda x for the normalized objective, or the generalized
-    problem L x = lambda D x for the volume objective via the symmetric
-    reduction D^(-1/2) L D^(-1/2). The returned vector is unit-norm in the
-    objective's inner product (x'x = 1, resp. x'Dx = 1) and sign-fixed so
-    its largest-magnitude entry is positive.
+    Solves L x = lambda M x with the objective's vertex masses M (I under
+    CutN, D under CutV) via the symmetric reduction M^(-1/2) L M^(-1/2) and
+    x = M^(-1/2) v. The returned vector has x'Mx = 1 to rounding and is
+    sign-fixed so its largest-magnitude entry is positive.
 
     Returns
     -------
@@ -154,36 +158,24 @@ def fiedler_vector(graph: MarketGraph, objective: CutObjective):
     n = graph.n_vertices
     if n < 2:
         raise InvalidInputError("Fiedler vector needs at least 2 vertices")
-    lap = graph.laplacian
+    lap, mass = graph.laplacian, _mass(graph, objective)
     lmax = float(np.max(np.abs(lap)))
-
-    if objective is CutObjective.NORMALIZED:
-        matrix = lap
-    else:
-        dead = np.flatnonzero(graph.degrees <= 0.0)
-        if dead.size:
-            raise DegenerateDegreeError(
-                f"zero-degree vertices {dead.tolist()} are incompatible with the "
-                "volume-normalized objective", vertices=dead.tolist())
-        inv_sqrt_d = 1.0 / np.sqrt(graph.degrees)
-        matrix = inv_sqrt_d[:, None] * lap * inv_sqrt_d[None, :]
+    dead = np.flatnonzero(mass <= 0.0)  # only a degree can be zero
+    if dead.size:
+        raise DegenerateDegreeError(
+            f"zero-degree vertices {dead.tolist()} are incompatible with the "
+            "volume-normalized objective", vertices=dead.tolist())
+    inv_sqrt_m = 1.0 / np.sqrt(mass)
     try:
-        evals, evecs = scipy.linalg.eigh(matrix, subset_by_index=[0, 1])
+        evals, evecs = scipy.linalg.eigh(inv_sqrt_m[:, None] * lap * inv_sqrt_m[None, :],
+                                         subset_by_index=[0, 1])
     except scipy.linalg.LinAlgError as exc:
         raise NumericalFailureError(
             f"eigensolver failed on {n} vertices ({objective.value}): {exc}",
             diagnostics={"n": n, "objective": objective.value},
         ) from exc
-    lam2 = float(evals[1])
-
-    if objective is CutObjective.NORMALIZED:
-        u2 = evecs[:, 1].copy()
-        residual = float(np.max(np.abs(lap @ u2 - lam2 * u2)))
-    else:
-        u2 = inv_sqrt_d * evecs[:, 1]
-        u2 = u2 / np.sqrt(float(u2 @ (graph.degrees * u2)))
-        residual = float(np.max(np.abs(lap @ u2 - lam2 * graph.degrees * u2)))
-
+    lam2, u2 = float(evals[1]), inv_sqrt_m * evecs[:, 1]
+    residual = float(np.max(np.abs(lap @ u2 - lam2 * mass * u2)))
     k = int(np.argmax(np.abs(u2)))
     if u2[k] < 0.0:
         u2 = -u2
@@ -210,9 +202,11 @@ def _partition_from_sides(graph: MarketGraph, side_of, objective: CutObjective,
     if n1 == 0 or n2 == 0:
         raise InvalidPartitionError("both sides of a cut must be nonempty")
     a, b = (i2, i1) if i2[0] == 0 else (i1, i2)  # score with vertex 0 on side 1
-    cut, va, vb, value = (float(x[0]) for x in _scores(graph, objective, a[None], b[None]))
+    mass, degrees = _mass(graph, objective), graph.degrees
+    cut, ma, mb, value = (float(x[0]) for x in _scores(graph, mass, a[None], b[None]))
+    va, vb = (ma, mb) if mass is degrees else (float(degrees.take(s).sum()) for s in (a, b))
     v1, v2 = (va, vb) if a is i1 else (vb, va)
-    if objective is CutObjective.VOLUME_NORMALIZED and (v1 <= 0.0 or v2 <= 0.0):
+    if ma <= 0.0 or mb <= 0.0:  # only a volume can be zero
         raise DegenerateVolumeError(f"zero-volume side (v1={v1}, v2={v2}) under the "
                                     "volume-normalized objective")
     return Partition(side_of=side, n1=n1, n2=n2, v1=v1, v2=v2, cut_value=cut,
@@ -220,15 +214,14 @@ def _partition_from_sides(graph: MarketGraph, side_of, objective: CutObjective,
                      lambda2=lambda2, fiedler=fiedler)
 
 
-def _scores(graph: MarketGraph, objective: CutObjective, side_a, side_b):
-    """``(cut, va, vb, objective)`` of each cut whose sides are sorted rows of ``side_a`` (with
-    vertex 0) and ``side_b``: the one cut formula, on C-contiguous blocks and with no BLAS."""
+def _scores(graph: MarketGraph, mass: np.ndarray, side_a, side_b):
+    """``(cut, ma, mb, cut * (1/ma + 1/mb))`` of each cut whose sides are sorted rows of
+    ``side_a`` (with vertex 0) and ``side_b``, with ``m`` a side's sum of vertex ``mass``: the
+    one cut formula, on C-contiguous blocks and with no BLAS."""
     cut = graph.weights[side_a[:, :, None], side_b[:, None, :]].reshape(len(side_a), -1).sum(1)
-    va, vb = graph.degrees.take(side_a).sum(axis=1), graph.degrees.take(side_b).sum(axis=1)
-    if objective is CutObjective.NORMALIZED:
-        return cut, va, vb, (1.0 / side_a.shape[1] + 1.0 / side_b.shape[1]) * cut
+    ma, mb = mass.take(side_a).sum(axis=1), mass.take(side_b).sum(axis=1)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return cut, va, vb, (1.0 / va + 1.0 / vb) * cut
+        return cut, ma, mb, (1.0 / ma + 1.0 / mb) * cut
 
 
 def spectral_bisect(graph: MarketGraph, objective: CutObjective) -> Partition:
@@ -290,8 +283,8 @@ def _screen(graph: MarketGraph, objective: CutObjective) -> np.ndarray:
     """
     n = graph.n_vertices
     bits = (n - 1) // 2
-    cutn = objective is CutObjective.NORMALIZED
-    mass = np.ones(n) if cutn else graph.degrees
+    mass = _mass(graph, objective)
+    unit = bool((mass == 1.0).all())
     _, hi_cut, hi_m2 = _half_tables(graph.weights, mass, range(bits + 1, n))
     lo_rows, lo_cut, lo_m2 = _half_tables(graph.weights, mass, range(1, bits + 1))
     hi_m1, lo_m1 = hi_m2[::-1], lo_m2[::-1] + mass[0]
@@ -304,14 +297,14 @@ def _screen(graph: MarketGraph, objective: CutObjective) -> np.ndarray:
         np.add(score[lo], to1[:, j], out=score[hi])
         score[lo] += to2[:, j]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if cutn:  # 1/N1 + 1/N2 by side-2 count: one row per count of the high bits
+        if unit:  # 1/M1 + 1/M2 by side-2 count: one row per count of the high bits
             k = np.arange(n - bits)[:, None] + lo_m2.astype(int)
             by_count = 1.0 / (n - k) + 1.0 / k
         step = max(1, 8192 // lo_cut.size)  # rows per block of 64 KiB
         for top in range(0, hi_cut.size, step):
             rows, block = slice(top, top + step), score[top:top + step]
             block += hi_cut[rows, None]
-            block *= (by_count[hi_m2[rows].astype(int)] if cutn else
+            block *= (by_count[hi_m2[rows].astype(int)] if unit else
                       1.0 / (hi_m1[rows, None] + lo_m1) + 1.0 / (hi_m2[rows, None] + lo_m2))
     if not mass.all():  # a side of zero mass scores inf, not 0 * inf
         score[np.ix_(hi_m2 <= 0.0, lo_m2 <= 0.0)] = np.inf
@@ -321,15 +314,14 @@ def _screen(graph: MarketGraph, objective: CutObjective) -> np.ndarray:
 
 def _exact_scores(graph: MarketGraph, objective: CutObjective, masks: np.ndarray) -> np.ndarray:
     """`objective_value` of each bit mask's sides by `_scores`, 4 MiB of cut blocks a chunk."""
-    n = graph.n_vertices
+    n, mass = graph.n_vertices, _mass(graph, objective)
     exact, step = np.empty(masks.size), max(1, 2 ** 21 // n ** 2)
     for start in range(0, masks.size, step):
         on2 = (2 * masks[start:start + step, None] >> np.arange(n) & 1).astype(bool)
         order, count = np.argsort(on2, axis=1, kind="stable"), np.add.reduce(on2, axis=1)
         for k in np.unique(count).tolist():  # the rows of one side-2 count are scored together
             rows = np.flatnonzero(count == k)
-            exact[start + rows] = _scores(graph, objective, order[rows, :n - k],
-                                          order[rows, n - k:])[3]
+            exact[start + rows] = _scores(graph, mass, order[rows, :n - k], order[rows, n - k:])[3]
     return exact
 
 

@@ -106,6 +106,8 @@ class CutTree:
         asset_ids = tuple(asset_ids)
         if not asset_ids:
             raise InvalidInputError("a cut tree needs at least one asset")
+        if not isinstance(objective, CutObjective):
+            raise InvalidInputError("objective must be a CutObjective")
         root = CutTreeNode(id=0, members=tuple(range(len(asset_ids))), depth=0)
         return cls(nodes=MappingProxyType({0: root}), root_id=0, objective=objective,
                    leaf_ids=(0,), asset_ids=asset_ids)

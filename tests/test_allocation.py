@@ -56,6 +56,11 @@ class TestClusterSchemes:
         assert allocate(example_tree, AllocationScheme.AS1).scheme_tag == "AS1"
         assert allocate(example_tree, AllocationScheme.AS2).scheme_tag == "AS2"
 
+    @pytest.mark.parametrize("scheme", ["as1", "AS2", 1, None])
+    def test_scheme_must_be_an_allocation_scheme(self, example_tree, scheme):
+        with pytest.raises(InvalidInputError, match="scheme must be an AllocationScheme"):
+            allocate(example_tree, scheme)
+
     def test_dyadic_identity_on_built_trees(self):
         for seed in range(12):
             rng = np.random.default_rng(seed)

@@ -164,6 +164,27 @@ class TestOneScoringPath:
                 == "0.20210188842816368")
 
 
+OBJECTIVE_ENTRY_POINTS = {
+    "fiedler_vector": fiedler_vector,
+    "spectral_bisect": spectral_bisect,
+    "brute_force_min_cut": brute_force_min_cut,
+    "objective_value": lambda g, o: objective_value(g, [1, 1, 1, 2, 2, 2], o),
+    "partition_indicator": lambda g, o: partition_indicator(g, [1, 1, 1, 2, 2, 2], o),
+    "rayleigh_quotient": lambda g, o: rayleigh_quotient(g, np.arange(6.0), o),
+}
+
+
+class TestObjectiveType:
+    # A string "cutn" once ran every formula as CutV: fiedler_vector returned
+    # lambda2 = 0.9711 on this graph, where CutN gives 2.3477.
+    @pytest.mark.parametrize("objective", ["cutn", "cutv", None])
+    @pytest.mark.parametrize("entry", OBJECTIVE_ENTRY_POINTS)
+    def test_objective_must_be_a_cut_objective(self, entry, objective):
+        g = complete_random_graph(np.random.default_rng(0), 6)
+        with pytest.raises(InvalidInputError, match="objective must be a CutObjective"):
+            OBJECTIVE_ENTRY_POINTS[entry](g, objective)
+
+
 class TestRayleighQuotient:
     def test_ones_vector_in_null_space(self, figure_cut_graph):
         assert abs(rayleigh_quotient(figure_cut_graph, np.ones(8), CUTN)) <= 1e-12
@@ -176,7 +197,9 @@ class TestRayleighQuotient:
         (np.ones(4), CUTN, "vector has shape (4,), expected (3,)"),
         (np.ones((3, 1)), CUTV, "vector has shape (3, 1), expected (3,)"),
         # Vertex 2 has degree zero, so x'Dx = 0.
-        (np.array([0.0, 0.0, 1.0]), CUTV, "x'Dx must be positive for the volume objective"),
+        (np.array([0.0, 0.0, 1.0]), CUTV, "x'Mx must be positive for the cutv objective"),
+        # x is nonzero, but x'x underflows to 0.
+        (np.array([1e-170, -1e-170, 0.0]), CUTN, "x'Mx must be positive for the cutn objective"),
     ])
     def test_undefined_quotient_named(self, x, objective, message):
         with pytest.raises(InvalidInputError) as exc:
@@ -642,12 +665,13 @@ class TestExactRescore:
             size_b = int(rng.integers(1, n))
             perms = np.array([np.r_[0, 1 + rng.permutation(n - 1)] for _ in range(40)])
             side_a, side_b = np.sort(perms[:, :n - size_b]), np.sort(perms[:, n - size_b:])
-            scores = np.array(portcut.spectral._scores(g, objective, side_a, side_b)).T
+            mass = portcut.spectral._mass(g, objective)
+            scores = np.array(portcut.spectral._scores(g, mass, side_a, side_b)).T
             for a, got in zip(side_a, scores.tolist()):
                 side = np.full(n, 2)
                 side[a] = 1
                 n1, n2, v1, v2, cut, value = reference_cut_stats(g, side, objective)
-                assert got == [cut, v1, v2, value]
+                assert got == [cut, *((n1, n2) if objective is CUTN else (v1, v2)), value]
                 part, flipped = (portcut.spectral._partition_from_sides(g, s, objective)
                                  for s in (side, 3 - side))
                 assert (part.n1, part.n2, part.v1, part.v2, part.cut_value,
@@ -665,7 +689,7 @@ class TestExactRescore:
         rows, partitions = [], []
         scorer, scalar = portcut.spectral._scores, portcut.spectral._partition_from_sides
         monkeypatch.setattr(portcut.spectral, "_scores",
-                            lambda g, o, a, b: rows.append(len(a)) or scorer(g, o, a, b))
+                            lambda g, m, a, b: rows.append(len(a)) or scorer(g, m, a, b))
         monkeypatch.setattr(portcut.spectral, "_partition_from_sides",
                             lambda *args, **kw: partitions.append(1) or scalar(*args, **kw))
         tracemalloc.start()
@@ -707,3 +731,39 @@ class TestScreen:
                     assert objective is CUTV and score == np.inf, (n, side)
                     continue
                 assert abs(score - exact) <= bound * exact, (n, side, score, exact)
+
+
+def _unit_degree_graph(rng, n, k):
+    """The mean of k random perfect matchings on n vertices: every degree is exactly 1."""
+    w = np.zeros((n, n))
+    for _ in range(k):
+        pairs = rng.permutation(n).reshape(-1, 2)
+        w[pairs[:, 0], pairs[:, 1]] += 1.0
+        w[pairs[:, 1], pairs[:, 0]] += 1.0
+    return MarketGraph(w / k)
+
+
+class TestUnitMasses:
+    """With every degree 1, CutN and CutV pose one problem and must agree bit for bit."""
+
+    def test_objectives_agree_when_every_degree_is_one(self):
+        rng = np.random.default_rng(1)
+        for _ in range(150):
+            n, k = 2 * int(rng.integers(1, 9)), int(rng.choice([2, 4]))
+            g = _unit_degree_graph(rng, n, k)
+            assert g.degrees.tolist() == [1.0] * n
+            side = np.r_[1, 2, rng.integers(1, 3, size=n - 2)]
+            x = rng.normal(size=n)
+            (lam_n, u_n), (lam_v, u_v) = (fiedler_vector(g, o) for o in (CUTN, CUTV))
+            assert lam_n == lam_v and u_n.tobytes() == u_v.tobytes(), (n, k)
+            for run in (spectral_bisect, brute_force_min_cut):
+                a, b = run(g, CUTN), run(g, CUTV)
+                assert a.side_of.tolist() == b.side_of.tolist(), (run.__name__, n, k)
+                assert (a.objective_value, a.cut_value, a.v1, a.v2) == (
+                    b.objective_value, b.cut_value, b.v1, b.v2)
+            assert objective_value(g, side, CUTN) == objective_value(g, side, CUTV)
+            assert (partition_indicator(g, side, CUTN).tobytes()
+                    == partition_indicator(g, side, CUTV).tobytes())
+            assert rayleigh_quotient(g, x, CUTN) == rayleigh_quotient(g, x, CUTV)
+            assert (portcut.spectral._screen(g, CUTN).tobytes()
+                    == portcut.spectral._screen(g, CUTV).tobytes())

@@ -351,6 +351,16 @@ class TestPolicyValidation:
         with pytest.raises(InvalidInputError):
             CutPolicy(max_cuts=1, min_leaf_size=0)
 
+    @pytest.mark.parametrize("max_cuts", [0, 2])
+    @pytest.mark.parametrize("objective", ["cutn", "cutv", None])
+    def test_objective_must_be_a_cut_objective(self, objective, max_cuts):
+        # A string "cutn" once built a tree of CutV cuts labelled "cutn".
+        graph = complete_random_graph(np.random.default_rng(0), 6)
+        with pytest.raises(InvalidInputError, match="objective must be a CutObjective"):
+            build_cut_tree(graph, CutPolicy(max_cuts=max_cuts, min_leaf_size=1), objective)
+        with pytest.raises(InvalidInputError, match="objective must be a CutObjective"):
+            CutTree.root(graph.asset_ids, objective)
+
     @pytest.mark.parametrize("selection", ["vertices", "volume", None])
     def test_leaf_selection_must_be_a_leaf_selection(self, selection):
         with pytest.raises(InvalidInputError, match="leaf_selection"):
