@@ -16,7 +16,6 @@ from portcut import (
     asset_weights,
     build_cut_tree,
     edge_budget_trace,
-    leaf_edge_budget,
 )
 
 np.set_printoptions(precision=4, suppress=True)
@@ -44,8 +43,9 @@ for node in tree.nodes.values():
 
 # Edge budget: leaves model only within-cluster edges, so each cut shrinks
 # the dense-model edge count sum(N_i (N_i + 1) / 2).
-print("\nedge budget after each cut:", edge_budget_trace(tree))
-print("final budget:", leaf_edge_budget(tree), "vs 36 for the uncut graph")
+trace = edge_budget_trace(tree)
+print("\nedge budget after each cut:", trace)
+print("final budget:", trace[-1], "vs 36 for the uncut graph")
 
 as1 = allocate(tree, AllocationScheme.AS1)
 as2 = allocate(tree, AllocationScheme.AS2)

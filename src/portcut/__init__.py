@@ -68,7 +68,6 @@ from .tree import (
     LeafSelection,
     build_cut_tree,
     edge_budget_trace,
-    leaf_edge_budget,
 )
 
 __version__ = "0.1.0"
@@ -85,7 +84,7 @@ __all__ = [
     "spectral_bisect", "brute_force_min_cut", "bipartition_count",
     # trees
     "LeafSelection", "CutPolicy", "CutTree", "build_cut_tree",
-    "leaf_edge_budget", "edge_budget_trace",
+    "edge_budget_trace",
     # allocation
     "AllocationScheme", "WeightVector", "allocate", "asset_weights",
     "equal_weights", "min_variance_weights",

@@ -38,7 +38,7 @@ from .market_graph import (
     simple_returns,
 )
 from .spectral import CutObjective
-from .tree import CutPolicy, build_cut_tree, edge_budget_trace, leaf_edge_budget
+from .tree import CutPolicy, build_cut_tree, edge_budget_trace
 
 __all__ = [
     "STRATEGIES",
@@ -224,11 +224,12 @@ def _run_backtest(in_returns: ReturnsMatrix, out_returns: ReturnsMatrix,
                 objective, scheme = label.split("-")
                 tree = cut_tree(objective)
                 wv = asset_weights(tree, allocate(tree, AllocationScheme(scheme)))
+                trace = edge_budget_trace(tree)
                 meta = {
                     "k_performed": tree.k_performed,
                     "lambda2_trace": [node.lambda2_at_split for node in tree.splits()],
-                    "leaf_edge_budget": leaf_edge_budget(tree),
-                    "edge_budget_trace": edge_budget_trace(tree),
+                    "leaf_edge_budget": trace[-1],
+                    "edge_budget_trace": trace,
                     "leaf_sizes": [leaf.size for leaf in tree.leaves()],
                 }
             # Overflow is checked below, so it fails this strategy only.

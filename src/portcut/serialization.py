@@ -22,7 +22,7 @@ from .backtest import BacktestReport
 from .errors import InvalidInputError, NumericalFailureError
 from .market_graph import _labels
 from .spectral import CutObjective
-from .tree import CutTree, edge_budget_trace, leaf_edge_budget
+from .tree import CutTree, edge_budget_trace
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -90,6 +90,7 @@ def tree_to_dict(tree: CutTree) -> dict:
         "lambda2_at_split": node.lambda2_at_split,
         "is_leaf": node.is_leaf,
     } for node in map(tree.nodes.__getitem__, sorted(tree.nodes))]
+    trace = edge_budget_trace(tree)
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "cut_tree",
@@ -99,8 +100,8 @@ def tree_to_dict(tree: CutTree) -> dict:
         "leaf_ids": list(tree.leaf_ids),
         "asset_ids": list(tree.asset_ids),
         "nodes": nodes,
-        "leaf_edge_budget": leaf_edge_budget(tree),
-        "edge_budget_trace": edge_budget_trace(tree),
+        "leaf_edge_budget": trace[-1],
+        "edge_budget_trace": trace,
     }
 
 

@@ -116,8 +116,10 @@ def partition_indicator(graph: MarketGraph, side_of, objective: CutObjective) ->
     quotient reproduces the cut objective.
     """
     mass = _mass(graph, objective)
-    on1 = _partition_from_sides(graph, side_of, objective).side_of == 1
-    return np.where(on1, 1.0 / mass[on1].sum(), -1.0 / mass[~on1].sum())
+    side, a, b = _sides(graph, side_of)
+    m1, m2 = (mass.take(s).sum() for s in ((a, b) if side[0] == 1 else (b, a)))
+    _check_masses(m1, m2)
+    return np.where(side == 1, 1.0 / m1, -1.0 / m2)
 
 
 def rayleigh_quotient(graph: MarketGraph, x, objective: CutObjective) -> float:
@@ -127,6 +129,8 @@ def rayleigh_quotient(graph: MarketGraph, x, objective: CutObjective) -> float:
         raise InvalidInputError(
             f"vector has shape {vec.shape}, expected ({graph.n_vertices},)"
         )
+    if not np.isfinite(vec).all():
+        raise InvalidInputError("vector contains non-finite entries")
     if not np.any(vec != 0.0):
         raise InvalidInputError("Rayleigh quotient of the zero vector is undefined")
     den = float(vec @ (_mass(graph, objective) * vec))
@@ -187,28 +191,38 @@ def fiedler_vector(graph: MarketGraph, objective: CutObjective):
     return lam2, u2
 
 
-def _partition_from_sides(graph: MarketGraph, side_of, objective: CutObjective,
-                          lambda2: Optional[float] = None,
-                          fiedler: Optional[np.ndarray] = None) -> Partition:
-    """Check a side assignment and score it as one row of `_scores`."""
+def _sides(graph: MarketGraph, side_of):
+    """Check a side assignment; return it as ints and each side's vertices, vertex 0's first."""
     side = np.asarray(side_of, dtype=int)
     if side.shape != (graph.n_vertices,):
         raise InvalidPartitionError(f"side assignment has shape {side.shape}, "
                                     f"expected ({graph.n_vertices},)")
     i1, i2 = np.flatnonzero(side == 1), np.flatnonzero(side == 2)
-    n1, n2 = i1.size, i2.size
-    if n1 + n2 != side.size:
+    if i1.size + i2.size != side.size:
         raise InvalidPartitionError("side assignment entries must be 1 or 2")
-    if n1 == 0 or n2 == 0:
+    if i1.size == 0 or i2.size == 0:
         raise InvalidPartitionError("both sides of a cut must be nonempty")
-    a, b = (i2, i1) if i2[0] == 0 else (i1, i2)  # score with vertex 0 on side 1
+    return (side, i1, i2) if side[0] == 1 else (side, i2, i1)
+
+
+def _check_masses(m1, m2) -> None:
+    """Reject a side of zero mass; only a volume can be zero."""
+    if m1 <= 0.0 or m2 <= 0.0:
+        raise DegenerateVolumeError(f"zero-volume side (v1={m1}, v2={m2}) under the "
+                                    "volume-normalized objective")
+
+
+def _partition_from_sides(graph: MarketGraph, side_of, objective: CutObjective,
+                          lambda2: Optional[float] = None,
+                          fiedler: Optional[np.ndarray] = None) -> Partition:
+    """Check a side assignment and score it as one row of `_scores`, vertex 0's side first."""
+    side, a, b = _sides(graph, side_of)
     mass, degrees = _mass(graph, objective), graph.degrees
     cut, ma, mb, value = (float(x[0]) for x in _scores(graph, mass, a[None], b[None]))
     va, vb = (ma, mb) if mass is degrees else (float(degrees.take(s).sum()) for s in (a, b))
-    v1, v2 = (va, vb) if a is i1 else (vb, va)
-    if ma <= 0.0 or mb <= 0.0:  # only a volume can be zero
-        raise DegenerateVolumeError(f"zero-volume side (v1={v1}, v2={v2}) under the "
-                                    "volume-normalized objective")
+    first, second = (a.size, va, ma), (b.size, vb, mb)
+    (n1, v1, m1), (n2, v2, m2) = (first, second) if side[0] == 1 else (second, first)
+    _check_masses(m1, m2)
     return Partition(side_of=side, n1=n1, n2=n2, v1=v1, v2=v2, cut_value=cut,
                      objective_value=value, objective=objective,
                      lambda2=lambda2, fiedler=fiedler)
@@ -228,27 +242,23 @@ def spectral_bisect(graph: MarketGraph, objective: CutObjective) -> Partition:
     """Bipartition the graph by the signs of its Fiedler vector.
 
     Positive entries go to side 1, negative to side 2; entries within
-    SIGN_TIE_TOL of zero count as side 1. If that leaves a side empty (which
-    happens for disconnected graphs whose null space is component-supported),
-    the split falls back to the median of the Fiedler values, then to a
-    strict-inequality median split, so both sides are always nonempty.
+    SIGN_TIE_TOL of zero count as side 1. The first rule of `_split_rules`
+    that uses both sides wins, so when the signs leave a side empty (as for
+    disconnected graphs whose null space is component-supported) the split
+    falls back to the median, then the strict median, then the vertex index.
     """
     lam2, u2 = fiedler_vector(graph, objective)
-    side = np.where(u2 < -SIGN_TIE_TOL, 2, 1)
-    if not _both_sides(side):
-        med = float(np.median(u2))
-        side = np.where(u2 <= med, 1, 2)
-        if not _both_sides(side):
-            side = np.where(u2 < med, 1, 2)
-        if not _both_sides(side):
-            # All Fiedler entries identical; split by index as a last resort.
-            side = np.ones(len(u2), dtype=int)
-            side[len(u2) // 2:] = 2
+    side = next(s for s in _split_rules(u2) if s.min() < s.max())
     return _partition_from_sides(graph, side, objective, lambda2=lam2, fiedler=u2)
 
 
-def _both_sides(side: np.ndarray) -> bool:
-    return bool(np.any(side == 1)) and bool(np.any(side == 2))
+def _split_rules(u2: np.ndarray):
+    """Side assignments of the Fiedler vector ``u2``, in the order they are tried."""
+    yield np.where(u2 < -SIGN_TIE_TOL, 2, 1)  # sign
+    med = float(np.median(u2))
+    yield np.where(u2 <= med, 1, 2)  # median
+    yield np.where(u2 < med, 1, 2)  # strict median
+    yield np.where(np.arange(u2.size) < u2.size // 2, 1, 2)  # first half of the indices
 
 
 def bipartition_count(n: int) -> int:

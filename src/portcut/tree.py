@@ -27,7 +27,6 @@ __all__ = [
     "build_cut_tree",
     "select_leaf",
     "induced_subgraph",
-    "leaf_edge_budget",
     "edge_budget_trace",
 ]
 
@@ -188,26 +187,17 @@ def select_leaf(tree: CutTree, graph: MarketGraph, policy: CutPolicy,
     the lambda2 threshold). Ties break toward the leaf containing the
     smallest asset index.
     """
-    best_id = None
-    best_key = None
-    for leaf_id in tree.leaf_ids:
-        if leaf_id in exclude:
-            continue
-        node = tree.nodes[leaf_id]
-        if node.size < 2 * policy.min_leaf_size:
-            continue
+    def key(node: CutTreeNode):
         if policy.leaf_selection is LeafSelection.MOST_VERTICES:
-            score = float(node.size)
-        else:
-            # The volume of the induced subgraph, summed in the same order as
-            # `MarketGraph.total_volume`, without building the subgraph.
-            m = node.members
-            score = float(graph.weights[np.ix_(m, m)].sum(axis=1).sum())
-        key = (-score, min(node.members))
-        if best_key is None or key < best_key:
-            best_key = key
-            best_id = leaf_id
-    return best_id
+            return -float(node.size), min(node.members)
+        # The volume of the induced subgraph, summed in the same order as
+        # `MarketGraph.total_volume`, without building the subgraph.
+        m = node.members
+        return -float(graph.weights[np.ix_(m, m)].sum(axis=1).sum()), min(m)
+
+    eligible = [tree.nodes[i] for i in tree.leaf_ids
+                if i not in exclude and tree.nodes[i].size >= 2 * policy.min_leaf_size]
+    return min(eligible, key=key).id if eligible else None
 
 
 def build_cut_tree(graph: MarketGraph, policy: CutPolicy,
@@ -259,13 +249,9 @@ def build_cut_tree(graph: MarketGraph, policy: CutPolicy,
     return tree
 
 
-def leaf_edge_budget(tree: CutTree) -> int:
-    """Sum over leaves of N_i (N_i + 1) / 2, the dense-model edge count."""
-    return sum(node.size * (node.size + 1) // 2 for node in tree.leaves())
-
-
 def edge_budget_trace(tree: CutTree) -> List[int]:
-    """Edge budget after 0, 1, ..., k_performed cuts, replaying `CutTree.splits`."""
+    """Edge budget, the sum over leaves of N_i (N_i + 1) / 2, after 0, 1, ..., k_performed
+    cuts, replaying `CutTree.splits`; the last entry is the finished tree's."""
     budget = {node.id: node.size * (node.size + 1) // 2 for node in tree.nodes.values()}
     trace = [budget[tree.root_id]]
     for node in tree.splits():

@@ -236,6 +236,15 @@ def reference_cut_stats(graph: MarketGraph, side_of, objective: CutObjective):
     return i1.size, i2.size, v1, v2, cut, scale * cut
 
 
+def reference_partition_indicator(graph: MarketGraph, side_of, objective: CutObjective):
+    """The indicator by boolean masks: each side's masses picked out and summed in vertex
+    order, 1/M1 on side 1 and -1/M2 on side 2. `partition_indicator` must match it bit for
+    bit while summing index-gathered masses and never scoring the cut."""
+    mass = np.ones(graph.n_vertices) if objective is CutObjective.NORMALIZED else graph.degrees
+    on1 = np.asarray(side_of) == 1
+    return np.where(on1, 1.0 / mass[on1].sum(), -1.0 / mass[~on1].sum())
+
+
 # Reference renderers: the per-element forms `portcut.serialization` must match
 # byte for byte.
 

@@ -27,7 +27,6 @@ from portcut import (
     cut_value,
     edge_budget_trace,
     fiedler_vector,
-    leaf_edge_budget,
     min_variance_weights,
     objective_value,
     partition_indicator,
@@ -199,11 +198,11 @@ def test_criterion_06_tree_accounting():
         trace = edge_budget_trace(tree)
         assert len(trace) == k + 1
         assert all(b < a for a, b in zip(trace, trace[1:]))
-        assert trace[-1] == leaf_edge_budget(tree)
+        assert trace[-1] == sum(leaf.size * (leaf.size + 1) // 2 for leaf in tree.leaves())
 
     g100 = complete_random_graph(np.random.default_rng(0), 100)
     tree0 = build_cut_tree(g100, CutPolicy(max_cuts=0))
-    assert leaf_edge_budget(tree0) == 5050
+    assert edge_budget_trace(tree0)[-1] == 5050
     report(6, "leaf counts K+1, exact partitions, strictly shrinking edge "
               "budget; N=100 K=0 budget 5050")
 

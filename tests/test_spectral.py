@@ -37,6 +37,7 @@ from conftest import (
     partition_sets,
     planted_two_block_graph,
     reference_cut_stats,
+    reference_partition_indicator,
     write_prices_csv,
 )
 
@@ -206,6 +207,15 @@ class TestRayleighQuotient:
             rayleigh_quotient(graph_from_edges(3, [(0, 1, 0.9)]), x, objective)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("objective", [CUTN, CUTV])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_rejected(self, bad, objective):
+        # Without the check the quotient is nan, with a numpy RuntimeWarning.
+        g = complete_random_graph(np.random.default_rng(0), 4)
+        with pytest.raises(InvalidInputError) as exc:
+            rayleigh_quotient(g, [bad, 1.0, 2.0, 3.0], objective)
+        assert str(exc.value) == "vector contains non-finite entries"
+
     @pytest.mark.parametrize("seed", range(8))
     def test_cardinality_indicator_identity(self, seed):
         rng = np.random.default_rng(seed)
@@ -225,6 +235,16 @@ class TestRayleighQuotient:
             lhs = rayleigh_quotient(g, x, CUTV)
             rhs = objective_value(g, side, CUTV)
             assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs))
+
+    @pytest.mark.parametrize("objective", [CUTN, CUTV])
+    def test_indicator_bit_identical_to_reference(self, objective):
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            g = complete_random_graph(rng, int(rng.integers(2, 11)))
+            for side in iter_bipartitions(g.n_vertices):
+                for labelled in (side, 3 - side):
+                    assert (partition_indicator(g, labelled, objective).tobytes()
+                            == reference_partition_indicator(g, labelled, objective).tobytes())
 
     @settings(deadline=None, max_examples=30)
     @given(scale=st.floats(min_value=1e-8, max_value=1e8).filter(lambda c: c != 0))
@@ -358,6 +378,21 @@ class TestSpectralBisect:
         part = spectral_bisect(path4_graph, CUTN)
         assert part.side_of.tolist() == [1, 1, 2, 2]
         assert part.lambda2 == 0.25
+
+    @pytest.mark.parametrize("u2, side", [
+        # No entry is negative, so the signs leave side 2 empty; entries at or below the
+        # median 0.2 go to side 1, where `<` would have kept only vertex 2.
+        ([0.3, 0.2, 0.1, 0.2], [2, 1, 1, 1]),
+        # Three entries equal the median 0.5, so `<=` leaves side 2 empty too; `<` splits.
+        ([0.5, 0.1, 0.5, 0.5], [2, 1, 2, 2]),
+    ], ids=["median", "strict-median"])
+    def test_median_fallbacks(self, path4_graph, monkeypatch, u2, side):
+        fiedler = np.array(u2)
+        monkeypatch.setattr(portcut.spectral, "fiedler_vector",
+                            lambda graph, objective: (0.25, fiedler))
+        part = spectral_bisect(path4_graph, CUTN)
+        assert part.side_of.tolist() == side
+        assert part.fiedler is fiedler and part.lambda2 == 0.25
 
     def test_path4_matches_oracle(self, path4_graph):
         part = spectral_bisect(path4_graph, CUTN)

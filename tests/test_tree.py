@@ -19,7 +19,6 @@ from portcut import (
     build_cut_tree,
     edge_budget_trace,
     fiedler_vector,
-    leaf_edge_budget,
     market_graph_from_covariance,
     sample_covariance,
     simple_returns,
@@ -380,15 +379,15 @@ class TestPolicyValidation:
 
 class TestEdgeBudget:
     def test_single_leaf_hundred(self):
-        assert leaf_edge_budget(chain_tree([tuple(range(100))])) == 5050
+        assert edge_budget_trace(chain_tree([tuple(range(100))]))[-1] == 5050
 
     def test_two_halves(self):
         tree = chain_tree([tuple(range(50)), tuple(range(50, 100))])
-        assert leaf_edge_budget(tree) == 2550
+        assert edge_budget_trace(tree)[-1] == 2550
 
     def test_all_singletons(self):
         tree = chain_tree([(i,) for i in range(6)])
-        assert leaf_edge_budget(tree) == 6
+        assert edge_budget_trace(tree)[-1] == 6
 
     def test_trace_strictly_decreasing(self, nested_block_graph):
         tree = build_cut_tree(nested_block_graph,
@@ -397,7 +396,7 @@ class TestEdgeBudget:
         assert len(trace) == tree.k_performed + 1
         assert trace[0] == 36
         assert all(b < a for a, b in zip(trace, trace[1:]))
-        assert trace[-1] == leaf_edge_budget(tree)
+        assert trace[-1] == sum(leaf.size * (leaf.size + 1) // 2 for leaf in tree.leaves())
 
     def test_splits_replay_build_order(self, nested_block_graph):
         tree = build_cut_tree(nested_block_graph,
