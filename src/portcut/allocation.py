@@ -16,12 +16,10 @@ from typing import Dict, Optional
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .errors import (
-    DegenerateNormalizationError,
-    InvalidInputError,
-    SingularCovarianceError,
-)
+from .errors import (DegenerateNormalizationError, InvalidInputError, NumericalFailureError,
+                     SingularCovarianceError)
 from .market_graph import CovarianceMatrix
+from .spectral import RESIDUAL_REL_TOL
 from .tree import CutTree
 
 __all__ = [
@@ -145,31 +143,40 @@ def min_variance_weights(sigma: CovarianceMatrix, ridge: float = 0.0) -> WeightV
     ------
     SingularCovarianceError
         Numerically singular system; the message advises a positive ridge.
+    NumericalFailureError
+        LinAlgError in the condition estimate, or a solve whose backward error
+        is not finite or exceeds 1e-8 (verified before returning).
     DegenerateNormalizationError
         If the unnormalized weights sum to (almost) zero.
     """
     if not (isinstance(ridge, numbers.Real) and 0.0 <= ridge < np.inf):
         raise InvalidInputError("ridge must be nonnegative and finite")
     a = sigma.sigma + ridge * np.eye(sigma.n_assets)
-    cond = float(np.linalg.cond(a))
-    if not np.isfinite(cond) or cond > MAX_CONDITION:
-        raise SingularCovarianceError(
-            f"covariance system is numerically singular (condition estimate "
-            f"{cond:.3e} > {MAX_CONDITION:.0e}); retry with a positive ridge",
-            condition_estimate=cond,
-        )
+    try:
+        cond = float(np.linalg.cond(a))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"condition estimate failed ({exc})",
+                                    diagnostics={"n_assets": sigma.n_assets}) from exc
+    if not cond <= MAX_CONDITION:
+        bound = f"{cond:.3e} > {MAX_CONDITION:.0e}" if cond > MAX_CONDITION else "is NaN"
+        raise SingularCovarianceError(f"covariance system is numerically singular (condition "
+                                      f"estimate {bound}); retry with a positive ridge",
+                                      condition_estimate=cond)
     ones = np.ones(sigma.n_assets)
     try:
-        raw = cho_solve(cho_factor(a, lower=True), ones)
+        raw = cho_solve(cho_factor(a, lower=True), ones, check_finite=False)
     except np.linalg.LinAlgError as exc:
-        raise SingularCovarianceError(
-            f"Cholesky factorization failed ({exc}); retry with a positive ridge",
-            condition_estimate=cond,
-        ) from exc
+        raise SingularCovarianceError(f"Cholesky factorization failed ({exc}); retry with a "
+                                      "positive ridge", condition_estimate=cond) from exc
+    with np.errstate(invalid="ignore"):  # a solution that is not finite gives NaN, rejected
+        error = float(np.max(np.abs(a @ raw - ones))
+                      / (np.max(np.abs(a).sum(axis=1)) * np.max(np.abs(raw)) + 1.0))
+    if not error <= RESIDUAL_REL_TOL:
+        raise NumericalFailureError(
+            f"Cholesky solve backward error {error:.3e} exceeds {RESIDUAL_REL_TOL:.0e}",
+            diagnostics={"backward_error": error, "condition_estimate": cond})
     total = float(raw.sum())
     if abs(total) < 1e-12:
-        raise DegenerateNormalizationError(
-            f"unnormalized min-variance weights sum to {total!r}; cannot enforce "
-            "full investment"
-        )
+        raise DegenerateNormalizationError(f"unnormalized min-variance weights sum to "
+                                           f"{total!r}; cannot enforce full investment")
     return WeightVector(weights=raw / total, scheme_tag="MV", condition_estimate=cond)

@@ -55,8 +55,7 @@ class PriceCsvSpec:
     def __post_init__(self):
         if not isinstance(self.delimiter, str) or len(self.delimiter) != 1:
             raise InvalidInputError(
-                f"delimiter must be exactly one character, got {self.delimiter!r}"
-            )
+                f"delimiter must be exactly one character, got {self.delimiter!r}")
 
 
 @dataclass(frozen=True)
@@ -68,40 +67,42 @@ class IngestReport:
 
 
 def _lines(handle, path: Path):
-    """The file's lines; if some bytes are not UTF-8, that error in place of the rest."""
+    """``(number, line)`` from 1; if some bytes are not UTF-8, that error in place of the rest."""
+    number = 0
     try:
-        yield from handle
+        for number, line in enumerate(handle, start=1):
+            yield number, line
     except UnicodeDecodeError as exc:
-        yield InvalidInputError(f"{path}: not UTF-8 text ({exc.reason})")
+        yield number + 1, InvalidInputError(f"{path}: not UTF-8 text ({exc.reason})")
 
 
-def _records(block: List[str], lines, numbers, path: Path, delimiter: str, line_no: int):
-    """``(next(numbers), row)`` per csv record starting in ``block`` (from line ``line_no``);
-    one that runs on past the block appends the lines it takes to it."""
+def _records(block: List[Tuple[int, str]], lines, path: Path, delimiter: str):
+    """``(number, row)`` per csv record starting in ``block``, numbered by the line it ends
+    on; one that runs on past the block reads on from ``lines``."""
     def checked():
-        for number, line in enumerate(itertools.chain(block, lines), start=line_no):
-            if number - line_no == len(block):
-                block.append(line)
+        for number, line in itertools.chain(block, lines):
             if not isinstance(line, str):
                 raise line
             if "\x00" in line:  # as csv.reader rejects it on Python 3.10
                 raise InvalidInputError(f"{path}:{number}: line contains NUL")
             yield line
 
+    before = block[0][0] - 1
     reader = csv.reader(checked(), delimiter=delimiter)
     try:
         while reader.line_num < len(block):
-            yield next(numbers), next(reader)
+            row = next(reader)
+            yield before + reader.line_num, row
     except csv.Error as exc:
-        raise InvalidInputError(f"{path}:{line_no - 1 + reader.line_num}: {exc}") from None
+        raise InvalidInputError(f"{path}:{before + reader.line_num}: {exc}") from None
 
 
 def _blocks(lines):
-    """The lines in lists of about 64 KiB; a decode error ends the last one."""
+    """The numbered lines in lists of about 64 KiB; a decode error ends the last one."""
     block, size = [], 0
-    for line in lines:
-        block.append(line)
-        size += len(line) if isinstance(line, str) else 1 << 16
+    for item in lines:
+        block.append(item)
+        size += len(item[1]) if isinstance(item[1], str) else 1 << 16
         if size >= 1 << 16:
             yield block
             block, size = [], 0
@@ -120,19 +121,20 @@ def _blanks_to_nan(line: str, delimiter: str, date_idx: int, pair: re.Pattern) -
     return delimiter.join(cells) + line[len(body):]
 
 
-def _loadtxt(block: List[str], spec: PriceCsvSpec, date_idx: int, width: int):
+def _loadtxt(block: List[Tuple[int, str]], spec: PriceCsvSpec, date_idx: int, width: int):
     """Dates and prices of a block by one `np.loadtxt` call; None where `_parse_cells` may
     read it otherwise or raise: at a field past csv's size limit, NUL or bytes 0x1c-0x1f
     (loadtxt strips them), a blank line or date, or a record across lines."""
-    delimiter, text = spec.delimiter, "".join(block)
-    if max(map(len, block)) > csv.field_size_limit() or any(
+    lines = [line for _, line in block]
+    delimiter, text = spec.delimiter, "".join(lines)
+    if max(map(len, lines)) > csv.field_size_limit() or any(
             byte in text for byte in "\x00\x1c\x1d\x1e\x1f"):
         return None
     pair = re.compile(re.escape(delimiter) * 2)
-    rows = [_blanks_to_nan(line, delimiter, date_idx, pair) for line in block]
+    rows = [_blanks_to_nan(line, delimiter, date_idx, pair) for line in lines]
     # A closing row keeps loadtxt from warning on a block of blank lines, and a quoted
     # cell left open on the last line would swallow it.
-    if '"' in block[-1] or text.isspace():
+    if '"' in lines[-1] or text.isspace():
         rows.append(delimiter.join(["1"] * width) + "\n")
     dates: List[str] = []
     try:
@@ -146,27 +148,27 @@ def _loadtxt(block: List[str], spec: PriceCsvSpec, date_idx: int, width: int):
     # Dates read 1.0, so a cell outside (0, inf) is a price; the policy may take it as missing.
     bad = ~((table > 0.0) & (table < math.inf))
     for i in np.flatnonzero(bad.any(axis=1)).tolist():
-        cells = block[i].split(delimiter)
-        if spec.missing_policy is MissingPolicy.ERROR or '"' in block[i] or any(
+        cells = lines[i].split(delimiter)
+        if spec.missing_policy is MissingPolicy.ERROR or '"' in lines[i] or any(
                 cells[j].strip().lower() not in MISSING_MARKERS for j in np.flatnonzero(bad[i])):
             return None
-    return dates[:len(block)], np.delete(table[:len(block)], date_idx, axis=1)
+    return dates[:len(lines)], np.delete(table[:len(lines)], date_idx, axis=1)
 
 
 def _parse_cells(rows_in, path: Path, asset_ids: List[str], date_idx: int,
                  missing_policy: MissingPolicy) -> Tuple[List[str], np.ndarray]:
-    """Dates and prices from ``(line_no, row)`` pairs, one float() per cell; NaN if missing."""
+    """Dates and prices from ``(number, row)`` pairs, one float() per cell; NaN if missing."""
     width = len(asset_ids) + 1
     dates: List[str] = []
     rows: List[List[float]] = []
-    for line_no, row in rows_in:
+    for number, row in rows_in:
         if not row or all(not c.strip() for c in row):
             continue
         if len(row) != width:
-            raise InvalidInputError(f"{path}:{line_no}: expected {width} cells, got {len(row)}")
+            raise InvalidInputError(f"{path}:{number}: expected {width} cells, got {len(row)}")
         dates.append(row.pop(date_idx).strip())
         if not dates[-1]:
-            raise InvalidInputError(f"{path}:{line_no}: missing date")
+            raise InvalidInputError(f"{path}:{number}: missing date")
         values: List[float] = []
         for column, cell in zip(asset_ids, row):
             try:
@@ -177,11 +179,11 @@ def _parse_cells(rows_in, path: Path, asset_ids: List[str], date_idx: int,
                 if cell.strip().lower() not in MISSING_MARKERS:
                     problem = ("unparseable" if value is None
                                else "nonpositive" if value <= 0.0 else "non-finite")
-                    raise InvalidInputError(f"{path}:{line_no}: {problem} price "
+                    raise InvalidInputError(f"{path}:{number}: {problem} price "
                                             f"{cell!r} in column {column!r}")
                 if missing_policy is MissingPolicy.ERROR:
                     raise InvalidInputError(
-                        f"{path}:{line_no}: missing price in column {column!r}")
+                        f"{path}:{number}: missing price in column {column!r}")
                 value = math.nan
             values.append(value)
         rows.append(values)
@@ -194,10 +196,10 @@ def ingest_prices_with_report(spec: PriceCsvSpec) -> Tuple[PriceMatrix, IngestRe
     Raises
     ------
     InvalidInputError
-        Missing file, bytes that are not UTF-8, text that is not CSV (named
-        by line), missing/duplicated columns, unparseable, non-finite or
-        nonpositive cells (named by line and column), blank (named by line) or
-        non-increasing dates, or a missing cell under the ERROR policy.
+        Missing file, bytes that are not UTF-8, text that is not CSV, missing/duplicated
+        columns, unparseable, non-finite or nonpositive cells (named by column), blank or
+        non-increasing dates, or a missing cell under the ERROR policy. Text and row errors
+        name a line: a row error, the line its record ends on.
     InsufficientDataError
         Fewer than two usable rows, or no asset columns after drops.
     """
@@ -210,32 +212,24 @@ def ingest_prices_with_report(spec: PriceCsvSpec) -> Tuple[PriceMatrix, IngestRe
         block = list(itertools.islice(lines, 1))
         if not block:
             raise InvalidInputError(f"{path}: empty file, header row required")
-        header = [h.strip() for h in next(
-            _records(block, lines, itertools.count(), path, spec.delimiter, 1))[1]]
+        header = [h.strip() for h in next(_records(block, lines, path, spec.delimiter))[1]]
         if spec.date_column not in header:
             raise InvalidInputError(
-                f"{path}: date column {spec.date_column!r} not in header {header}"
-            )
+                f"{path}: date column {spec.date_column!r} not in header {header}")
         date_idx = header.index(spec.date_column)
         asset_ids = [h for i, h in enumerate(header) if i != date_idx]
         if not asset_ids:
             raise InvalidInputError(f"{path}: no asset columns besides the date")
         if len(set(asset_ids)) != len(asset_ids):
             raise InvalidInputError(f"{path}: duplicate asset columns in header")
-        # Blocks are checked in full, in file order. Their rows fill one table, doubled as
-        # it fills and trimmed in place. csv and NUL errors count lines; row errors, records.
+        # Blocks are checked in full, in file order; their rows fill one growing table.
         dates: List[str] = []
         prices = np.empty((0, len(asset_ids)))
-        line_no, numbers = len(block) + 1, itertools.count(2)
         for block in _blocks(lines):
-            parsed = isinstance(block[-1], str) and _loadtxt(block, spec, date_idx, len(header))
+            parsed = isinstance(block[-1][1], str) and _loadtxt(block, spec, date_idx, len(header))
             if not parsed:
-                parsed = _parse_cells(
-                    _records(block, lines, numbers, path, spec.delimiter, line_no),
-                    path, asset_ids, date_idx, spec.missing_policy)
-            else:
-                numbers = itertools.count(next(numbers) + len(block))
-            line_no += len(block)
+                parsed = _parse_cells(_records(block, lines, path, spec.delimiter), path,
+                                      asset_ids, date_idx, spec.missing_policy)
             dates += parsed[0]
             if len(dates) > len(prices):
                 prices.resize((2 * len(dates), len(asset_ids)), refcheck=False)
@@ -259,11 +253,9 @@ def ingest_prices_with_report(spec: PriceCsvSpec) -> Tuple[PriceMatrix, IngestRe
 
     if len(dates) < 2:
         raise InsufficientDataError(
-            f"{path}: {len(dates)} usable rows after drops, need at least 2"
-        )
+            f"{path}: {len(dates)} usable rows after drops, need at least 2")
     try:
-        matrix = PriceMatrix(prices=prices, asset_ids=tuple(asset_ids),
-                             timestamps=tuple(dates))
+        matrix = PriceMatrix(prices=prices, asset_ids=tuple(asset_ids), timestamps=tuple(dates))
     except InvalidInputError as exc:
         raise InvalidInputError(f"{path}: {exc}") from None
 
@@ -272,5 +264,4 @@ def ingest_prices_with_report(spec: PriceCsvSpec) -> Tuple[PriceMatrix, IngestRe
                  len(dropped_assets), ", ".join(dropped_assets))
     if dropped_rows:
         log.info("dropped %d row(s) with missing cells", len(dropped_rows))
-    report = IngestReport(dropped_rows=dropped_rows, dropped_assets=dropped_assets)
-    return matrix, report
+    return matrix, IngestReport(dropped_rows=dropped_rows, dropped_assets=dropped_assets)

@@ -156,7 +156,7 @@ def fiedler_vector(graph: MarketGraph, objective: CutObjective):
     DegenerateDegreeError
         Volume objective with zero-degree vertices.
     NumericalFailureError
-        LAPACK eigensolver failure, or a residual exceeding
+        LAPACK eigensolver failure, or a residual that is not finite or exceeds
         1e-8 * max|L| (verified before returning).
     """
     n = graph.n_vertices
@@ -179,11 +179,12 @@ def fiedler_vector(graph: MarketGraph, objective: CutObjective):
             diagnostics={"n": n, "objective": objective.value},
         ) from exc
     lam2, u2 = float(evals[1]), inv_sqrt_m * evecs[:, 1]
-    residual = float(np.max(np.abs(lap @ u2 - lam2 * mass * u2)))
+    with np.errstate(invalid="ignore"):  # a non-finite eigenpair leaves a NaN residual
+        residual = float(np.max(np.abs(lap @ u2 - lam2 * mass * u2)))
     k = int(np.argmax(np.abs(u2)))
     if u2[k] < 0.0:
         u2 = -u2
-    if residual > RESIDUAL_REL_TOL * max(lmax, np.finfo(float).tiny):
+    if not residual <= RESIDUAL_REL_TOL * max(lmax, np.finfo(float).tiny):
         raise NumericalFailureError(
             f"eigenpair residual {residual:.3e} exceeds {RESIDUAL_REL_TOL:.0e} * max|L|",
             diagnostics={"residual": residual, "lmax": lmax, "lambda2": lam2},

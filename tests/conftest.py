@@ -341,7 +341,8 @@ def _reference_rows(handle, path: Path, delimiter: str):
 
     reader = csv.reader(nul_free(), delimiter=delimiter)
     try:
-        yield from reader
+        for row in reader:
+            yield reader.line_num, row
     except csv.Error as exc:
         raise InvalidInputError(f"{path}:{reader.line_num}: {exc}") from None
     except UnicodeDecodeError as exc:
@@ -388,7 +389,7 @@ def reference_ingest(spec):
     with path.open(newline="", encoding="utf-8-sig") as handle:
         rows_in = _reference_rows(handle, path, spec.delimiter)
         try:
-            header = [h.strip() for h in next(rows_in)]
+            header = [h.strip() for h in next(rows_in)[1]]
         except StopIteration:
             raise InvalidInputError(f"{path}: empty file, header row required") from None
         if spec.date_column not in header:
@@ -400,8 +401,8 @@ def reference_ingest(spec):
             raise InvalidInputError(f"{path}: no asset columns besides the date")
         if len(set(asset_ids)) != len(asset_ids):
             raise InvalidInputError(f"{path}: duplicate asset columns in header")
-        dates, prices = _reference_cells(enumerate(rows_in, start=2), path, asset_ids,
-                                         date_idx, spec.missing_policy)
+        dates, prices = _reference_cells(rows_in, path, asset_ids, date_idx,
+                                         spec.missing_policy)
     dropped_assets, dropped_rows = (), ()
     if spec.missing_policy is MissingPolicy.DROP_ASSETS:
         incomplete = np.isnan(prices).any(axis=0)

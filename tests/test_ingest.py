@@ -1,4 +1,5 @@
 import itertools
+import operator
 
 import numpy as np
 import pytest
@@ -443,6 +444,20 @@ def test_blank_date_names_its_line(tmp_path, policy, data):
     assert str(exc.value) == f"{path}:3: missing date"
 
 
+@pytest.mark.parametrize("policy", list(MissingPolicy))
+@pytest.mark.parametrize("rows_between", [0, 6000], ids=["same-block", "later-block"])
+def test_row_error_names_the_line_its_record_ends_on(tmp_path, policy, rows_between):
+    # The date cell runs across lines 2 and 3; 6000 rows of 11 bytes put the bad cell's
+    # line past the first 64 KiB block.
+    rows = b"".join(b"d%06d,1,2\n" % t for t in range(rows_between))
+    path = tmp_path / "prices.csv"
+    path.write_bytes(b'date,a,b\n"2020-01-01\n",1,2\n' + rows + b"2020-01-02,1,x\n")
+    with pytest.raises(InvalidInputError) as exc:
+        ingest_prices_with_report(PriceCsvSpec(path=str(path), missing_policy=policy))
+    assert str(exc.value) == f"{path}:{4 + rows_between}: unparseable price 'x' in column 'b'"
+    assert ingest_outcome(path, policy) == ingest_outcome(path, policy, reference_ingest)
+
+
 @pytest.mark.parametrize("delimiter", [";", "\t", " ", "|", '"'])
 def test_delimiters(tmp_path, cell_loop_calls, delimiter):
     path = tmp_path / "prices.csv"
@@ -581,7 +596,7 @@ ODD_SHAPES = {
 
 
 def boundary_file(shape, where, late_error):
-    """The file's lines and the first record number of the block holding the odd shape.
+    """The file's lines and the number of the first line of the block holding the odd shape.
 
     The first row's first price is padded so that the first block ends right
     after the line after the shape ("before"), its first line ("on") or the
@@ -607,7 +622,7 @@ def boundary_file(shape, where, late_error):
 
 @pytest.fixture
 def cell_rows(monkeypatch):
-    """The record numbers `_parse_cells` reads, one list per call."""
+    """The line numbers `_parse_cells` reads, one list per call."""
     calls, parse = [], ingest._parse_cells
 
     def spied(rows_in, *args):
@@ -629,18 +644,23 @@ def cell_rows(monkeypatch):
     (shape, where) for shape in ODD_SHAPES for where in ("before", "on", "after")
     if (shape, where) != ("oversized-field", "before")])
 def test_block_boundaries(tmp_path, cell_rows, shape, where, policy, late_error):
-    lines, first_record = boundary_file(shape, where, late_error)
+    lines, first_line = boundary_file(shape, where, late_error)
     path = tmp_path / "prices.csv"
     path.write_bytes("".join(lines).encode())
     # A late error checks that records are numbered on past the shape.
     assert ingest_outcome(path, policy) == ingest_outcome(path, policy, reference_ingest)
     if late_error:
         return
-    # The cell function reads the rows of the block holding the shape, and no other.
+    # The cell function reads the rows of the block holding the shape, and no other, each
+    # numbered by the line it ends on: one where the quotes so far are balanced.
     assert len(cell_rows) == (shape != "bare-cr")
     if cell_rows:
         read = cell_rows[0]
-        assert read == list(range(first_record, first_record + len(read)))
+        open_quote = itertools.accumulate((line.count('"') % 2 for line in lines),
+                                          operator.xor)
+        ends = [n for n, inside in enumerate(open_quote, start=1)
+                if not inside and n >= first_line]
+        assert read == ends[:len(read)]
         assert len(read) <= BLOCK // 32 + 1
 
 

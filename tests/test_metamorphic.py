@@ -40,13 +40,12 @@ def run_pipeline(folder, monkeypatch, text, *flags):
             if path.name != "prices.csv"}
 
 
-def report_weights(folder, monkeypatch, text, split, *flags):
-    """Each strategy's weights, by asset, from a `backtest` of ``text`` at ``split``."""
+def report_weights(folder, monkeypatch, text, *flags):
+    """Each strategy's weights, by asset, from a `backtest` of ``text`` under ``flags``."""
     folder.mkdir()
     monkeypatch.chdir(folder)
     (folder / "prices.csv").write_bytes(text.encode())
-    assert main(["backtest", "prices.csv", "--split-index", str(split), *flags,
-                 "-o", "report.json"]) == 0
+    assert main(["backtest", "prices.csv", *flags, "-o", "report.json"]) == 0
     report = json.loads((folder / "report.json").read_text())
     return {label: dict(zip(report["asset_ids"], entry["weights"]))
             for label, entry in report["strategies"].items()}
@@ -96,9 +95,37 @@ class TestRelations:
         appended = lines[len(lines) - 40:]
         if policy == "drop-rows":  # a blank cell in an appended row drops only that row
             appended[3] = ",".join(appended[3].split(",")[:-1] + ["\n"])
-        flags = [*POLICY, "--missing-policy", policy]
-        weights = [report_weights(tmp_path / name, monkeypatch, "".join(text), split, *flags)
+        flags = [*POLICY, "--missing-policy", policy, "--split-index", str(split)]
+        weights = [report_weights(tmp_path / name, monkeypatch, "".join(text), *flags)
                    for name, text in (("base", base), ("longer", base + appended))]
+        assert set(weights[0]) == set(STRATEGIES)
+        assert weights[0] == weights[1]
+
+    @pytest.mark.parametrize("split_by", ["index", "date"])
+    @pytest.mark.parametrize("policy", ["error", "drop-rows"])
+    def test_changed_out_sample_rows_change_no_weight(self, blocks, n_periods, seed, policy,
+                                                      split_by, tmp_path, monkeypatch):
+        prices = market(blocks, n_periods, seed)
+        split = prices.n_rows // 2  # return rows [0, split) read price rows 0..split
+        base = prices.prices.copy()
+        flags = [*POLICY, "--missing-policy", policy]
+        if split_by == "index":
+            flags += ["--split-index", str(split)]
+        else:  # the first asset is flat in-sample, so --drop-degenerate drops it
+            base[:split + 1, 0] = base[0, 0]
+            flags += ["--split-date", prices.timestamps[split], "--drop-degenerate"]
+        changed = base.copy()
+        rng = np.random.default_rng(seed)
+        changed[split + 1:] *= rng.uniform(0.5, 2.0, base[split + 1:].shape)
+        texts = [csv_text(make_prices(columns.T, prices.asset_ids, prices.timestamps), tmp_path)
+                 for columns in (base, changed)]
+        if policy == "drop-rows":  # a blank cell in a changed row drops only that row
+            lines = texts[1].splitlines(keepends=True)
+            lines[split + 5] = ",".join(lines[split + 5].split(",")[:-1] + ["\n"])
+            texts[1] = "".join(lines)
+        assert texts[0].splitlines()[:split + 2] == texts[1].splitlines()[:split + 2]
+        weights = [report_weights(tmp_path / name, monkeypatch, text, *flags)
+                   for name, text in zip(("base", "changed"), texts)]
         assert set(weights[0]) == set(STRATEGIES)
         assert weights[0] == weights[1]
 
