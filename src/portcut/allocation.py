@@ -144,8 +144,8 @@ def min_variance_weights(sigma: CovarianceMatrix, ridge: float = 0.0) -> WeightV
     SingularCovarianceError
         Numerically singular system; the message advises a positive ridge.
     NumericalFailureError
-        LinAlgError in the condition estimate, or a solve whose backward error
-        is not finite or exceeds 1e-8 (verified before returning).
+        LinAlgError in the condition estimate or the solve, or a solve whose
+        backward error is NaN or exceeds 1e-8 (verified before returning).
     DegenerateNormalizationError
         If the unnormalized weights sum to (almost) zero.
     """
@@ -164,16 +164,22 @@ def min_variance_weights(sigma: CovarianceMatrix, ridge: float = 0.0) -> WeightV
                                       condition_estimate=cond)
     ones = np.ones(sigma.n_assets)
     try:
-        raw = cho_solve(cho_factor(a, lower=True), ones, check_finite=False)
+        factor = cho_factor(a, lower=True)
     except np.linalg.LinAlgError as exc:
         raise SingularCovarianceError(f"Cholesky factorization failed ({exc}); retry with a "
                                       "positive ridge", condition_estimate=cond) from exc
+    try:
+        raw = cho_solve(factor, ones, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"Cholesky solve failed ({exc})", diagnostics={
+            "n_assets": sigma.n_assets, "condition_estimate": cond}) from exc
     with np.errstate(invalid="ignore"):  # a solution that is not finite gives NaN, rejected
         error = float(np.max(np.abs(a @ raw - ones))
                       / (np.max(np.abs(a).sum(axis=1)) * np.max(np.abs(raw)) + 1.0))
     if not error <= RESIDUAL_REL_TOL:
+        bound = "is NaN" if np.isnan(error) else f"{error:.3e} exceeds {RESIDUAL_REL_TOL:.0e}"
         raise NumericalFailureError(
-            f"Cholesky solve backward error {error:.3e} exceeds {RESIDUAL_REL_TOL:.0e}",
+            f"Cholesky solve backward error {bound}",
             diagnostics={"backward_error": error, "condition_estimate": cond})
     total = float(raw.sum())
     if abs(total) < 1e-12:

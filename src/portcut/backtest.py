@@ -219,7 +219,7 @@ def _run_backtest(in_returns: ReturnsMatrix, out_returns: ReturnsMatrix,
             elif label == "mv":
                 wv = min_variance_weights(sigma(), ridge=config.mv_ridge)
                 meta = {"condition_estimate": wv.condition_estimate,
-                        "ridge": config.mv_ridge}
+                        "ridge": float(config.mv_ridge)}
             else:
                 objective, scheme = label.split("-")
                 tree = cut_tree(objective)

@@ -7,10 +7,8 @@ bytes.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
-import json
 import math
 from json.encoder import encode_basestring
 from typing import Dict, Sequence
@@ -40,40 +38,43 @@ SCHEMA_VERSION = 1
 
 
 def canonical_json(payload) -> str:
-    """``json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False)`` and a newline.
+    """``payload`` as JSON with sorted keys, a 2-space indent and no ASCII escaping, and a newline.
 
-    NaN and infinities, which JSON cannot hold, raise `NumericalFailureError`.
+    Takes str-keyed dicts, lists, tuples, str, int, float, bool, None and their subclasses.
+    NaN and infinities raise `NumericalFailureError`; any other value, an int too long to
+    print, and a document nested too deep or circular raise `InvalidInputError`.
     """
-    with contextlib.suppress(ValueError, RecursionError):  # json.dumps renders it or raises
-        return _render(payload, "\n") + "\n"
     try:
-        text = json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False,
-                          allow_nan=False)
-    except ValueError as exc:
-        raise NumericalFailureError(f"cannot emit JSON: {exc}", diagnostics={}) from exc
-    return text + "\n"
+        return _render(payload, "\n") + "\n"
+    except (ValueError, RecursionError) as exc:  # a huge int; deep or circular nesting
+        raise InvalidInputError(f"cannot emit JSON: {exc}") from exc
 
 
 def _render(value, pad: str) -> str:
-    """``value`` as JSON text indented from ``pad``, joined in C; ValueError unless it holds
-    only str-keyed dicts, lists, tuples, str, exact ints, finite exact floats, bools and None."""
-    kind = type(value)
-    if kind is str:
+    """``value`` as JSON text indented from ``pad``, joined in C."""
+    if isinstance(value, str):
         return encode_basestring(value)
-    if kind is int or kind is float and np.isfinite(value):
-        return repr(value)
-    if value is None or kind is bool:
+    if value is None or isinstance(value, bool):
         return {None: "null", True: "true", False: "false"}[value]
-    kinds = set(map(type, value)) if kind in (dict, list, tuple) else None
-    if kinds is None or kind is dict and kinds - {str}:
-        raise ValueError(f"not rendered: a {kind.__name__} or a key that is not a str")
-    inner, brackets = pad + "  ", "{}" if kind is dict else "[]"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise NumericalFailureError("cannot emit JSON: Out of range float values are not "
+                                        f"JSON compliant: {value!r}", diagnostics={})
+        return float.__repr__(value)
+    if not isinstance(value, (dict, list, tuple)):
+        raise InvalidInputError(f"cannot emit JSON: a value of type {type(value).__name__}")
+    inner, brackets = pad + "  ", "{}" if isinstance(value, dict) else "[]"
     if not value:
         return brackets
-    if kind is dict:
+    if isinstance(value, dict):
+        bad = [key for key in value if not isinstance(key, str)]
+        if bad:
+            raise InvalidInputError(f"cannot emit JSON: key {bad[0]!r} is not a str")
         body = (f"{encode_basestring(k)}: {_render(v, inner)}" for k, v in sorted(value.items()))
-    elif kinds == {float} and np.isfinite(sum(value)):  # a finite sum has finite terms
-        body = map(float.__repr__, value)
+    elif (kinds := set(map(type, value))) == {float} and math.isfinite(sum(value)):
+        body = map(float.__repr__, value)  # a finite sum has finite terms
     elif kinds == {str}:
         body = map(encode_basestring, value)
     else:
@@ -176,7 +177,7 @@ def report_to_dict(report: BacktestReport, manifest: dict | None = None) -> dict
                 "std_return": res.std_return,
                 "sharpe": res.sharpe,
                 "sharpe_degenerate": res.sharpe_degenerate,
-                "metadata": _jsonable(res.metadata),
+                "metadata": res.metadata,
             }
         else:
             strategies[res.label] = {
@@ -187,23 +188,13 @@ def report_to_dict(report: BacktestReport, manifest: dict | None = None) -> dict
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "backtest_report",
-        "manifest": _jsonable(manifest or {}),
+        "manifest": manifest or {},
         "split_index": int(report.split_index),
         "annualization_factor": float(report.annualization_factor),
         "asset_ids": list(report.asset_ids),
         "out_sample_dates": list(report.out_sample_dates),
         "strategies": strategies,
     }
-
-
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    return float(value)
 
 
 def wealth_to_csv(report: BacktestReport) -> str:

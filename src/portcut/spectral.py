@@ -156,7 +156,7 @@ def fiedler_vector(graph: MarketGraph, objective: CutObjective):
     DegenerateDegreeError
         Volume objective with zero-degree vertices.
     NumericalFailureError
-        LAPACK eigensolver failure, or a residual that is not finite or exceeds
+        LAPACK eigensolver failure, or a residual that is NaN or exceeds
         1e-8 * max|L| (verified before returning).
     """
     n = graph.n_vertices
@@ -185,8 +185,10 @@ def fiedler_vector(graph: MarketGraph, objective: CutObjective):
     if u2[k] < 0.0:
         u2 = -u2
     if not residual <= RESIDUAL_REL_TOL * max(lmax, np.finfo(float).tiny):
+        bound = "is NaN" if np.isnan(residual) else (
+            f"{residual:.3e} exceeds {RESIDUAL_REL_TOL:.0e} * max|L|")
         raise NumericalFailureError(
-            f"eigenpair residual {residual:.3e} exceeds {RESIDUAL_REL_TOL:.0e} * max|L|",
+            f"eigenpair residual {bound}",
             diagnostics={"residual": residual, "lmax": lmax, "lambda2": lam2},
         )
     return lam2, u2

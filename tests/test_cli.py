@@ -13,7 +13,6 @@ import pytest
 
 import portcut
 import portcut.cli
-import portcut.serialization
 
 from portcut import (
     AllocationScheme,
@@ -293,24 +292,6 @@ class TestBacktestCommand:
         assert json.loads(err[0])["error"] == "InvalidInputError"
         assert not report_path.exists()
         assert not wealth_path.exists()
-
-    def test_report_rendered_without_json_dumps(self, market_csv, tmp_path, monkeypatch):
-        """The report takes the C-join path; falling back to json.dumps would be slower."""
-        def run(folder):
-            folder.mkdir()
-            paths = [folder / name for name in ("r.json", "w.csv", "w.svg")]
-            assert main(["backtest", market_csv, "--split-index", "20", "--max-cuts", "2",
-                         "-o", str(paths[0]), "--wealth-csv", str(paths[1]),
-                         "--svg", str(paths[2])]) == 0
-            return [path.read_bytes() for path in paths]
-
-        expected = run(tmp_path / "plain")
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("json.dumps called")
-
-        monkeypatch.setattr(portcut.serialization.json, "dumps", refuse)
-        assert run(tmp_path / "patched") == expected
 
     @pytest.mark.parametrize("report", ["r.json", "-"])
     def test_failed_write_leaves_no_output(self, market_csv, tmp_path, report, capsys):

@@ -13,6 +13,7 @@ from portcut import (
     CutPolicy,
     InvalidInputError,
     NumericalFailureError,
+    PortfolioCutError,
     StrategyResult,
     WeightVector,
     block_factor_market,
@@ -261,19 +262,13 @@ class TestRendererParity:
     @pytest.mark.parametrize("payload", [
         {}, [], (), {"a": {}, "b": [], "c": ()}, [[], [[]], {}], "", 0, -0.0, None,
         {"k": [1.0, float("nan")]}, [float("inf")], {"x": [float("-inf"), 1.0]},
-        [1e308, 1e308], [1.0, True], [1, 2.0], {"a": np.int64(3)}, [np.float64(2.5)],
-        {1: "a"}, {1: "a", "b": 2}, {"a": 1, 2.5: "b"}, [10 ** 5000], [True, False, None],
+        [1e308, 1e308], [1.0, True], [1, 2.0], [np.float64(2.5)], {"a": np.float64(-0.0)},
+        [np.float64(1.5), np.float64(2.0)], [np.float64("nan")], {"y": [1.0, np.float64("inf")]},
+        [True, False, None],
         {"z": 1, "a": {"y": [1.5, -2.0], "b": "\ud800 \x00 \u2028 \u00e9"}},
     ])
     def test_edge_payloads_match(self, payload):
         assert _outcome(canonical_json, payload) == _outcome(reference_canonical_json, payload)
-
-    def test_circular_payload_raises_as_json_dumps(self):
-        loop = [1.0]
-        loop.append({"again": loop})
-        expected = _outcome(reference_canonical_json, loop)
-        assert expected == (NumericalFailureError, "cannot emit JSON: Circular reference detected")
-        assert _outcome(canonical_json, loop) == expected
 
     @staticmethod
     def _report(curves, dates, labels=None):
@@ -358,3 +353,58 @@ class TestRendererParity:
         assert canonical_json(doc) == reference_canonical_json(doc)
         assert wealth_to_csv(small_report) == reference_wealth_to_csv(small_report)
         assert wealth_to_svg(small_report) == reference_wealth_to_svg(small_report)
+
+
+def _circular():
+    loop = [1.0]
+    loop.append({"again": loop})
+    return loop
+
+
+def _nested(depth):
+    payload = []
+    for _ in range(depth):
+        payload = [payload]
+    return payload
+
+
+# Payloads JSON cannot hold for a reason other than a non-finite float.
+@pytest.mark.parametrize("payload", [
+    {"a": np.int64(3)}, {1: "a"}, {2.5: "b"}, {1: "a", "b": 2}, {"a": 1, 2.5: "b"},
+    [10 ** 5000], _circular(), _nested(100_000),
+], ids=["np-int64", "int-key", "float-key", "mixed-keys", "mixed-keys-float",
+        "int-past-digit-limit", "circular", "deep"])
+def test_canonical_json_refuses_as_invalid_input(payload):
+    with pytest.raises(InvalidInputError, match="^cannot emit JSON: ") as exc:
+        canonical_json(payload)
+    assert type(exc.value) is InvalidInputError
+
+
+_ANY_LEAVES = st.one_of(_LEAVES, st.floats(), st.floats().map(np.float64),
+                       st.integers(-10 ** 6, 10 ** 6).map(np.int64), st.binary(max_size=2),
+                       st.complex_numbers(max_magnitude=1.0))
+_ANY_PAYLOADS = st.recursive(_ANY_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(st.one_of(_TEXT, st.integers(), st.floats(allow_nan=False)), inner,
+                    max_size=4)), max_leaves=12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_ANY_PAYLOADS)
+def test_canonical_json_renders_as_json_dumps_or_raises_a_portcut_error(payload):
+    try:
+        text = canonical_json(payload)
+    except PortfolioCutError as exc:
+        assert str(exc).startswith("cannot emit JSON: ")
+        return
+    assert text == reference_canonical_json(payload)
+
+
+@pytest.mark.parametrize("ridge", [np.int64(0), np.float64(1e-8)])
+def test_report_with_numpy_ridge_renders(ridge):
+    prices, _ = block_factor_market([3, 4], 30, seed=8)
+    report = run_backtest(prices, BacktestConfig(split_index=15, strategies=("mv",),
+                                                 mv_ridge=ridge))
+    doc = json.loads(canonical_json(report_to_dict(report)))
+    assert doc["strategies"]["mv"]["metadata"]["ridge"] == float(ridge)
+    assert type(report.results[0].metadata["ridge"]) is float
