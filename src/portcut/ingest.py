@@ -1,11 +1,12 @@
 """CSV price ingestion.
 
 Reads a header-first CSV with one date column and one column per asset into a
-rectangular PriceMatrix, 64 KiB of lines at a time: one `np.loadtxt` call parses
-a block once its blank price cells read `nan`, and the per-cell reader, which
-names the first bad cell, reads a block loadtxt refuses or may read otherwise,
-or with a value outside (0, inf) the policy does not drop. A blank date is an
-error; missing prices are rejected, or dropped row-wise or column-wise.
+rectangular PriceMatrix, 64 KiB of lines at a time: one int64 `np.loadtxt` call
+reads a block of plain decimal price cells exactly, else one float call once its
+blanks read `nan`, and the per-cell reader, which names the first bad cell, reads
+a block loadtxt refuses or may read otherwise, or with a value outside (0, inf)
+the policy does not drop. A blank date is an error; missing prices are rejected,
+or dropped row-wise or column-wise.
 """
 
 from __future__ import annotations
@@ -121,38 +122,97 @@ def _blanks_to_nan(line: str, delimiter: str, date_idx: int, pair: re.Pattern) -
     return delimiter.join(cells) + line[len(body):]
 
 
+# Whether `np.longdouble` is x86's 80-bit extended precision, in 16 bytes, and rounds to its
+# 64-bit significand. Every m < 10**18 and 10**q, q <= 18, is exact in that significand, so
+# m / 10**q rounds once to 64 bits, and on to the double float() reads unless it is halfway.
+_EXACT = (np.finfo(np.longdouble).nmant == 63 and np.dtype(np.longdouble).itemsize == 16
+          and np.longdouble(1) + np.longdouble(2 ** -60) != 1)
+_POW10 = np.array([10 ** q for q in range(19)]).astype(np.longdouble)
+
+
+def _exact(lines: List[str], delimiter: str, date_idx: int, width: int):
+    """Dates and prices of unquoted lines whose price cells are blank (NaN) or 1-18 ASCII
+    digits with at most one dot, each cell m / 10**q bit for bit as float() reads it; None
+    for any other block. m comes from one int64 `np.loadtxt` call, q from the dots."""
+    dates, cells = [], []
+    for line in lines:
+        parts = line.rstrip("\r\n").split(delimiter, date_idx + 1)
+        dates.append(parts.pop(date_idx).strip() if len(parts) > date_idx else "")
+        cells.append(delimiter.join(parts))
+    text = "\n".join(cells) + "\n"
+    if "" in dates or delimiter in '0123456789.\r\n':
+        return None
+    raw = np.frombuffer(text.encode(), np.uint8)
+    nondigit = raw - 48 > 9
+    # Every byte but a digit is a dot, a delimiter or a line end: ASCII, unquoted, unsigned.
+    if np.count_nonzero(nondigit) != len(lines) + np.count_nonzero(
+            raw == 46) + np.count_nonzero(raw == ord(delimiter)):
+        return None
+    odd = np.flatnonzero(nondigit)
+    dot = raw[odd] == 46
+    # A dot's cell ends at the next non-digit, and the j-th dot, odd[at[j]], is in the cell
+    # whose end is the (at[j] - j)-th. No cell may hold two dots, a dot alone or 19 bytes.
+    at = np.flatnonzero(dot)
+    dotted = at - np.arange(len(at))
+    ends = odd[~dot]
+    size = ends - np.concatenate(([0], ends[:-1] + 1))
+    if (dot[1:] & dot[:-1]).any() or (size[dotted] == 1).any() or (size > 18).any():
+        return None
+    q = np.zeros(len(ends), dtype=np.intp)
+    q[dotted] = odd[at + 1] - odd[at] - 1
+    blank = size == 0
+    digits = np.insert(raw, ends[blank], ord("0")).tobytes().translate(None, b".")
+    try:
+        m = np.loadtxt(digits.decode().split("\n")[:-1], dtype=np.int64,
+                       delimiter=delimiter, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if m.shape != (len(lines), width - 1):
+        return None
+    quotient = m.ravel().astype(np.longdouble) / _POW10[q]
+    prices = quotient.astype(float)
+    for i in np.flatnonzero(quotient.view(np.uint64)[::2] & 0x7FF == 0x400).tolist():
+        prices[i] = float(raw[ends[i] - size[i]:ends[i]].tobytes())
+    prices[blank] = math.nan
+    return dates, prices.reshape(m.shape)
+
+
 def _loadtxt(block: List[Tuple[int, str]], spec: PriceCsvSpec, date_idx: int, width: int):
-    """Dates and prices of a block by one `np.loadtxt` call; None where `_parse_cells` may
-    read it otherwise or raise: at a field past csv's size limit, NUL or bytes 0x1c-0x1f
-    (loadtxt strips them), a blank line or date, or a record across lines."""
+    """Dates and prices of a block by `_exact` or one float `np.loadtxt` call; None where
+    `_parse_cells` may read it otherwise or raise: at a field past csv's size limit, NUL or
+    bytes 0x1c-0x1f (loadtxt strips them), a blank line or date, or a record across lines."""
     lines = [line for _, line in block]
     delimiter, text = spec.delimiter, "".join(lines)
     if max(map(len, lines)) > csv.field_size_limit() or any(
             byte in text for byte in "\x00\x1c\x1d\x1e\x1f"):
         return None
-    pair = re.compile(re.escape(delimiter) * 2)
-    rows = [_blanks_to_nan(line, delimiter, date_idx, pair) for line in lines]
-    # A closing row keeps loadtxt from warning on a block of blank lines, and a quoted
-    # cell left open on the last line would swallow it.
-    if '"' in lines[-1] or text.isspace():
-        rows.append(delimiter.join(["1"] * width) + "\n")
-    dates: List[str] = []
-    try:
-        table = np.loadtxt(rows, delimiter=delimiter, quotechar='"', comments=None,
-                           encoding="utf-8", ndmin=2, converters={
-                               date_idx: lambda cell: dates.append(cell.strip()) or 1.0})
-    except (TypeError, ValueError):
-        return None
-    if table.shape != (len(rows), width) or "" in dates:
-        return None
-    # Dates read 1.0, so a cell outside (0, inf) is a price; the policy may take it as missing.
-    bad = ~((table > 0.0) & (table < math.inf))
+    parsed = _EXACT and '"' not in text and _exact(lines, delimiter, date_idx, width)
+    if not parsed:
+        pair = re.compile(re.escape(delimiter) * 2)
+        rows = [_blanks_to_nan(line, delimiter, date_idx, pair) for line in lines]
+        # A closing row keeps loadtxt from warning on a block of blank lines, and a quoted
+        # cell left open on the last line would swallow it.
+        if '"' in lines[-1] or text.isspace():
+            rows.append(delimiter.join(["1"] * width) + "\n")
+        dates: List[str] = []
+        try:
+            table = np.loadtxt(rows, delimiter=delimiter, quotechar='"', comments=None,
+                               encoding="utf-8", ndmin=2, converters={
+                                   date_idx: lambda cell: dates.append(cell.strip()) or 1.0})
+        except (TypeError, ValueError):
+            return None
+        if table.shape != (len(rows), width) or "" in dates:
+            return None
+        parsed = dates[:len(lines)], np.delete(table[:len(lines)], date_idx, axis=1)
+    # A price outside (0, inf) may be a cell the policy takes as missing.
+    bad = ~((parsed[1] > 0.0) & (parsed[1] < math.inf))
     for i in np.flatnonzero(bad.any(axis=1)).tolist():
         cells = lines[i].split(delimiter)
+        del cells[date_idx]
         if spec.missing_policy is MissingPolicy.ERROR or '"' in lines[i] or any(
                 cells[j].strip().lower() not in MISSING_MARKERS for j in np.flatnonzero(bad[i])):
             return None
-    return dates[:len(lines)], np.delete(table[:len(lines)], date_idx, axis=1)
+    return parsed
 
 
 def _parse_cells(rows_in, path: Path, asset_ids: List[str], date_idx: int,

@@ -233,7 +233,7 @@ def build_cut_tree(graph: MarketGraph, policy: CutPolicy,
         try:
             part = spectral_bisect(sub, objective)
         except PortfolioCutError as exc:
-            message = f"failed to cut leaf {leaf_id} (members {list(leaf.members)}): {exc}"
+            message = f"failed to cut leaf {leaf_id} ({leaf.size} members): {exc}"
             raise type(exc)(message, **vars(exc)) from exc
         if (policy.lambda2_threshold is not None
                 and part.lambda2 > policy.lambda2_threshold):

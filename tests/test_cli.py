@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import portcut
 import portcut.cli
@@ -81,7 +82,7 @@ def zero_degree_csv(tmp_path):
     return str(path)
 
 
-ZERO_DEGREE_LEAF_0 = ("failed to cut leaf 0 (members [0, 1, 2]): zero-degree vertices [2] "
+ZERO_DEGREE_LEAF_0 = ("failed to cut leaf 0 (3 members): zero-degree vertices [2] "
                       "are incompatible with the volume-normalized objective")
 
 
@@ -125,6 +126,26 @@ class TestCutCommand:
         assert strategies["cutv-as1"] == {"status": "error", "error": ZERO_DEGREE_LEAF_0,
                                           "error_kind": "DegenerateDegreeError"}
         assert strategies["cutn-as1"]["status"] == "ok"
+
+    def test_leaf_failure_is_one_short_line_at_1000_assets(self, tmp_path, monkeypatch,
+                                                             capsys):
+        # The failing leaf is named by id and member count, not by its 1000 members.
+        prices, _ = block_factor_market((400, 300, 300), 300, seed=5)
+        write_prices_csv(tmp_path / "prices.csv", prices)
+        eigh = scipy.linalg.eigh
+
+        def poisoned(*args, **kwargs):
+            out = eigh(*args, **kwargs)
+            out[1][0, 1] = np.nan  # an entry of the second eigenvector
+            return out
+
+        monkeypatch.setattr(scipy.linalg, "eigh", poisoned)
+        assert main(["cut", str(tmp_path / "prices.csv")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.encode()) < 300
+        assert one_json_error(err) == {
+            "error": "NumericalFailureError",
+            "message": "failed to cut leaf 0 (1000 members): eigenpair residual is NaN"}
 
     def test_normalized_objective_isolates_zero_degree(self, zero_degree_csv, capsys):
         assert main(["cut", zero_degree_csv, "--objective", "cutn",

@@ -409,7 +409,8 @@ def cell_loop_calls(monkeypatch):
 @pytest.mark.parametrize("data, cell_loop, results",
                          [pytest.param(data, cell_loop, results, id=name)
                           for name, data, cell_loop, *results in DIFFERENTIAL])
-def test_differential_table(tmp_path, cell_loop_calls, data, cell_loop, results, policy):
+def test_differential_table(tmp_path, exact_reader, cell_loop_calls, data, cell_loop, results,
+                            policy):
     path = tmp_path / "prices.csv"
     path.write_bytes(data)
     spec = PriceCsvSpec(path=str(path), missing_policy=policy)
@@ -572,7 +573,7 @@ def ingest_outcome(path, policy, ingest_with_report=ingest_prices_with_report):
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=price_files())
-def test_one_pass_matches_cell_loop(tmp_path, text):
+def test_one_pass_matches_cell_loop(tmp_path, exact_reader, text):
     path = tmp_path / "prices.csv"
     path.write_bytes(text.encode())
     for policy in MissingPolicy:
@@ -643,7 +644,7 @@ def cell_rows(monkeypatch):
 @pytest.mark.parametrize("shape, where", [
     (shape, where) for shape in ODD_SHAPES for where in ("before", "on", "after")
     if (shape, where) != ("oversized-field", "before")])
-def test_block_boundaries(tmp_path, cell_rows, shape, where, policy, late_error):
+def test_block_boundaries(tmp_path, exact_reader, cell_rows, shape, where, policy, late_error):
     lines, first_line = boundary_file(shape, where, late_error)
     path = tmp_path / "prices.csv"
     path.write_bytes("".join(lines).encode())
@@ -670,7 +671,7 @@ def test_block_boundaries(tmp_path, cell_rows, shape, where, policy, late_error)
     {100: b"d000100,\xe9,2.5\n", 1200: b"d001200,-3,2.5\n"},
     {600: b'd000600,"1.5\n', 601: b" " * 10_000 + b'\xe9",2.5\n'},
 ], ids=["row-error-chunks-before", "same-chunk", "decode-error-first", "in-a-record"])
-def test_non_utf8_bytes_raise_as_the_cell_loop(tmp_path, lines_at):
+def test_non_utf8_bytes_raise_as_the_cell_loop(tmp_path, exact_reader, lines_at):
     # Text is decoded 8 KiB at a time, so rows in earlier chunks are read first.
     lines = [b"date,aaa,bbb\n"] + [b"d%06d,1.5,2.5\n" % t for t in range(1, 1300)]
     for at, line in lines_at.items():
@@ -679,3 +680,134 @@ def test_non_utf8_bytes_raise_as_the_cell_loop(tmp_path, lines_at):
     path.write_bytes(b"".join(lines))
     for policy in MissingPolicy:
         assert ingest_outcome(path, policy) == ingest_outcome(path, policy, reference_ingest)
+
+
+# The exact reader: a block whose price cells are all blank or 1-18 ASCII digits with at
+# most one dot is read as m / 10**q in x87 extended precision, bit for bit as float() reads
+# each cell. The float loadtxt path stays the fast path elsewhere, so the differential tests
+# above run with the reader both on and off.
+needs_exact = pytest.mark.skipif(not ingest._EXACT,
+                                 reason="np.longdouble is not x87 extended precision here")
+
+
+@pytest.fixture(params=[True, False], ids=["exact", "float"])
+def exact_reader(request, monkeypatch):
+    """Ingest with the exact reader on, where the platform has it, or forced off."""
+    if request.param and not ingest._EXACT:
+        pytest.skip("np.longdouble is not x87 extended precision here")
+    monkeypatch.setattr(ingest, "_EXACT", request.param)
+
+
+@pytest.fixture
+def exact_reads(monkeypatch):
+    """One bool per block `_exact` was given: True where it read it, False where it
+    declined."""
+    reads, exact = [], ingest._exact
+
+    def spied(*args):
+        result = exact(*args)
+        reads.append(result is not None)
+        return result
+
+    monkeypatch.setattr(ingest, "_exact", spied)
+    return reads
+
+
+def random_decimals(rng, n):
+    """1-18 random digits each, with a dot at a random place or none, in 1-18 characters."""
+    digits = (rng.integers(0, 10, size=(n, 18), dtype=np.uint8) + 48).tobytes().decode()
+    cells = []
+    for i, length, dot in zip(range(n), rng.integers(1, 19, n).tolist(),
+                              rng.integers(-6, 18, n).tolist()):
+        cell = digits[18 * i:18 * i + length]
+        if 0 <= dot and length < 18:
+            cell = cell[:dot] + "." + cell[dot:]
+        cells.append(cell)
+    return cells
+
+
+def double_reprs(rng, n):
+    """``repr`` of doubles from 1e-4 to 1e16, half of them rounded to 0-7 decimals."""
+    values = 10 ** rng.uniform(-4, 16, 2 * n)
+    scale = 10.0 ** rng.integers(0, 8, n)
+    values[::2] = np.round(values[::2] * scale) / scale
+    cells = [cell for cell in map(repr, values.tolist()) if len(cell) <= 18 and "e" not in cell]
+    return cells[:n]
+
+
+def near_midpoints(rng, n):
+    """The nearest decimal of 17 significant digits (at most 18 characters) to the midpoint
+    of two random adjacent doubles from 2**-12 to 2**57, or one unit in its last place off."""
+    cells = []
+    for mantissa, exponent, off in zip(rng.integers(2 ** 52, 2 ** 53, n).tolist(),
+                                       rng.integers(-65, 4, n).tolist(),
+                                       rng.integers(-1, 2, n).tolist()):
+        odd = 2 * mantissa + 1  # the midpoint is odd * 2**exponent
+        whole = odd << exponent if exponent >= 0 else odd >> -exponent
+        q = max(0, 17 - len(str(whole))) if whole else 16
+        m = (odd * 10 ** q << exponent if exponent >= 0
+             else (odd * 10 ** q + (1 << (-exponent - 1))) >> -exponent)
+        digits = str(m + off).rjust(q + 1, "0")
+        cells.append(f"{digits[:len(digits) - q]}.{digits[len(digits) - q:]}" if q else digits)
+    return cells
+
+
+def dotted_midpoints(rng, n):
+    """An integer from 2**53 to 2**56 halfway between two doubles, or one off, with a dot
+    at a random place."""
+    cells = []
+    for v, off, dot in zip(rng.integers(2 ** 53, 2 ** 56, n).tolist(),
+                           rng.integers(-1, 2, n).tolist(), rng.integers(0, 18, n).tolist()):
+        ulp = 1 << (v.bit_length() - 53)
+        digits = str(v - v % ulp + ulp // 2 + off)
+        dot = min(dot, len(digits))
+        cells.append(f"{digits[:len(digits) - dot]}.{digits[len(digits) - dot:]}"
+                     if dot else digits)
+    return cells
+
+
+@needs_exact
+@pytest.mark.parametrize("cells", [random_decimals, double_reprs, near_midpoints,
+                                   dotted_midpoints])
+def test_exact_reader_matches_float(cells):
+    # 1.2M cells in all; without the re-read of 64-bit ties, 1 in 2,600 to 6,000 midpoint
+    # cells would round to the other double.
+    cells = cells(np.random.default_rng(7), 300_000)
+    assert len(cells) == 300_000 and 1 <= min(map(len, cells)) <= max(map(len, cells)) <= 18
+    lines = ["2020-01-01," + ",".join(cells[i:i + 1000]) + "\n"
+             for i in range(0, len(cells), 1000)]
+    dates, prices = ingest._exact(lines, ",", 0, 1001)
+    expected = np.array([float(cell) for cell in cells])
+    wrong = np.flatnonzero(prices.ravel().view(np.uint64) != expected.view(np.uint64))
+    assert [cells[i] for i in wrong[:5]] == []
+    assert dates == ["2020-01-01"] * len(lines)
+
+
+# Cells the exact reader must decline; ingest then reads them as the cell loop does.
+DECLINED = [" 1.5", "1.5 ", "+1.5", "-1.5", "1e5", "1E5", "1.2.3", "1..2", ".", "0x10", "1_0",
+            "inf", "1234567890123456789", "1.23456789012345678", "٣", "１",
+            "na", "NA", "nan", "NaN", "null", "NULL"]
+READ = ["", "5.", ".5", "0.0", "0", "007.50", "123456789012345678", "1.2345678901234567"]
+
+
+@needs_exact
+@pytest.mark.parametrize("cell, read", [(cell, False) for cell in DECLINED]
+                         + [(cell, True) for cell in READ])
+def test_exact_reader_declines(tmp_path, exact_reads, cell, read):
+    path = tmp_path / "prices.csv"
+    path.write_bytes(with_cell(cell.encode()))
+    for policy in MissingPolicy:
+        assert ingest_outcome(path, policy) == ingest_outcome(path, policy, reference_ingest)
+    assert exact_reads == [read] * len(MissingPolicy)
+
+
+@needs_exact
+@pytest.mark.parametrize("data", [with_cell(b'"1.5"'), HEAD + b'"2020-01-02",101,49' + TAIL,
+                                  HEAD + b'"2020,01,02",101,49' + TAIL],
+                         ids=["quoted-price", "quoted-date", "delimiter-in-date"])
+def test_exact_reader_skips_quoted_blocks(tmp_path, exact_reads, data):
+    path = tmp_path / "prices.csv"
+    path.write_bytes(data)
+    for policy in MissingPolicy:
+        assert ingest_outcome(path, policy) == ingest_outcome(path, policy, reference_ingest)
+    assert exact_reads == []
