@@ -1,12 +1,11 @@
 """CSV price ingestion.
 
 Reads a header-first CSV with one date column and one column per asset into a
-rectangular PriceMatrix, 64 KiB of lines at a time: one int64 `np.loadtxt` call
-reads a block of plain decimal price cells exactly, else one float call once its
-blanks read `nan`, and the per-cell reader, which names the first bad cell, reads
-a block loadtxt refuses or may read otherwise, or with a value outside (0, inf)
-the policy does not drop. A blank date is an error; missing prices are rejected,
-or dropped row-wise or column-wise.
+rectangular PriceMatrix, 64 KiB of lines at a time: one int64 `np.loadtxt` call reads
+a block of plain decimal price cells exactly, else one float call once its blanks read
+`nan`, and the per-cell reader, which names the first bad cell, reads a block loadtxt
+refuses or may read otherwise, or with a value outside (0, inf) the policy does not
+drop. A blank date is an error; missing prices are rejected, or dropped by row or column.
 """
 
 from __future__ import annotations
@@ -122,9 +121,8 @@ def _blanks_to_nan(line: str, delimiter: str, date_idx: int, pair: re.Pattern) -
     return delimiter.join(cells) + line[len(body):]
 
 
-# Whether `np.longdouble` is x86's 80-bit extended precision, in 16 bytes, and rounds to its
-# 64-bit significand. Every m < 10**18 and 10**q, q <= 18, is exact in that significand, so
-# m / 10**q rounds once to 64 bits, and on to the double float() reads unless it is halfway.
+# Whether `np.longdouble` is x87's 80-bit format in 16 bytes, whose 64-bit significand holds
+# m < 10**18 and 10**q exactly: m / 10**q rounds once, and on to float()'s double but at ties.
 _EXACT = (np.finfo(np.longdouble).nmant == 63 and np.dtype(np.longdouble).itemsize == 16
           and np.longdouble(1) + np.longdouble(2 ** -60) != 1)
 _POW10 = np.array([10 ** q for q in range(19)]).astype(np.longdouble)
@@ -137,19 +135,21 @@ def _exact(lines: List[str], delimiter: str, date_idx: int, width: int):
     dates, cells = [], []
     for line in lines:
         parts = line.rstrip("\r\n").split(delimiter, date_idx + 1)
-        dates.append(parts.pop(date_idx).strip() if len(parts) > date_idx else "")
+        # A line that ends at or before its date cell must not read as one blank price.
+        if len(parts) != min(date_idx + 2, width):
+            return None
+        dates.append(parts.pop(date_idx).strip())
         cells.append(delimiter.join(parts))
     text = "\n".join(cells) + "\n"
     if "" in dates or delimiter in '0123456789.\r\n':
         return None
     raw = np.frombuffer(text.encode(), np.uint8)
-    nondigit = raw - 48 > 9
+    odd = np.flatnonzero(raw - 48 > 9)
+    kind = raw[odd]
+    dot = kind == 46
     # Every byte but a digit is a dot, a delimiter or a line end: ASCII, unquoted, unsigned.
-    if np.count_nonzero(nondigit) != len(lines) + np.count_nonzero(
-            raw == 46) + np.count_nonzero(raw == ord(delimiter)):
+    if len(odd) != len(lines) + np.count_nonzero(dot) + np.count_nonzero(kind == ord(delimiter)):
         return None
-    odd = np.flatnonzero(nondigit)
-    dot = raw[odd] == 46
     # A dot's cell ends at the next non-digit, and the j-th dot, odd[at[j]], is in the cell
     # whose end is the (at[j] - j)-th. No cell may hold two dots, a dot alone or 19 bytes.
     at = np.flatnonzero(dot)

@@ -811,3 +811,27 @@ def test_exact_reader_skips_quoted_blocks(tmp_path, exact_reads, data):
     for policy in MissingPolicy:
         assert ingest_outcome(path, policy) == ingest_outcome(path, policy, reference_ingest)
     assert exact_reads == []
+
+
+# Rows with too few or too many cells, for one and two assets and each date position; a
+# row that ends at or before its date cell must not read as a row with a blank price.
+@pytest.mark.parametrize("data, read", [
+    (b"date,aaa\n2020-01-01,100\n2020-01-02\n2020-01-03,101\n", False),
+    (b"date,aaa\n2020-01-01\n2020-01-02\n2020-01-03\n", False),
+    (b"aaa,date\n100,2020-01-01\n2020-01-02\n101,2020-01-03\n", False),
+    (b"date,aaa\n2020-01-01,100\n2020-01-02,101,7\n2020-01-03,101\n", False),
+    (b"aaa,date\n100,2020-01-01\n101,7,2020-01-02\n101,2020-01-03\n", False),
+    (b"date,aaa\n2020-01-01,100\n2020-01-02,\n2020-01-03,101\n", True),
+    (b"aaa,date\n100,2020-01-01\n,2020-01-02\n101,2020-01-03\n", True),
+    (HEAD + b"2020-01-02" + TAIL, False),
+    (b"aaa,date,bbb\n100,2020-01-01,50\n101,2020-01-02\n102,2020-01-03,51\n", False),
+    (b"date,aaa,bbb\n2020-01-01,100\n2020-01-02,101\n2020-01-03,102\n", False),
+], ids=["date-only", "dates-only", "date-only-last", "extra-cell", "extra-cell-date-last",
+        "blank", "blank-date-last", "date-only-two-assets", "short-date-middle",
+        "short-every-row"])
+def test_row_width_matches_cell_loop(tmp_path, exact_reader, exact_reads, data, read):
+    path = tmp_path / "prices.csv"
+    path.write_bytes(data)
+    for policy in MissingPolicy:
+        assert ingest_outcome(path, policy) == ingest_outcome(path, policy, reference_ingest)
+    assert exact_reads == ([read] * len(MissingPolicy) if ingest._EXACT else [])
