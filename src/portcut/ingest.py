@@ -1,11 +1,13 @@
 """CSV price ingestion.
 
-Reads a header-first CSV with one date column and one column per asset into a
-rectangular PriceMatrix, 64 KiB of lines at a time: one int64 `np.loadtxt` call reads
-a block of plain decimal price cells exactly, else one float call once its blanks read
-`nan`, and the per-cell reader, which names the first bad cell, reads a block loadtxt
-refuses or may read otherwise, or with a value outside (0, inf) the policy does not
-drop. A blank date is an error; missing prices are rejected, or dropped by row or column.
+Reads a header-first CSV with one date column and one column per asset into a rectangular
+PriceMatrix, 64 KiB of lines at a time. The date cell is split off each line once, and
+unquoted if exactly "..."; in an unquoted block the delimiter bytes of the rest give the
+blank cells, read as 0 and masked to NaN. One `np.loadtxt` call reads the block: int64
+where every price cell is a plain decimal, read exactly, else float. The per-cell reader,
+which names the first bad cell, reads a block loadtxt refuses or may read otherwise, or
+with a value outside (0, inf) the policy does not drop. A blank date is an error; missing
+prices are rejected, or dropped by row or column.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import csv
 import itertools
 import logging
 import math
-import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -110,17 +111,6 @@ def _blocks(lines):
         yield block
 
 
-def _blanks_to_nan(line: str, delimiter: str, date_idx: int, pair: re.Pattern) -> str:
-    """``line`` with ``nan`` in each blank price cell, never in the date cell; a line with
-    a quote keeps its blanks, which loadtxt refuses, as a split could cut a quoted cell."""
-    body = line.rstrip("\r\n")
-    if '"' in line or not (pair.search(body) or delimiter in (body[:1], body[-1:])):
-        return line
-    cells = ["nan" if not cell and i != date_idx else cell
-             for i, cell in enumerate(body.split(delimiter))]
-    return delimiter.join(cells) + line[len(body):]
-
-
 # Whether `np.longdouble` is x87's 80-bit format in 16 bytes, whose 64-bit significand holds
 # m < 10**18 and 10**q exactly: m / 10**q rounds once, and on to float()'s double but at ties.
 _EXACT = (np.finfo(np.longdouble).nmant == 63 and np.dtype(np.longdouble).itemsize == 16
@@ -128,91 +118,91 @@ _EXACT = (np.finfo(np.longdouble).nmant == 63 and np.dtype(np.longdouble).itemsi
 _POW10 = np.array([10 ** q for q in range(19)]).astype(np.longdouble)
 
 
-def _exact(lines: List[str], delimiter: str, date_idx: int, width: int):
-    """Dates and prices of unquoted lines whose price cells are blank (NaN) or 1-18 ASCII
-    digits with at most one dot, each cell m / 10**q bit for bit as float() reads it; None
-    for any other block. m comes from one int64 `np.loadtxt` call, q from the dots."""
-    dates, cells = [], []
-    for line in lines:
-        parts = line.rstrip("\r\n").split(delimiter, date_idx + 1)
-        # A line that ends at or before its date cell must not read as one blank price.
-        if len(parts) != min(date_idx + 2, width):
+def _prices(rows: List[str], delimiter: str, cells: int):
+    """The ``cells`` price cells of each row by one `np.loadtxt` call, NaN where blank; None
+    where loadtxt refuses them or may read them apart from csv. Plain decimals, 1-18 ASCII
+    digits with at most one dot, read as int64 m, and m / 10**q as float() reads them."""
+    text = "\n".join(rows) + "\n"
+    codec, dtype = ("utf-8", np.uint8) if delimiter.isascii() else ("utf-32-le", np.uint32)
+    data = text.encode(codec)
+    raw = np.frombuffer(data, dtype)
+    blank, exact = np.zeros(len(rows) * cells, dtype=bool), False
+    if '"' in text:
+        # loadtxt refuses a blank; a quoted cell that holds the delimiter adds to this count.
+        if np.count_nonzero(raw == ord(delimiter)) != len(rows) * (cells - 1):
             return None
-        dates.append(parts.pop(date_idx).strip())
-        cells.append(delimiter.join(parts))
-    text = "\n".join(cells) + "\n"
-    if "" in dates or delimiter in '0123456789.\r\n':
-        return None
-    raw = np.frombuffer(text.encode(), np.uint8)
-    odd = np.flatnonzero(raw - 48 > 9)
-    kind = raw[odd]
-    dot = kind == 46
-    # Every byte but a digit is a dot, a delimiter or a line end: ASCII, unquoted, unsigned.
-    if len(odd) != len(lines) + np.count_nonzero(dot) + np.count_nonzero(kind == ord(delimiter)):
-        return None
-    # A dot's cell ends at the next non-digit, and the j-th dot, odd[at[j]], is in the cell
-    # whose end is the (at[j] - j)-th. No cell may hold two dots, a dot alone or 19 bytes.
-    at = np.flatnonzero(dot)
-    dotted = at - np.arange(len(at))
-    ends = odd[~dot]
-    size = ends - np.concatenate(([0], ends[:-1] + 1))
-    if (dot[1:] & dot[:-1]).any() or (size[dotted] == 1).any() or (size > 18).any():
-        return None
-    q = np.zeros(len(ends), dtype=np.intp)
-    q[dotted] = odd[at + 1] - odd[at] - 1
-    blank = size == 0
-    digits = np.insert(raw, ends[blank], ord("0")).tobytes().translate(None, b".")
+    else:
+        odd = np.flatnonzero((raw - 48 > 9) | (raw == ord(delimiter)))
+        kind = raw[odd]
+        ends = odd[(kind == ord(delimiter)) | (kind == 10)]
+        size = ends - np.concatenate(([0], ends[:-1] + 1))
+        blank = size == 0
+        at = np.flatnonzero(kind == 46)
+        dotted = at - np.arange(len(at))  # the j-th dot is in the cell of the (at[j] - j)-th end
+        # Every byte a digit, a dot or an end; no cell with two dots, a dot alone or 19 bytes.
+        exact = (_EXACT and delimiter.isascii() and len(odd) == len(ends) + len(at)
+                 and not (np.diff(at) == 1).any() and not (size[dotted] == 1).any()
+                 and not (size > 18).any())
+    if not exact:
+        # float() reads no cell that holds `null`, or `na` but not as `nan`.
+        low = text.lower() if "n" in text or "N" in text else ""
+        if "null" in low or low.count("na") != low.count("nan"):
+            return None
+    if exact or blank.any():
+        digits = np.insert(raw, ends[blank], 48).tobytes() if blank.any() else data
+        rows = (digits.translate(None, b".") if exact else digits).decode(codec).split("\n")[:-1]
     try:
-        m = np.loadtxt(digits.decode().split("\n")[:-1], dtype=np.int64,
-                       delimiter=delimiter, comments=None, ndmin=2)
-    except ValueError:
+        table = np.loadtxt(rows, dtype=np.int64 if exact else float, delimiter=delimiter,
+                           quotechar='"', comments=None, ndmin=2)
+    except (TypeError, ValueError):
         return None
-    if m.shape != (len(lines), width - 1):
+    if table.shape != (len(rows), cells):
         return None
-    quotient = m.ravel().astype(np.longdouble) / _POW10[q]
-    prices = quotient.astype(float)
-    for i in np.flatnonzero(quotient.view(np.uint64)[::2] & 0x7FF == 0x400).tolist():
-        prices[i] = float(raw[ends[i] - size[i]:ends[i]].tobytes())
-    prices[blank] = math.nan
-    return dates, prices.reshape(m.shape)
+    values = table.ravel()
+    if exact:
+        q = np.zeros(len(ends), dtype=np.intp)
+        q[dotted] = ends[dotted] - odd[at] - 1
+        quotient = values.astype(np.longdouble) / _POW10[q]
+        values = quotient.astype(float)
+        for i in np.flatnonzero(quotient.view(np.uint64)[::2] & 0x7FF == 0x400).tolist():
+            values[i] = float(text[ends[i] - size[i]:ends[i]])
+    values[blank] = math.nan
+    return values.reshape(table.shape)
 
 
 def _loadtxt(block: List[Tuple[int, str]], spec: PriceCsvSpec, date_idx: int, width: int):
-    """Dates and prices of a block by `_exact` or one float `np.loadtxt` call; None where
-    `_parse_cells` may read it otherwise or raise: at a field past csv's size limit, NUL or
-    bytes 0x1c-0x1f (loadtxt strips them), a blank line or date, or a record across lines."""
+    """Dates and prices of a block, the date cells split off and the rest read by `_prices`;
+    None where `_parse_cells` may read it otherwise or raise: a field past csv's size limit,
+    NUL or bytes 0x1c-0x1f (loadtxt strips them), a blank line or date, or an open quote."""
     lines = [line for _, line in block]
     delimiter, text = spec.delimiter, "".join(lines)
     if max(map(len, lines)) > csv.field_size_limit() or any(
             byte in text for byte in "\x00\x1c\x1d\x1e\x1f"):
         return None
-    parsed = _EXACT and '"' not in text and _exact(lines, delimiter, date_idx, width)
-    if not parsed:
-        pair = re.compile(re.escape(delimiter) * 2)
-        rows = [_blanks_to_nan(line, delimiter, date_idx, pair) for line in lines]
-        # A closing row keeps loadtxt from warning on a block of blank lines, and a quoted
-        # cell left open on the last line would swallow it.
-        if '"' in lines[-1] or text.isspace():
-            rows.append(delimiter.join(["1"] * width) + "\n")
-        dates: List[str] = []
-        try:
-            table = np.loadtxt(rows, delimiter=delimiter, quotechar='"', comments=None,
-                               encoding="utf-8", ndmin=2, converters={
-                                   date_idx: lambda cell: dates.append(cell.strip()) or 1.0})
-        except (TypeError, ValueError):
+    dates, rows = [], []
+    for line in lines:
+        parts = line.rstrip("\r\n").split(delimiter, date_idx + 1)
+        # A line that ends at or before its date cell must not read as one blank price.
+        if len(parts) != min(date_idx + 2, width):
             return None
-        if table.shape != (len(rows), width) or "" in dates:
-            return None
-        parsed = dates[:len(lines)], np.delete(table[:len(lines)], date_idx, axis=1)
+        date = parts.pop(date_idx)
+        dates.append((date[1:-1] if date[:1] == '"' == date[-1:] else date).strip())
+        rows.append(delimiter.join(parts))
+    # csv unquotes a date that is exactly "...": one with another quote, or a quote left
+    # open on the last line, which csv reads on into the next block, is declined.
+    if "" in dates or '"' in text and ('"' in "".join(dates) or lines[-1].count('"') % 2):
+        return None
+    prices = _prices(rows, delimiter, width - 1)
+    if prices is None:
+        return None
     # A price outside (0, inf) may be a cell the policy takes as missing.
-    bad = ~((parsed[1] > 0.0) & (parsed[1] < math.inf))
+    bad = ~((prices > 0.0) & (prices < math.inf))
     for i in np.flatnonzero(bad.any(axis=1)).tolist():
-        cells = lines[i].split(delimiter)
-        del cells[date_idx]
-        if spec.missing_policy is MissingPolicy.ERROR or '"' in lines[i] or any(
+        cells = rows[i].split(delimiter)
+        if spec.missing_policy is MissingPolicy.ERROR or any(
                 cells[j].strip().lower() not in MISSING_MARKERS for j in np.flatnonzero(bad[i])):
             return None
-    return parsed
+    return dates, prices
 
 
 def _parse_cells(rows_in, path: Path, asset_ids: List[str], date_idx: int,

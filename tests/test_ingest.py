@@ -488,17 +488,9 @@ def test_missing_cells_parsed_in_one_loadtxt_call_per_block(tmp_path, monkeypatc
         cells[1 + line_no % prices.n_assets] = cell
         lines[line_no] = ",".join(cells) + "\n"
     path.write_text("".join(lines))
-    calls, read, rewritten = [], [], []
-    loadtxt, cell_loop, blanks_to_nan = np.loadtxt, ingest._parse_cells, ingest._blanks_to_nan
-
-    def rewrite(line, *args):
-        new = blanks_to_nan(line, *args)
-        if new != line:
-            rewritten.append(line)
-        return new
-
+    calls, read = [], []
+    loadtxt, cell_loop = np.loadtxt, ingest._parse_cells
     monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(a) or loadtxt(*a, **k))
-    monkeypatch.setattr(ingest, "_blanks_to_nan", rewrite)
 
     def counted(rows, *args):
         rows = list(rows)
@@ -511,8 +503,6 @@ def test_missing_cells_parsed_in_one_loadtxt_call_per_block(tmp_path, monkeypatc
     # The file spans two 64 KiB blocks.
     assert len(calls) == 2 and sum(len(rows) for rows, *_ in calls) == prices.n_rows
     assert read == []
-    # Only the two lines holding a blank are rewritten, not their whole blocks.
-    assert rewritten == [lines[11], lines[152]]
     dropped = [10, 150, 151]
     assert report.dropped_rows == tuple(prices.timestamps[i] for i in dropped)
     assert matrix.prices.tobytes() == np.delete(prices.prices, dropped, axis=0).tobytes()
@@ -525,6 +515,19 @@ def test_control_bytes_take_the_cell_loop(tmp_path, cell_loop_calls, cell):
     with pytest.raises(InvalidInputError):
         ingest_prices_with_report(PriceCsvSpec(path=str(path)))
     assert len(cell_loop_calls) == 1
+
+
+# The float call reads no `na` or `null` cell, so a block holding one is not given to it.
+@pytest.mark.parametrize("cell", [b"na", b"NA", b" na ", b"null", b"NULL", b"Null "])
+def test_missing_marker_skips_the_float_call(tmp_path, exact_reader, cell_loop_calls, monkeypatch,
+                                             cell):
+    calls, loadtxt = [], np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(a) or loadtxt(*a, **k))
+    path = tmp_path / "prices.csv"
+    path.write_bytes(with_cell(cell))
+    for policy in MissingPolicy:
+        assert ingest_outcome(path, policy) == ingest_outcome(path, policy, reference_ingest)
+    assert calls == [] and len(cell_loop_calls) == len(MissingPolicy)
 
 
 def test_one_pass_and_cell_loop_agree(tmp_path, cell_loop_calls):
@@ -560,10 +563,11 @@ def price_files(draw):
     return "".join(",".join(row) + ending for row in rows)
 
 
-def ingest_outcome(path, policy, ingest_with_report=ingest_prices_with_report):
+def ingest_outcome(path, policy, ingest_with_report=ingest_prices_with_report, delimiter=","):
     """What ingesting ``path`` gives: the matrix bytes, labels and report, or the error."""
     try:
-        matrix, report = ingest_with_report(PriceCsvSpec(path=str(path), missing_policy=policy))
+        matrix, report = ingest_with_report(
+            PriceCsvSpec(path=str(path), delimiter=delimiter, missing_policy=policy))
     except PortfolioCutError as exc:
         return type(exc), str(exc)
     return (matrix.prices.tobytes(), matrix.prices.shape, matrix.timestamps,
@@ -682,6 +686,51 @@ def test_non_utf8_bytes_raise_as_the_cell_loop(tmp_path, exact_reader, lines_at)
         assert ingest_outcome(path, policy) == ingest_outcome(path, policy, reference_ingest)
 
 
+def first_cell_quoted(data):
+    """``data`` with the first cell of every line but the header quoted."""
+    header, *rows = data.splitlines()
+    return header + b"\n" + b"".join(b'"%s",%s\n' % tuple(row.split(b",", 1)) for row in rows)
+
+
+# Quoted cells: each file read under every policy, with the exact reader on and off, as
+# the per-cell reader reads it, and whether it is read without the per-cell reader. A
+# date cell that is exactly "..." (R's write.csv) or every cell quoted (csv.QUOTE_ALL)
+# stays on a loadtxt call; a quote that csv may read otherwise sends the block to it.
+QUOTED = [
+    # id, file, delimiter, read without the per-cell reader
+    ("quoted-date", HEAD + b'"2020-01-02",101,49' + TAIL, ",", True),
+    ("every-date-quoted", first_cell_quoted(CLEAN), ",", True),
+    ("quote-all", b"".join(b",".join(b'"%s"' % cell for cell in line.split(b",")) + b"\n"
+                           for line in CLEAN.splitlines()), ",", True),
+    ("space-before-quoted-date", HEAD + b' "2020-01-02",101,49' + TAIL, ",", False),
+    ("space-after-quoted-date", HEAD + b'"2020-01-02" ,101,49' + TAIL, ",", False),
+    ("delimiter-in-quoted-date", HEAD + b'"2020,01,02",101,49' + TAIL, ",", False),
+    ("empty-quoted-date", HEAD + b'"",101,49' + TAIL, ",", False),
+    ("doubled-quote-in-date", HEAD + b'"2020-01-02""b",101,49' + TAIL, ",", False),
+    ("quoted-cell-before-date", first_cell_quoted(date_at(1)), ",", True),
+    # Split at every "-", the line's second cell would read as its date.
+    ("quoted-delimiter-before-date",
+     b'aaa-xxx-date-bbb\n1-7-20200101-9\n"1e-5"-7-20200102-9\n2-7-20200103-9\n', "-", False),
+    ("quoted-price-holds-delimiter",
+     b'date-aaa-bbb\n2020.01.01-100-50\n2020.01.02-"1e-5"-49\n2020.01.03-102-51\n', "-", False),
+    ("blank-on-quoted-line", HEAD + b'2020-01-02,"101",' + TAIL, ",", False),
+    ("open-quote-ends-block", "".join(boundary_file("quoted-crlf-price", "on", False)[0]).encode(),
+     ",", False),
+]
+
+
+@pytest.mark.parametrize("data, delimiter, read",
+                         [pytest.param(*case, id=name) for name, *case in QUOTED])
+def test_quoted_cells_match_cell_loop(tmp_path, exact_reader, cell_loop_calls, data, delimiter,
+                                      read):
+    path = tmp_path / "prices.csv"
+    path.write_bytes(data)
+    for policy in MissingPolicy:
+        assert (ingest_outcome(path, policy, delimiter=delimiter)
+                == ingest_outcome(path, policy, reference_ingest, delimiter))
+    assert bool(cell_loop_calls) != read
+
+
 # The exact reader: a block whose price cells are all blank or 1-18 ASCII digits with at
 # most one dot is read as m / 10**q in x87 extended precision, bit for bit as float() reads
 # each cell. The float loadtxt path stays the fast path elsewhere, so the differential tests
@@ -700,16 +749,19 @@ def exact_reader(request, monkeypatch):
 
 @pytest.fixture
 def exact_reads(monkeypatch):
-    """One bool per block `_exact` was given: True where it read it, False where it
-    declined."""
-    reads, exact = [], ingest._exact
+    """One entry per block `_prices` was given: True where its int64 loadtxt call read it,
+    False where the float call did, None where it declined."""
+    reads, dtypes, prices, loadtxt = [], [], ingest._prices, np.loadtxt
+    monkeypatch.setattr(np, "loadtxt",
+                        lambda *a, **k: dtypes.append(k["dtype"]) or loadtxt(*a, **k))
 
     def spied(*args):
-        result = exact(*args)
-        reads.append(result is not None)
+        dtypes.clear()
+        result = prices(*args)
+        reads.append(None if result is None else dtypes == [np.int64])
         return result
 
-    monkeypatch.setattr(ingest, "_exact", spied)
+    monkeypatch.setattr(ingest, "_prices", spied)
     return reads
 
 
@@ -769,18 +821,17 @@ def dotted_midpoints(rng, n):
 @needs_exact
 @pytest.mark.parametrize("cells", [random_decimals, double_reprs, near_midpoints,
                                    dotted_midpoints])
-def test_exact_reader_matches_float(cells):
+def test_exact_reader_matches_float(exact_reads, cells):
     # 1.2M cells in all; without the re-read of 64-bit ties, 1 in 2,600 to 6,000 midpoint
     # cells would round to the other double.
     cells = cells(np.random.default_rng(7), 300_000)
     assert len(cells) == 300_000 and 1 <= min(map(len, cells)) <= max(map(len, cells)) <= 18
-    lines = ["2020-01-01," + ",".join(cells[i:i + 1000]) + "\n"
-             for i in range(0, len(cells), 1000)]
-    dates, prices = ingest._exact(lines, ",", 0, 1001)
+    rows = [",".join(cells[i:i + 1000]) for i in range(0, len(cells), 1000)]
+    prices = ingest._prices(rows, ",", 1000)
     expected = np.array([float(cell) for cell in cells])
     wrong = np.flatnonzero(prices.ravel().view(np.uint64) != expected.view(np.uint64))
     assert [cells[i] for i in wrong[:5]] == []
-    assert dates == ["2020-01-01"] * len(lines)
+    assert exact_reads == [True]
 
 
 # Cells the exact reader must decline; ingest then reads them as the cell loop does.
@@ -798,19 +849,23 @@ def test_exact_reader_declines(tmp_path, exact_reads, cell, read):
     path.write_bytes(with_cell(cell.encode()))
     for policy in MissingPolicy:
         assert ingest_outcome(path, policy) == ingest_outcome(path, policy, reference_ingest)
-    assert exact_reads == [read] * len(MissingPolicy)
+    assert exact_reads == [True] * len(MissingPolicy) if read else True not in exact_reads
 
 
+# A quoted price goes to the float call, a date cell that is exactly "..." is unquoted and
+# the rest read exactly, and a quoted date that holds the delimiter is declined.
 @needs_exact
-@pytest.mark.parametrize("data", [with_cell(b'"1.5"'), HEAD + b'"2020-01-02",101,49' + TAIL,
-                                  HEAD + b'"2020,01,02",101,49' + TAIL],
+@pytest.mark.parametrize("data, reads", [(with_cell(b'"1.5"'), [False] * len(MissingPolicy)),
+                                         (HEAD + b'"2020-01-02",101,49' + TAIL,
+                                          [True] * len(MissingPolicy)),
+                                         (HEAD + b'"2020,01,02",101,49' + TAIL, [])],
                          ids=["quoted-price", "quoted-date", "delimiter-in-date"])
-def test_exact_reader_skips_quoted_blocks(tmp_path, exact_reads, data):
+def test_exact_reader_skips_quoted_blocks(tmp_path, exact_reads, data, reads):
     path = tmp_path / "prices.csv"
     path.write_bytes(data)
     for policy in MissingPolicy:
         assert ingest_outcome(path, policy) == ingest_outcome(path, policy, reference_ingest)
-    assert exact_reads == []
+    assert exact_reads == reads
 
 
 # Rows with too few or too many cells, for one and two assets and each date position; a
@@ -834,4 +889,5 @@ def test_row_width_matches_cell_loop(tmp_path, exact_reader, exact_reads, data, 
     path.write_bytes(data)
     for policy in MissingPolicy:
         assert ingest_outcome(path, policy) == ingest_outcome(path, policy, reference_ingest)
-    assert exact_reads == ([read] * len(MissingPolicy) if ingest._EXACT else [])
+    assert exact_reads == ([ingest._EXACT] * len(MissingPolicy) if read
+                           else [None] * len(exact_reads))
