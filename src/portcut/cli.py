@@ -232,11 +232,16 @@ def _policy_from_args(args) -> CutPolicy:
     )
 
 
+def _utf8(value):
+    """``value``; a str with each byte that is not UTF-8 written as a ``\\xff`` escape."""
+    return os.fsencode(value).decode(errors="backslashreplace") if isinstance(value, str) else value
+
+
 def _manifest(args, matrix: PriceMatrix, report: IngestReport, **resolved) -> dict:
     """Echo of the parsed options, ``resolved`` overriding, plus a digest of the input."""
     return {
         "command": args.command,
-        "input_path": args.prices,
+        "input_path": _utf8(args.prices),
         "date_column": args.date_column,
         "missing_policy": args.missing_policy,
         "drop_degenerate": bool(args.drop_degenerate),
@@ -246,7 +251,7 @@ def _manifest(args, matrix: PriceMatrix, report: IngestReport, **resolved) -> di
         "last_date": matrix.timestamps[-1],
         "dropped_rows": len(report.dropped_rows),
         "dropped_assets": list(report.dropped_assets),
-        **{key: getattr(args, key, None) for key in MANIFEST_OPTION_KEYS},
+        **{key: _utf8(getattr(args, key, None)) for key in MANIFEST_OPTION_KEYS},
         **resolved,
         "version": __version__,
     }

@@ -4,10 +4,11 @@ Reads a header-first CSV with one date column and one column per asset into a re
 PriceMatrix, 64 KiB of lines at a time. The date cell is split off each line once, and
 unquoted if exactly "..."; in an unquoted block the delimiter bytes of the rest give the
 blank cells, read as 0 and masked to NaN. One `np.loadtxt` call reads the block: int64
-where every price cell is a plain decimal, read exactly, else float. The per-cell reader,
-which names the first bad cell, reads a block loadtxt refuses or may read otherwise, or
-with a value outside (0, inf) the policy does not drop. A blank date is an error; missing
-prices are rejected, or dropped by row or column.
+where every price cell is a plain decimal, read exactly, else float; a NaN it gives is a
+missing cell (a blank or an unsigned `nan`). The per-cell reader, which names the first bad
+cell, reads a block loadtxt refuses or may read otherwise, or with a signed `nan`, `0`, a
+negative value, `inf` or a missing cell the policy does not drop. A blank date is an error;
+missing prices are rejected, or dropped by row or column.
 """
 
 from __future__ import annotations
@@ -144,9 +145,11 @@ def _prices(rows: List[str], delimiter: str, cells: int):
                  and not (np.diff(at) == 1).any() and not (size[dotted] == 1).any()
                  and not (size > 18).any())
     if not exact:
-        # float() reads no cell that holds `null`, or `na` but not as `nan`.
+        # float() reads no cell that holds `null`, or `na` but not as `nan`; a signed `nan`,
+        # in quotes or not, is a bad price to the per-cell reader, not a missing one.
         low = text.lower() if "n" in text or "N" in text else ""
-        if "null" in low or low.count("na") != low.count("nan"):
+        if "null" in low or low.count("na") != low.count("nan") or any(
+                sign + "nan" in low.replace('"', "") for sign in "-+"):
             return None
     if exact or blank.any():
         digits = np.insert(raw, ends[blank], 48).tobytes() if blank.any() else data
@@ -193,15 +196,10 @@ def _loadtxt(block: List[Tuple[int, str]], spec: PriceCsvSpec, date_idx: int, wi
     if "" in dates or '"' in text and ('"' in "".join(dates) or lines[-1].count('"') % 2):
         return None
     prices = _prices(rows, delimiter, width - 1)
-    if prices is None:
+    # A NaN is a missing cell; the per-cell reader names any other price outside (0, inf).
+    if prices is None or ((prices <= 0.0) | (prices == math.inf)).any() or (
+            spec.missing_policy is MissingPolicy.ERROR and np.isnan(prices).any()):
         return None
-    # A price outside (0, inf) may be a cell the policy takes as missing.
-    bad = ~((prices > 0.0) & (prices < math.inf))
-    for i in np.flatnonzero(bad.any(axis=1)).tolist():
-        cells = rows[i].split(delimiter)
-        if spec.missing_policy is MissingPolicy.ERROR or any(
-                cells[j].strip().lower() not in MISSING_MARKERS for j in np.flatnonzero(bad[i])):
-            return None
     return dates, prices
 
 

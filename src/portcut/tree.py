@@ -118,15 +118,15 @@ class CutTree:
         The children get the next two ids, ``len(nodes)`` and ``len(nodes) + 1``,
         so `splits` can replay the build order; members are stored as `int` and
         ``lambda2`` as `float`. Raises `InvalidInputError` unless ``leaf_id`` is a
-        leaf, ``lambda2`` is real and the sides are integers partitioning its members.
+        leaf, ``lambda2`` is finite and the sides are integers partitioning its members.
         """
         if leaf_id not in self.leaf_ids:
             raise InvalidInputError(f"node {leaf_id!r} is not a leaf of the tree")
         leaf = self.nodes[leaf_id]
         left, right = tuple(left), tuple(right)
         if not (all(isinstance(m, numbers.Integral) for m in left + right)
-                and isinstance(lambda2, numbers.Real)):
-            raise InvalidInputError("split members must be integers and lambda2 a real number")
+                and isinstance(lambda2, numbers.Real) and -np.inf < lambda2 < np.inf):
+            raise InvalidInputError("split members must be integers and lambda2 a finite number")
         left, right, lambda2 = tuple(map(int, left)), tuple(map(int, right)), float(lambda2)
         if not left or not right or sorted(left + right) != sorted(leaf.members):
             raise InvalidInputError(
@@ -235,13 +235,10 @@ def build_cut_tree(graph: MarketGraph, policy: CutPolicy,
         except PortfolioCutError as exc:
             message = f"failed to cut leaf {leaf_id} ({leaf.size} members): {exc}"
             raise type(exc)(message, **vars(exc)) from exc
-        if (policy.lambda2_threshold is not None
-                and part.lambda2 > policy.lambda2_threshold):
-            ineligible.add(leaf_id)
-            continue
         members = np.asarray(leaf.members)
         left, right = members[part.side_of == 1].tolist(), members[part.side_of == 2].tolist()
-        if min(len(left), len(right)) < policy.min_leaf_size:
+        if (policy.lambda2_threshold is not None and part.lambda2 > policy.lambda2_threshold
+                or min(len(left), len(right)) < policy.min_leaf_size):
             ineligible.add(leaf_id)
             continue
         tree = tree.split(leaf_id, left, right, part.lambda2)

@@ -181,7 +181,7 @@ def single_leaf_tree_doc(members, asset_ids) -> dict:
 
 
 TREE_DOC_DEFECTS = ("swapped-leaf-depths", "missing-children", "reversed-leaf-ids",
-                    "infinite-member")
+                    "infinite-member", "nan-lambda2", "infinite-lambda2")
 
 
 def break_tree_doc(doc: dict, defect: str) -> dict:
@@ -194,6 +194,9 @@ def break_tree_doc(doc: dict, defect: str) -> dict:
     elif defect == "infinite-member":
         # json writes and reads it as Infinity.
         doc["nodes"][1]["members"][0] = float("inf")
+    elif defect in ("nan-lambda2", "infinite-lambda2"):
+        # json writes and reads them as NaN and Infinity.
+        doc["nodes"][0]["lambda2_at_split"] = float("nan" if defect == "nan-lambda2" else "inf")
     else:
         doc["leaf_ids"].reverse()
     return doc

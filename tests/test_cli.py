@@ -2,6 +2,7 @@ import csv
 import errno
 import json
 import os
+import shutil
 import stat
 import subprocess
 import sys
@@ -927,6 +928,47 @@ class TestManifest:
         assert manifest["strategies"] == ["ew", "mv"]
         assert manifest["split_index"] == 20
         assert manifest["annualization_factor"] == 252.0
+
+    @pytest.fixture
+    def undecodable_csv(self, market_csv):
+        """A copy of ``market_csv`` whose name holds the byte 0xff, which is not UTF-8."""
+        path = os.path.join(os.path.dirname(market_csv), os.fsdecode(b"x\xff.csv"))
+        try:
+            shutil.copyfile(market_csv, path)
+        except (OSError, UnicodeError):
+            pytest.skip("the file system refuses a name that is not UTF-8")
+        return path
+
+    @staticmethod
+    def utf8_report(out, to_file, capsys) -> dict:
+        """The report written to ``out`` or to stdout, which must be UTF-8 text."""
+        text = out.read_bytes() if to_file else capsys.readouterr().out.encode("utf-8")
+        return json.loads(text.decode("utf-8"))
+
+    @pytest.mark.parametrize("to_file", [True, False])
+    @pytest.mark.parametrize("command", [
+        ["cut"], ["backtest", "--split-index", "20", "--strategies", "ew"]])
+    def test_undecodable_price_path_is_echoed_escaped(self, undecodable_csv, tmp_path, capsys,
+                                                      command, to_file):
+        out = tmp_path / "out.json"
+        output = ["-o", str(out)] if to_file else []
+        assert main([command[0], undecodable_csv, *command[1:], *output]) == 0
+        manifest = self.utf8_report(out, to_file, capsys)["manifest"]
+        assert manifest["input_path"] == undecodable_csv.replace("\udcff", "\\xff")
+
+    @pytest.mark.parametrize("to_file", [True, False])
+    def test_undecodable_split_date_is_echoed_escaped(self, market_csv, tmp_path, capsys,
+                                                      to_file):
+        reports = []
+        for date in ("t00030", os.fsdecode(b"t00030\xff")):
+            out = tmp_path / "out.json"
+            assert main(["backtest", market_csv, "--split-date", date, "--strategies", "ew",
+                         *(["-o", str(out)] if to_file else [])]) == 0
+            reports.append(self.utf8_report(out, to_file, capsys))
+        plain, escaped = reports
+        assert plain["manifest"].pop("split_date") == "t00030"
+        assert escaped["manifest"].pop("split_date") == "t00030\\xff"
+        assert escaped == plain
 
     def test_cli_exports(self):
         assert portcut.cli.__all__ == [

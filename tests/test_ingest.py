@@ -530,6 +530,39 @@ def test_missing_marker_skips_the_float_call(tmp_path, exact_reader, cell_loop_c
     assert calls == [] and len(cell_loop_calls) == len(MissingPolicy)
 
 
+# A NaN loadtxt reads is a missing cell: an unsigned `nan`, read with the block's other cells.
+# A signed one, quoted or not, is a bad price, so its block skips loadtxt for the cell loop.
+@pytest.mark.parametrize("cell, signed", [
+    (b"nan", False), (b"NaN", False), (b" nan ", False), (b"-nan", True), (b"+NaN", True),
+    (b"-NaN", True), (b'"-"nan', True)])
+def test_only_an_unsigned_nan_is_read_as_missing_by_loadtxt(tmp_path, exact_reader,
+                                                             cell_loop_calls, monkeypatch,
+                                                             cell, signed):
+    calls, loadtxt = [], np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(a) or loadtxt(*a, **k))
+    path = tmp_path / "prices.csv"
+    path.write_bytes(with_cell(cell))
+    for policy in MissingPolicy:
+        calls.clear()
+        cell_loop_calls.clear()
+        assert ingest_outcome(path, policy) == ingest_outcome(path, policy, reference_ingest)
+        if policy is not MissingPolicy.ERROR:
+            assert (len(calls), len(cell_loop_calls)) == ((0, 1) if signed else (1, 0))
+
+
+# A blank cell is missing, but `0`, `-1` or `inf` beside it in the block is a bad price.
+@pytest.mark.parametrize("cell", [b"0", b"-1", b"inf"])
+def test_bad_price_beside_blank_rows_takes_the_cell_loop(tmp_path, exact_reader,
+                                                          cell_loop_calls, cell):
+    path = tmp_path / "prices.csv"
+    path.write_bytes(HEAD + b"2020-01-02,,49\n2020-01-03,102," + cell + b"\n2020-01-04,,\n"
+                     + b"2020-01-05,104,52\n")
+    policy = MissingPolicy.DROP_ROWS
+    outcome = ingest_outcome(path, policy)
+    assert outcome == ingest_outcome(path, policy, reference_ingest)
+    assert outcome[0] is InvalidInputError and len(cell_loop_calls) == 1
+
+
 def test_one_pass_and_cell_loop_agree(tmp_path, cell_loop_calls):
     prices, _ = block_factor_market((5, 4, 3), 300, seed=2)
     clean = tmp_path / "clean.csv"
@@ -547,7 +580,8 @@ def test_one_pass_and_cell_loop_agree(tmp_path, cell_loop_calls):
 
 
 # Price cells the one-pass parser and the per-cell loop must read alike.
-ODD_CELLS = ["", "nan", "NaN", "-nan", "na", "null", "inf", "-3", "0", "abc", '"12.5"']
+ODD_CELLS = ["", "nan", "NaN", "-nan", "+nan", " NaN ", "na", "null", "inf", "-3", "0", "abc",
+             '"12.5"']
 
 
 @st.composite

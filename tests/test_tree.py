@@ -300,6 +300,9 @@ class TestSplit:
         ([0, "1"], [2], 0.5),
         ([0, 1], [2], "x"),
         ([0, 1], [2], None),
+        ([0, 1], [2], float("nan")),
+        ([0, 1], [2], float("inf")),
+        ([0, 1], [2], -float("inf")),
     ])
     def test_rejects_non_integer_members_and_non_real_lambda2(self, left, right, lambda2):
         tree = CutTree.root(["a", "b", "c"], CutObjective.NORMALIZED)
