@@ -18,13 +18,11 @@ from .backtest import (
     BacktestReport,
     StrategyResult,
     run_backtest,
-    sharpe_ratio,
 )
 from .errors import (
     DegenerateAssetError,
     DegenerateDegreeError,
     DegenerateNormalizationError,
-    DegenerateSeriesError,
     DegenerateVolumeError,
     InsufficientDataError,
     InvalidInputError,
@@ -90,7 +88,6 @@ __all__ = [
     "equal_weights", "min_variance_weights",
     # backtest
     "BacktestConfig", "StrategyResult", "BacktestReport", "run_backtest",
-    "sharpe_ratio",
     # ingestion & synthetic data
     "MissingPolicy", "PriceCsvSpec", "IngestReport",
     "ingest_prices_with_report", "block_factor_market",
@@ -99,5 +96,4 @@ __all__ = [
     "DegenerateAssetError", "InvalidPartitionError", "DegenerateVolumeError",
     "DegenerateDegreeError", "NumericalFailureError", "SizeLimitError",
     "SingularCovarianceError", "DegenerateNormalizationError",
-    "DegenerateSeriesError",
 ]

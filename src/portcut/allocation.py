@@ -18,7 +18,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .errors import (DegenerateNormalizationError, InvalidInputError, NumericalFailureError,
                      SingularCovarianceError)
-from .market_graph import CovarianceMatrix
+from .market_graph import CovarianceMatrix, _real
 from .spectral import RESIDUAL_REL_TOL
 from .tree import CutTree
 
@@ -149,7 +149,8 @@ def min_variance_weights(sigma: CovarianceMatrix, ridge: float = 0.0) -> WeightV
     DegenerateNormalizationError
         If the unnormalized weights sum to (almost) zero.
     """
-    if not (isinstance(ridge, numbers.Real) and 0.0 <= ridge < np.inf):
+    ridge = _real(ridge)
+    if not 0.0 <= ridge < np.inf:
         raise InvalidInputError("ridge must be nonnegative and finite")
     a = sigma.sigma + ridge * np.eye(sigma.n_assets)
     try:

@@ -24,7 +24,6 @@ from .allocation import (
     min_variance_weights,
 )
 from .errors import (
-    DegenerateSeriesError,
     InsufficientDataError,
     InvalidInputError,
     NumericalFailureError,
@@ -33,6 +32,7 @@ from .errors import (
 from .market_graph import (
     PriceMatrix,
     ReturnsMatrix,
+    _real,
     market_graph_from_covariance,
     sample_covariance,
     simple_returns,
@@ -46,8 +46,6 @@ __all__ = [
     "StrategyResult",
     "BacktestReport",
     "run_backtest",
-    "portfolio_returns",
-    "sharpe_ratio",
 ]
 
 
@@ -84,11 +82,13 @@ class BacktestConfig:
             raise InvalidInputError(f"duplicate strategy labels: {list(self.strategies)}")
         if not isinstance(self.policy, CutPolicy):
             raise InvalidInputError("policy must be a CutPolicy")
-        if not (isinstance(self.annualization_factor, numbers.Real)
-                and 0.0 < self.annualization_factor < np.inf):
+        factor, ridge = _real(self.annualization_factor), _real(self.mv_ridge)
+        if not 0.0 < factor < np.inf:
             raise InvalidInputError("annualization_factor must be positive and finite")
-        if not (isinstance(self.mv_ridge, numbers.Real) and 0.0 <= self.mv_ridge < np.inf):
+        if not 0.0 <= ridge < np.inf:
             raise InvalidInputError("mv_ridge must be nonnegative and finite")
+        object.__setattr__(self, "annualization_factor", factor)
+        object.__setattr__(self, "mv_ridge", ridge)
 
 
 @dataclass
@@ -101,7 +101,6 @@ class StrategyResult:
     mean_return: Optional[float] = None
     std_return: Optional[float] = None
     sharpe: Optional[float] = None
-    sharpe_degenerate: bool = False
     error: Optional[str] = None
     error_kind: Optional[str] = None
     metadata: dict = field(default_factory=dict)
@@ -126,34 +125,6 @@ class BacktestReport:
             if res.label == label:
                 return res
         raise KeyError(label)
-
-
-def portfolio_returns(weights: WeightVector, returns: ReturnsMatrix) -> np.ndarray:
-    """Per-period portfolio returns w . r(t)."""
-    if weights.n_assets != returns.n_assets:
-        raise InvalidInputError(
-            f"{weights.n_assets} weights for {returns.n_assets} return columns"
-        )
-    return returns.returns @ weights.weights
-
-
-def sharpe_ratio(series, annualization: float) -> float:
-    """sqrt(annualization) * mean / sample std (divisor T-1) of a return series.
-
-    Raises
-    ------
-    DegenerateSeriesError
-        If the series has zero sample standard deviation.
-    """
-    x = np.asarray(series, dtype=float)
-    if x.ndim != 1 or x.size < 2:
-        raise InsufficientDataError("Sharpe ratio needs at least 2 observations")
-    if not (isinstance(annualization, numbers.Real) and 0.0 < annualization < np.inf):
-        raise InvalidInputError("annualization must be positive and finite")
-    sharpe = _moments(x, annualization)[2]
-    if sharpe is None:
-        raise DegenerateSeriesError("return series has zero variance")
-    return sharpe
 
 
 def _moments(series: np.ndarray, annualization: float):
@@ -218,8 +189,7 @@ def _run_backtest(in_returns: ReturnsMatrix, out_returns: ReturnsMatrix,
                 wv, meta = equal_weights(in_returns.n_assets), {}
             elif label == "mv":
                 wv = min_variance_weights(sigma(), ridge=config.mv_ridge)
-                meta = {"condition_estimate": wv.condition_estimate,
-                        "ridge": float(config.mv_ridge)}
+                meta = {"condition_estimate": wv.condition_estimate, "ridge": config.mv_ridge}
             else:
                 objective, scheme = label.split("-")
                 tree = cut_tree(objective)
@@ -234,7 +204,7 @@ def _run_backtest(in_returns: ReturnsMatrix, out_returns: ReturnsMatrix,
                 }
             # Overflow is checked below, so it fails this strategy only.
             with np.errstate(over="ignore", invalid="ignore"):
-                port = portfolio_returns(wv, out_returns)
+                port = out_returns.returns @ wv.weights
                 wealth = np.empty(port.size + 1)
                 wealth[0] = 1.0
                 np.cumprod(1.0 + port, out=wealth[1:])
@@ -248,7 +218,7 @@ def _run_backtest(in_returns: ReturnsMatrix, out_returns: ReturnsMatrix,
             continue
         results.append(StrategyResult(
             label=label, weights=wv, wealth_curve=wealth, mean_return=mean, std_return=std,
-            sharpe=sharpe, sharpe_degenerate=sharpe is None, metadata=meta))
+            sharpe=sharpe, metadata=meta))
     return BacktestReport(results=tuple(results), split_index=config.split_index,
                           annualization_factor=config.annualization_factor,
                           asset_ids=in_returns.asset_ids, out_sample_dates=out_sample_dates)

@@ -57,7 +57,3 @@ class SingularCovarianceError(PortfolioCutError):
 
 class DegenerateNormalizationError(PortfolioCutError):
     """Weight normalization impossible: raw weights sum to (almost) zero."""
-
-
-class DegenerateSeriesError(PortfolioCutError):
-    """A return series has zero sample variance."""

@@ -8,6 +8,7 @@ the weights.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from datetime import date
 from functools import cached_property
@@ -40,6 +41,14 @@ def _as_float_array(values, name: str, ndim: int) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError(f"{name} contains non-finite entries")
     return arr
+
+
+def _real(value) -> float:
+    """``value`` as a float; NaN if it is not a real number or lies past the double range."""
+    try:
+        return float(value) if isinstance(value, numbers.Real) else np.nan
+    except OverflowError:
+        return np.nan
 
 
 def _labels(values, count: int, what: str, of: str) -> tuple:
@@ -196,10 +205,6 @@ class MarketGraph:
     @property
     def n_vertices(self) -> int:
         return self.weights.shape[0]
-
-    @property
-    def total_volume(self) -> float:
-        return float(self.degrees.sum())
 
 
 def simple_returns(prices: PriceMatrix) -> ReturnsMatrix:

@@ -176,7 +176,7 @@ def report_to_dict(report: BacktestReport, manifest: dict | None = None) -> dict
                 "mean_return": res.mean_return,
                 "std_return": res.std_return,
                 "sharpe": res.sharpe,
-                "sharpe_degenerate": res.sharpe_degenerate,
+                "sharpe_degenerate": res.sharpe is None,
                 "metadata": res.metadata,
             }
         else:

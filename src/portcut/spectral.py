@@ -72,10 +72,6 @@ class Partition:
     """
 
     side_of: np.ndarray
-    n1: int
-    n2: int
-    v1: float
-    v2: float
     cut_value: float
     objective_value: float
     objective: CutObjective
@@ -126,13 +122,9 @@ def rayleigh_quotient(graph: MarketGraph, x, objective: CutObjective) -> float:
     """x'Lx / x'Mx: M = I under CutN and M = D under CutV."""
     vec = np.asarray(x, dtype=float)
     if vec.shape != (graph.n_vertices,):
-        raise InvalidInputError(
-            f"vector has shape {vec.shape}, expected ({graph.n_vertices},)"
-        )
+        raise InvalidInputError(f"vector has shape {vec.shape}, expected ({graph.n_vertices},)")
     if not np.isfinite(vec).all():
         raise InvalidInputError("vector contains non-finite entries")
-    if not np.any(vec != 0.0):
-        raise InvalidInputError("Rayleigh quotient of the zero vector is undefined")
     den = float(vec @ (_mass(graph, objective) * vec))
     if den <= 0.0:
         raise InvalidInputError(f"x'Mx must be positive for the {objective.value} objective")
@@ -220,14 +212,10 @@ def _partition_from_sides(graph: MarketGraph, side_of, objective: CutObjective,
                           fiedler: Optional[np.ndarray] = None) -> Partition:
     """Check a side assignment and score it as one row of `_scores`, vertex 0's side first."""
     side, a, b = _sides(graph, side_of)
-    mass, degrees = _mass(graph, objective), graph.degrees
-    cut, ma, mb, value = (float(x[0]) for x in _scores(graph, mass, a[None], b[None]))
-    va, vb = (ma, mb) if mass is degrees else (float(degrees.take(s).sum()) for s in (a, b))
-    first, second = (a.size, va, ma), (b.size, vb, mb)
-    (n1, v1, m1), (n2, v2, m2) = (first, second) if side[0] == 1 else (second, first)
-    _check_masses(m1, m2)
-    return Partition(side_of=side, n1=n1, n2=n2, v1=v1, v2=v2, cut_value=cut,
-                     objective_value=value, objective=objective,
+    cut, ma, mb, value = (float(x[0]) for x in _scores(graph, _mass(graph, objective),
+                                                       a[None], b[None]))
+    _check_masses(*((ma, mb) if side[0] == 1 else (mb, ma)))
+    return Partition(side_of=side, cut_value=cut, objective_value=value, objective=objective,
                      lambda2=lambda2, fiedler=fiedler)
 
 

@@ -16,7 +16,7 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InvalidInputError, PortfolioCutError
-from .market_graph import MarketGraph
+from .market_graph import MarketGraph, _real
 from .spectral import CutObjective, spectral_bisect
 
 __all__ = [
@@ -55,9 +55,7 @@ class CutPolicy:
     def __post_init__(self):
         if not isinstance(self.max_cuts, numbers.Integral) or self.max_cuts < 0:
             raise InvalidInputError("max_cuts must be an integer >= 0")
-        if self.lambda2_threshold is not None and not (
-                isinstance(self.lambda2_threshold, numbers.Real)
-                and 0 < self.lambda2_threshold < np.inf):
+        if self.lambda2_threshold is not None and not 0 < _real(self.lambda2_threshold) < np.inf:
             raise InvalidInputError("lambda2_threshold must be positive and finite when set")
         if not isinstance(self.leaf_selection, LeafSelection):
             raise InvalidInputError("leaf_selection must be a LeafSelection")
@@ -123,11 +121,11 @@ class CutTree:
         if leaf_id not in self.leaf_ids:
             raise InvalidInputError(f"node {leaf_id!r} is not a leaf of the tree")
         leaf = self.nodes[leaf_id]
-        left, right = tuple(left), tuple(right)
+        left, right, lambda2 = tuple(left), tuple(right), _real(lambda2)
         if not (all(isinstance(m, numbers.Integral) for m in left + right)
-                and isinstance(lambda2, numbers.Real) and -np.inf < lambda2 < np.inf):
+                and -np.inf < lambda2 < np.inf):
             raise InvalidInputError("split members must be integers and lambda2 a finite number")
-        left, right, lambda2 = tuple(map(int, left)), tuple(map(int, right)), float(lambda2)
+        left, right = tuple(map(int, left)), tuple(map(int, right))
         if not left or not right or sorted(left + right) != sorted(leaf.members):
             raise InvalidInputError(
                 f"split sides must be nonempty and partition the members of leaf {leaf_id}"
@@ -190,8 +188,7 @@ def select_leaf(tree: CutTree, graph: MarketGraph, policy: CutPolicy,
     def key(node: CutTreeNode):
         if policy.leaf_selection is LeafSelection.MOST_VERTICES:
             return -float(node.size), min(node.members)
-        # The volume of the induced subgraph, summed in the same order as
-        # `MarketGraph.total_volume`, without building the subgraph.
+        # The volume of the induced subgraph (the sum of its degrees), without building it.
         m = node.members
         return -float(graph.weights[np.ix_(m, m)].sum(axis=1).sum()), min(m)
 

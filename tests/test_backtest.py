@@ -1,4 +1,5 @@
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,19 +12,14 @@ from portcut import (
     BacktestConfig,
     CovarianceMatrix,
     CutPolicy,
-    DegenerateSeriesError,
-    InsufficientDataError,
     InvalidInputError,
     PriceMatrix,
-    ReturnsMatrix,
     WeightVector,
     block_factor_market,
     equal_weights,
     min_variance_weights,
     run_backtest,
-    sharpe_ratio,
 )
-from portcut.backtest import portfolio_returns
 
 from conftest import make_prices, overflowing_prices
 
@@ -31,66 +27,6 @@ EW, MV = "ew", "mv"
 CUT_LABELS = ("cutn-as1", "cutn-as2", "cutv-as1", "cutv-as2")
 ALL_SIX = (EW, MV) + CUT_LABELS
 ONE_CUT = CutPolicy(max_cuts=1, min_leaf_size=1)
-
-
-class TestPortfolioReturns:
-    def test_equal_weights_cancel(self):
-        rets = ReturnsMatrix(np.array([[0.02, -0.02]]), ("a", "b"))
-        assert portfolio_returns(equal_weights(2), rets).tolist() == [0.0]
-
-    def test_selector_weight(self):
-        rets = ReturnsMatrix(np.array([[0.02, -0.02], [0.01, 0.04]]), ("a", "b"))
-        wv = WeightVector(weights=np.array([1.0, 0.0]), scheme_tag="MV")
-        assert portfolio_returns(wv, rets).tolist() == [0.02, 0.01]
-
-    def test_matches_double_loop_oracle(self):
-        rng = np.random.default_rng(14)
-        rets = rng.normal(0.0, 0.01, size=(9, 5))
-        raw = rng.uniform(0.1, 1.0, size=5)
-        weights = WeightVector(weights=raw / raw.sum(), scheme_tag="AS1")
-        got = portfolio_returns(
-            weights, ReturnsMatrix(rets, tuple("abcde")))
-        for t in range(9):
-            acc = 0.0
-            for i in range(5):
-                acc += weights.weights[i] * rets[t, i]
-            assert abs(got[t] - acc) <= 1e-14
-
-    def test_dimension_mismatch(self):
-        rets = ReturnsMatrix(np.array([[0.02, -0.02]]), ("a", "b"))
-        with pytest.raises(InvalidInputError):
-            portfolio_returns(equal_weights(3), rets)
-
-
-class TestSharpeRatio:
-    def test_zero_mean_zero_sharpe(self):
-        assert sharpe_ratio([0.01, -0.01], 252.0) == 0.0
-
-    def test_constant_series_degenerate(self):
-        with pytest.raises(DegenerateSeriesError):
-            sharpe_ratio([0.004, 0.004, 0.004], 252.0)
-
-    def test_hand_computed_value(self):
-        got = sharpe_ratio([0.01, 0.03], 1.0)
-        assert got == pytest.approx(np.sqrt(2.0), rel=1e-12)
-
-    def test_annualization_scales_sqrt(self):
-        base = sharpe_ratio([0.01, 0.03, -0.02], 1.0)
-        annual = sharpe_ratio([0.01, 0.03, -0.02], 252.0)
-        assert annual == pytest.approx(np.sqrt(252.0) * base, rel=1e-12)
-
-    def test_too_short_series(self):
-        with pytest.raises(InsufficientDataError):
-            sharpe_ratio([0.01], 252.0)
-
-    def test_bad_annualization(self):
-        with pytest.raises(InvalidInputError):
-            sharpe_ratio([0.01, 0.02], 0.0)
-
-    @pytest.mark.parametrize("annualization", [np.nan, np.inf])
-    def test_non_finite_annualization(self, annualization):
-        with pytest.raises(InvalidInputError):
-            sharpe_ratio([0.1, 0.2, 0.3], annualization)
 
 
 class TestRunBacktest:
@@ -122,25 +58,20 @@ class TestRunBacktest:
         res = report.result("ew")
         assert np.all(res.wealth_curve == 1.0)
         assert res.sharpe is None
-        assert res.sharpe_degenerate
         assert res.ok
-
-    def test_sharpe_from_sharpe_ratio(self):
-        prices, _ = block_factor_market([3, 3], 30, seed=5)
-        config = BacktestConfig(split_index=10, strategies=(EW,))
-        res = run_backtest(prices, config).result("ew")
-        port = np.diff(prices.prices, axis=0)[10:] / prices.prices[10:-1] @ res.weights.weights
-        assert (res.mean_return, res.std_return) == (port.mean(), port.std(ddof=1))
-        assert res.sharpe == sharpe_ratio(port, 252.0)
-        assert not res.sharpe_degenerate
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(2, 50),
            annualization=st.sampled_from([1.0, 12.0, 52.0, 252.0, 365.25]))
-    def test_sharpe_ratio_bits_of_mean_over_std(self, seed, size, annualization):
-        x = np.random.default_rng(seed).normal(0.0005, 0.01, size)
-        expected = np.sqrt(annualization) * x.mean() / x.std(ddof=1)
-        assert sharpe_ratio(x, annualization) == float(expected)
+    def test_sharpe_bits_of_mean_over_std(self, seed, size, annualization):
+        prices, _ = block_factor_market([3, 3], 10 + size, seed=seed)
+        config = BacktestConfig(split_index=10, strategies=(EW,),
+                                annualization_factor=annualization)
+        res = run_backtest(prices, config).result("ew")
+        port = np.diff(prices.prices, axis=0)[10:] / prices.prices[10:-1] @ res.weights.weights
+        assert port.size == size
+        assert (res.mean_return, res.std_return) == (port.mean(), port.std(ddof=1))
+        assert res.sharpe == float(np.sqrt(annualization) * port.mean() / port.std(ddof=1))
 
     def test_no_look_ahead(self):
         prices, _ = block_factor_market([4, 5], 60, seed=11)
@@ -360,11 +291,14 @@ class TestConfigValidation:
          "ridge must be nonnegative and finite"),
         (lambda: min_variance_weights(CovarianceMatrix(np.eye(2)), ridge=-1.0),
          "ridge must be nonnegative and finite"),
-        (lambda: sharpe_ratio([0.1, 0.2], None), "annualization must be positive and finite"),
-        (lambda: sharpe_ratio([0.1, 0.2], "252"), "annualization must be positive and finite"),
-        (lambda: sharpe_ratio([0.1, 0.2], 0.0), "annualization must be positive and finite"),
+        (lambda: min_variance_weights(CovarianceMatrix(np.eye(2)), ridge=np.inf),
+         "ridge must be nonnegative and finite"),
+        (lambda: min_variance_weights(CovarianceMatrix(np.eye(2)), ridge=10 ** 400),
+         "ridge must be nonnegative and finite"),
+        (lambda: min_variance_weights(CovarianceMatrix(np.eye(2)), ridge=-10 ** 400),
+         "ridge must be nonnegative and finite"),
     ], ids=["n-none", "n-float", "n-str", "n-zero", "ridge-none", "ridge-str",
-            "ridge-negative", "annualization-none", "annualization-str", "annualization-zero"])
+            "ridge-negative", "ridge-inf", "ridge-huge-int", "ridge-huge-negative-int"])
     def test_wrongly_typed_library_scalars_rejected(self, call, message):
         with pytest.raises(InvalidInputError) as exc:
             call()
@@ -387,3 +321,27 @@ class TestConfigValidation:
     def test_negative_ridge_rejected(self):
         with pytest.raises(InvalidInputError):
             BacktestConfig(split_index=5, strategies=(EW,), mv_ridge=-1.0)
+
+    # An int past the double range is an InvalidInputError, not an OverflowError or,
+    # later, a TypeError from np.sqrt in the backtest.
+    @pytest.mark.parametrize("field, value", [
+        ("annualization_factor", 0.0), ("annualization_factor", -1.0),
+        ("annualization_factor", np.nan), ("annualization_factor", np.inf),
+        ("annualization_factor", 10 ** 400), ("annualization_factor", -10 ** 400),
+        ("mv_ridge", np.nan), ("mv_ridge", np.inf),
+        ("mv_ridge", 10 ** 400), ("mv_ridge", -10 ** 400),
+    ], ids=["factor-zero", "factor-negative", "factor-nan", "factor-inf", "factor-huge-int",
+            "factor-huge-negative-int", "ridge-nan", "ridge-inf",
+            "ridge-huge-int", "ridge-huge-negative-int"])
+    def test_real_fields_must_be_finite(self, field, value):
+        with pytest.raises(InvalidInputError) as exc:
+            BacktestConfig(split_index=5, strategies=(EW,), **{field: value})
+        bound = "positive" if field == "annualization_factor" else "nonnegative"
+        assert str(exc.value) == f"{field} must be {bound} and finite"
+
+    def test_real_fields_stored_as_floats(self):
+        config = BacktestConfig(30, (EW, MV), annualization_factor=Fraction(252), mv_ridge=0)
+        assert (config.annualization_factor, config.mv_ridge) == (252.0, 0.0)
+        assert type(config.annualization_factor) is type(config.mv_ridge) is float
+        prices, _ = block_factor_market([4, 5], 60, seed=11)
+        assert all(result.ok for result in run_backtest(prices, config).results)

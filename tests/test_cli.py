@@ -230,6 +230,19 @@ class TestAllocateCommand:
         bad.write_text('{"kind": "cut_tree", "schema_version": 1}')
         assert main(["allocate", "--tree", str(bad), "--scheme", "as1"]) == 2
 
+    @pytest.mark.parametrize("document, message", [
+        ([], "not a cut_tree document"),
+        ({"kind": "backtest_report", "schema_version": 1}, "not a cut_tree document"),
+        ({"kind": "cut_tree"}, "unsupported schema_version None"),
+        ({"kind": "cut_tree", "schema_version": 2}, "unsupported schema_version 2"),
+    ], ids=["list", "report", "no-version", "version-2"])
+    def test_wrong_kind_or_version_exits_2(self, tmp_path, document, message, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(document))
+        assert main(["allocate", "--tree", str(bad), "--scheme", "as1"]) == 2
+        assert one_json_error(capsys.readouterr().err) == {
+            "error": "InvalidInputError", "message": message}
+
     @pytest.mark.parametrize("defect", TREE_DOC_DEFECTS + ("nested-200000-deep",))
     def test_tree_breaking_an_invariant_exits_2(self, nested_block_graph, tmp_path,
                                                 defect, capsys):

@@ -11,7 +11,6 @@ from portcut.errors import (
     DegenerateAssetError,
     DegenerateDegreeError,
     DegenerateNormalizationError,
-    DegenerateSeriesError,
     DegenerateVolumeError,
     InsufficientDataError,
     InvalidInputError,
@@ -35,7 +34,6 @@ DETAILS = [
     (SizeLimitError, {"n_vertices": 30, "candidate_count": 2 ** 29 - 1, "limit": 24}),
     (SingularCovarianceError, {"condition_estimate": 1e17}),
     (DegenerateNormalizationError, {}),
-    (DegenerateSeriesError, {}),
 ]
 
 

@@ -173,11 +173,11 @@ class TestMalformedInput:
 
     def test_duplicate_asset_columns(self, tmp_path):
         text = "date,aaa,aaa\n2020-01-01,1,2\n2020-01-02,2,3\n"
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="duplicate asset columns in header"):
             ingest_prices_with_report(PriceCsvSpec(path=write(tmp_path, text)))
 
     def test_no_asset_columns(self, tmp_path):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="no asset columns besides the date"):
             ingest_prices_with_report(PriceCsvSpec(path=write(tmp_path, "date\n2020-01-01\n")))
 
     def test_ragged_row(self, tmp_path):

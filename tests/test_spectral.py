@@ -127,13 +127,17 @@ class TestOneScoringPath:
             SCORERS[scorer](path4_graph, side)
         assert str(info.value) == message
 
+    # The volumes are named in side order, whichever side holds vertex 0.
     @pytest.mark.parametrize("scorer", ["objective_cutv", "indicator_cutv"])
-    def test_zero_volume_side_one_message(self, scorer):
+    @pytest.mark.parametrize("side, volumes", [([1, 1, 2], "v1=1.8, v2=0.0"),
+                                               ([2, 2, 1], "v1=0.0, v2=1.8")],
+                             ids=["side-2-empty", "side-1-empty"])
+    def test_zero_volume_side_one_message(self, scorer, side, volumes):
         g = graph_from_edges(3, [(0, 1, 0.9)])
         with pytest.raises(DegenerateVolumeError) as info:
-            SCORERS[scorer](g, [1, 1, 2])
+            SCORERS[scorer](g, side)
         assert str(info.value) == (
-            "zero-volume side (v1=1.8, v2=0.0) under the volume-normalized objective")
+            f"zero-volume side ({volumes}) under the volume-normalized objective")
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(2, 40), seed=st.integers(0, 2 ** 32 - 1))
@@ -147,8 +151,10 @@ class TestOneScoringPath:
             part, flipped = (portcut.spectral._partition_from_sides(g, s, objective)
                              for s in (side, 3 - side))
             assert objective_value(g, side, objective) == objective_value(g, 3 - side, objective)
-            assert (part.n1, part.v1, part.n2, part.v2) == (
-                flipped.n2, flipped.v2, flipped.n1, flipped.v1)
+            assert (part.cut_value, part.objective_value) == (
+                flipped.cut_value, flipped.objective_value)
+            assert (part.side_of.tolist(), flipped.side_of.tolist()) == (
+                side.tolist(), (3 - side).tolist())
 
     def test_spectral_and_oracle_score_one_cut_alike(self):
         # Spectral labels this cut [2, 2, 2, 1, 1] and brute force [1, 1, 1, 2, 2]; summed
@@ -190,9 +196,11 @@ class TestRayleighQuotient:
     def test_ones_vector_in_null_space(self, figure_cut_graph):
         assert abs(rayleigh_quotient(figure_cut_graph, np.ones(8), CUTN)) <= 1e-12
 
-    def test_zero_vector_rejected(self, path4_graph):
-        with pytest.raises(InvalidInputError):
-            rayleigh_quotient(path4_graph, np.zeros(4), CUTN)
+    @pytest.mark.parametrize("objective", [CUTN, CUTV], ids=["cutn", "cutv"])
+    def test_zero_vector_rejected(self, path4_graph, objective):
+        with pytest.raises(InvalidInputError) as exc:
+            rayleigh_quotient(path4_graph, np.zeros(4), objective)
+        assert str(exc.value) == f"x'Mx must be positive for the {objective.value} objective"
 
     @pytest.mark.parametrize("x, objective, message", [
         (np.ones(4), CUTN, "vector has shape (4,), expected (3,)"),
@@ -411,10 +419,11 @@ class TestSpectralBisect:
     def test_partition_statistics_consistent(self, figure_cut_graph):
         part = spectral_bisect(figure_cut_graph, CUTV)
         g = figure_cut_graph
-        assert part.n1 + part.n2 == g.n_vertices
-        assert part.n1 >= 1 and part.n2 >= 1
-        total = g.total_volume
-        assert abs(part.v1 + part.v2 - total) <= 1e-10 * total
+        sides = [part.side_of == s for s in (1, 2)]
+        assert sum(s.sum() for s in sides) == g.n_vertices
+        assert all(s.sum() >= 1 for s in sides)
+        total = float(g.degrees.sum())
+        assert abs(sum(g.degrees[s].sum() for s in sides) - total) <= 1e-10 * total
         assert part.cut_value >= 0.0
         assert part.objective_value >= 0.0
         assert part.lambda2 >= -1e-10
@@ -647,7 +656,7 @@ class TestBruteForceMatchesReference:
                     objective_value(g, side, CUTV)
         part = brute_force_min_cut(g, CUTV)
         assert alone not in partition_sets(part.side_of)
-        assert part.v1 > 0.0 and part.v2 > 0.0
+        assert all(g.degrees[part.side_of == s].sum() > 0.0 for s in (1, 2))
         side, obj = _reference_min_cut(g, CUTV)
         assert part.side_of.tolist() == side.tolist()
         assert part.objective_value == obj
@@ -709,10 +718,8 @@ class TestExactRescore:
                 assert got == [cut, *((n1, n2) if objective is CUTN else (v1, v2)), value]
                 part, flipped = (portcut.spectral._partition_from_sides(g, s, objective)
                                  for s in (side, 3 - side))
-                assert (part.n1, part.n2, part.v1, part.v2, part.cut_value,
-                        part.objective_value) == (n1, n2, v1, v2, cut, value)
-                assert (flipped.n1, flipped.n2, flipped.v1, flipped.v2, flipped.cut_value,
-                        flipped.objective_value) == (n2, n1, v2, v1, cut, value)
+                assert (part.cut_value, part.objective_value) == (cut, value)
+                assert (flipped.cut_value, flipped.objective_value) == (cut, value)
 
     @pytest.mark.parametrize("objective", [CUTN, CUTV])
     @pytest.mark.parametrize("make_graph", [complete_random_graph, _uniform_graph])
@@ -794,8 +801,7 @@ class TestUnitMasses:
             for run in (spectral_bisect, brute_force_min_cut):
                 a, b = run(g, CUTN), run(g, CUTV)
                 assert a.side_of.tolist() == b.side_of.tolist(), (run.__name__, n, k)
-                assert (a.objective_value, a.cut_value, a.v1, a.v2) == (
-                    b.objective_value, b.cut_value, b.v1, b.v2)
+                assert (a.objective_value, a.cut_value) == (b.objective_value, b.cut_value)
             assert objective_value(g, side, CUTN) == objective_value(g, side, CUTV)
             assert (partition_indicator(g, side, CUTN).tobytes()
                     == partition_indicator(g, side, CUTV).tobytes())

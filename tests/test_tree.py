@@ -126,7 +126,7 @@ class TestSelectLeaf:
 
     def test_largest_volume_builds_no_subgraph(self, figure_cut_graph, monkeypatch):
         tree = chain_tree([(0, 1, 2), (3, 4, 5, 6), (7,)])
-        volumes = {i: induced_subgraph(figure_cut_graph, tree.nodes[i].members).total_volume
+        volumes = {i: induced_subgraph(figure_cut_graph, tree.nodes[i].members).degrees.sum()
                    for i in tree.leaf_ids}
         monkeypatch.setattr(portcut.tree, "induced_subgraph", None)
         policy = CutPolicy(max_cuts=1, min_leaf_size=1,
@@ -303,6 +303,8 @@ class TestSplit:
         ([0, 1], [2], float("nan")),
         ([0, 1], [2], float("inf")),
         ([0, 1], [2], -float("inf")),
+        pytest.param([0, 1], [2], 10 ** 400, id="huge-int-lambda2"),
+        pytest.param([0, 1], [2], -10 ** 400, id="huge-negative-int-lambda2"),
     ])
     def test_rejects_non_integer_members_and_non_real_lambda2(self, left, right, lambda2):
         tree = CutTree.root(["a", "b", "c"], CutObjective.NORMALIZED)
@@ -348,6 +350,15 @@ class TestPolicyValidation:
     def test_nonpositive_threshold(self):
         with pytest.raises(InvalidInputError):
             CutPolicy(max_cuts=1, lambda2_threshold=0.0)
+
+    # An int past the double range compares below inf exactly, so it must be
+    # range-tested as the infinite float it converts to.
+    @pytest.mark.parametrize("threshold", [10 ** 400, float("inf"), float("nan")],
+                             ids=["huge-int", "inf", "nan"])
+    def test_non_finite_threshold(self, threshold):
+        with pytest.raises(InvalidInputError,
+                           match="lambda2_threshold must be positive and finite when set"):
+            CutPolicy(max_cuts=1, lambda2_threshold=threshold)
 
     def test_min_leaf_size_below_one(self):
         with pytest.raises(InvalidInputError):
