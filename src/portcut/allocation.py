@@ -8,7 +8,6 @@ same share.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Optional
@@ -18,19 +17,17 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .errors import (DegenerateNormalizationError, InvalidInputError, NumericalFailureError,
                      SingularCovarianceError)
-from .market_graph import CovarianceMatrix, _real
+from .market_graph import CovarianceMatrix, _integer, _real
 from .spectral import RESIDUAL_REL_TOL
 from .tree import CutTree
 
 __all__ = [
     "AllocationScheme",
-    "ClusterWeights",
     "WeightVector",
     "allocate",
     "asset_weights",
     "equal_weights",
     "min_variance_weights",
-    "MAX_CONDITION",
 ]
 
 # Condition estimate above which the min-variance solve refuses to proceed.
@@ -126,7 +123,7 @@ def asset_weights(tree: CutTree, cluster_weights: ClusterWeights) -> WeightVecto
 
 def equal_weights(n: int) -> WeightVector:
     """The 1/N portfolio."""
-    if not isinstance(n, numbers.Integral) or n < 1:
+    if not _integer(n) or n < 1:
         raise InvalidInputError("need at least one asset")
     return WeightVector(weights=np.full(n, 1.0 / n), scheme_tag="EW")
 

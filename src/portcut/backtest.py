@@ -9,7 +9,6 @@ recorded per strategy and never abort the others.
 from __future__ import annotations
 
 import functools
-import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -32,6 +31,7 @@ from .errors import (
 from .market_graph import (
     PriceMatrix,
     ReturnsMatrix,
+    _integer,
     _real,
     market_graph_from_covariance,
     sample_covariance,
@@ -41,7 +41,6 @@ from .spectral import CutObjective
 from .tree import CutPolicy, build_cut_tree, edge_budget_trace
 
 __all__ = [
-    "STRATEGIES",
     "BacktestConfig",
     "StrategyResult",
     "BacktestReport",
@@ -71,7 +70,7 @@ class BacktestConfig:
     mv_ridge: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.split_index, numbers.Integral):
+        if not _integer(self.split_index):
             raise InvalidInputError("split_index must be an integer")
         if not self.strategies:
             raise InvalidInputError("no strategies requested")

@@ -6,6 +6,13 @@ callers (and the CLI) can distinguish data/numeric problems from plain bugs.
 
 from __future__ import annotations
 
+__all__ = [
+    "PortfolioCutError", "InvalidInputError", "InsufficientDataError", "DegenerateAssetError",
+    "InvalidPartitionError", "DegenerateVolumeError", "DegenerateDegreeError",
+    "NumericalFailureError", "SizeLimitError", "SingularCovarianceError",
+    "DegenerateNormalizationError",
+]
+
 
 class PortfolioCutError(Exception):
     """Base class for all portcut errors.

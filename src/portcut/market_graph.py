@@ -25,7 +25,6 @@ __all__ = [
     "simple_returns",
     "sample_covariance",
     "market_graph_from_covariance",
-    "timestamp_sort_key",
 ]
 
 
@@ -43,10 +42,16 @@ def _as_float_array(values, name: str, ndim: int) -> np.ndarray:
     return arr
 
 
+def _integer(value) -> bool:
+    """Whether ``value`` is an integer; a bool is not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _real(value) -> float:
-    """``value`` as a float; NaN if it is not a real number or lies past the double range."""
+    """``value`` as a float; NaN if it is a bool, not a real number or past the double range."""
     try:
-        return float(value) if isinstance(value, numbers.Real) else np.nan
+        return float(value) if isinstance(value, numbers.Real) and not isinstance(
+            value, bool) else np.nan
     except OverflowError:
         return np.nan
 

@@ -127,10 +127,9 @@ def tree_from_dict(payload: dict) -> CutTree:
         tree = CutTree.root(asset_ids, CutObjective(payload["objective"]))
         for entry in sorted((e for e in nodes if e["children"]),
                             key=lambda e: e["children"][0]):
-            left, right = ([int(m) for m in by_id[child]["members"]]
-                           for child in entry["children"])
-            tree = tree.split(entry["id"], left, right, float(entry["lambda2_at_split"]))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            left, right = (by_id[child]["members"] for child in entry["children"])
+            tree = tree.split(entry["id"], left, right, entry["lambda2_at_split"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed cut_tree document: {exc!r}") from exc
     expected = tree_to_dict(tree)
     document = dict(payload, nodes=nodes)

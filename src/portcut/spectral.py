@@ -38,7 +38,6 @@ __all__ = [
     "spectral_bisect",
     "brute_force_min_cut",
     "bipartition_count",
-    "BRUTE_FORCE_MAX_VERTICES",
 ]
 
 BRUTE_FORCE_MAX_VERTICES = 20
@@ -67,16 +66,14 @@ class CutObjective(Enum):
 class Partition:
     """A bipartition of graph vertices with its cut statistics.
 
-    ``side_of`` holds 1 or 2 per vertex. ``lambda2`` and ``fiedler`` are
-    populated by the spectral path and ``None`` for brute-force results.
+    ``side_of`` holds 1 or 2 per vertex. ``lambda2`` is set by the spectral
+    path and ``None`` for brute-force results.
     """
 
     side_of: np.ndarray
     cut_value: float
     objective_value: float
-    objective: CutObjective
     lambda2: Optional[float] = None
-    fiedler: Optional[np.ndarray] = None
 
 
 def _mass(graph: MarketGraph, objective: CutObjective) -> np.ndarray:
@@ -208,15 +205,13 @@ def _check_masses(m1, m2) -> None:
 
 
 def _partition_from_sides(graph: MarketGraph, side_of, objective: CutObjective,
-                          lambda2: Optional[float] = None,
-                          fiedler: Optional[np.ndarray] = None) -> Partition:
+                          lambda2: Optional[float] = None) -> Partition:
     """Check a side assignment and score it as one row of `_scores`, vertex 0's side first."""
     side, a, b = _sides(graph, side_of)
     cut, ma, mb, value = (float(x[0]) for x in _scores(graph, _mass(graph, objective),
                                                        a[None], b[None]))
     _check_masses(*((ma, mb) if side[0] == 1 else (mb, ma)))
-    return Partition(side_of=side, cut_value=cut, objective_value=value, objective=objective,
-                     lambda2=lambda2, fiedler=fiedler)
+    return Partition(side_of=side, cut_value=cut, objective_value=value, lambda2=lambda2)
 
 
 def _scores(graph: MarketGraph, mass: np.ndarray, side_a, side_b):
@@ -240,7 +235,7 @@ def spectral_bisect(graph: MarketGraph, objective: CutObjective) -> Partition:
     """
     lam2, u2 = fiedler_vector(graph, objective)
     side = next(s for s in _split_rules(u2) if s.min() < s.max())
-    return _partition_from_sides(graph, side, objective, lambda2=lam2, fiedler=u2)
+    return _partition_from_sides(graph, side, objective, lambda2=lam2)
 
 
 def _split_rules(u2: np.ndarray):

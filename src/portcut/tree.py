@@ -7,7 +7,6 @@ always yield K+1 leaves that partition the asset universe.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 from types import MappingProxyType
@@ -16,17 +15,14 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InvalidInputError, PortfolioCutError
-from .market_graph import MarketGraph, _real
+from .market_graph import MarketGraph, _integer, _real
 from .spectral import CutObjective, spectral_bisect
 
 __all__ = [
     "LeafSelection",
     "CutPolicy",
-    "CutTreeNode",
     "CutTree",
     "build_cut_tree",
-    "select_leaf",
-    "induced_subgraph",
     "edge_budget_trace",
 ]
 
@@ -53,13 +49,13 @@ class CutPolicy:
     min_leaf_size: int = 2
 
     def __post_init__(self):
-        if not isinstance(self.max_cuts, numbers.Integral) or self.max_cuts < 0:
+        if not _integer(self.max_cuts) or self.max_cuts < 0:
             raise InvalidInputError("max_cuts must be an integer >= 0")
         if self.lambda2_threshold is not None and not 0 < _real(self.lambda2_threshold) < np.inf:
             raise InvalidInputError("lambda2_threshold must be positive and finite when set")
         if not isinstance(self.leaf_selection, LeafSelection):
             raise InvalidInputError("leaf_selection must be a LeafSelection")
-        if not isinstance(self.min_leaf_size, numbers.Integral) or self.min_leaf_size < 1:
+        if not _integer(self.min_leaf_size) or self.min_leaf_size < 1:
             raise InvalidInputError("min_leaf_size must be an integer >= 1")
 
 
@@ -118,11 +114,11 @@ class CutTree:
         ``lambda2`` as `float`. Raises `InvalidInputError` unless ``leaf_id`` is a
         leaf, ``lambda2`` is finite and the sides are integers partitioning its members.
         """
-        if leaf_id not in self.leaf_ids:
+        if not _integer(leaf_id) or leaf_id not in self.leaf_ids:
             raise InvalidInputError(f"node {leaf_id!r} is not a leaf of the tree")
         leaf = self.nodes[leaf_id]
         left, right, lambda2 = tuple(left), tuple(right), _real(lambda2)
-        if not (all(isinstance(m, numbers.Integral) for m in left + right)
+        if not (all(_integer(m) for m in left + right)
                 and -np.inf < lambda2 < np.inf):
             raise InvalidInputError("split members must be integers and lambda2 a finite number")
         left, right = tuple(map(int, left)), tuple(map(int, right))

@@ -181,7 +181,8 @@ def single_leaf_tree_doc(members, asset_ids) -> dict:
 
 
 TREE_DOC_DEFECTS = ("swapped-leaf-depths", "missing-children", "reversed-leaf-ids",
-                    "infinite-member", "nan-lambda2", "infinite-lambda2")
+                    "infinite-member", "nan-lambda2", "infinite-lambda2", "true-lambda2",
+                    "bool-members")
 
 
 def break_tree_doc(doc: dict, defect: str) -> dict:
@@ -197,6 +198,13 @@ def break_tree_doc(doc: dict, defect: str) -> dict:
     elif defect in ("nan-lambda2", "infinite-lambda2"):
         # json writes and reads them as NaN and Infinity.
         doc["nodes"][0]["lambda2_at_split"] = float("nan" if defect == "nan-lambda2" else "inf")
+    elif defect == "true-lambda2":
+        # True == 1.0, so only a type check tells the bool from a number.
+        doc["nodes"][0]["lambda2_at_split"] = True
+    elif defect == "bool-members":
+        # Members 0 and 1 as false and true: equal to the ints, but not numbers.
+        for node in doc["nodes"]:
+            node["members"] = [bool(m) if m < 2 else m for m in node["members"]]
     else:
         doc["leaf_ids"].reverse()
     return doc

@@ -198,6 +198,18 @@ class TestMinVariance:
         wv = min_variance_weights(CovarianceMatrix(np.diag([1.0, 4.0])))
         assert wv.condition_estimate == pytest.approx(4.0)
 
+    @pytest.mark.parametrize("sigma, ridge", [
+        pytest.param(np.diag([1e308, 1.0]), 1e308,  # the ridge overflows a diagonal entry
+                     marks=pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")),
+        (np.full((2, 2), 1e308), 0.0),  # the largest eigenvalue overflows to inf
+        (np.zeros((2, 2)), 0.0),  # every eigenvalue is zero
+    ], ids=["ridge-overflow", "eigenvalue-overflow", "zero"])
+    def test_infinite_condition_estimate_refused(self, sigma, ridge):
+        with pytest.raises(SingularCovarianceError,
+                           match=r"condition estimate inf > 1e\+12") as exc:
+            min_variance_weights(CovarianceMatrix(sigma), ridge=ridge)
+        assert exc.value.condition_estimate == np.inf
+
     def test_indefinite_system_fails_cholesky(self):
         # Eigenvalues 3 and -1: well conditioned, but not positive definite.
         with pytest.raises(SingularCovarianceError) as exc:

@@ -339,6 +339,28 @@ class TestConfigValidation:
         bound = "positive" if field == "annualization_factor" else "nonnegative"
         assert str(exc.value) == f"{field} must be {bound} and finite"
 
+    # A bool equals 0 or 1 but is not a number: each field refuses it with its usual message.
+    @pytest.mark.parametrize("make, message", [
+        (lambda: CutPolicy(max_cuts=True), "max_cuts must be an integer >= 0"),
+        (lambda: CutPolicy(max_cuts=2, lambda2_threshold=True),
+         "lambda2_threshold must be positive and finite when set"),
+        (lambda: CutPolicy(max_cuts=2, min_leaf_size=True),
+         "min_leaf_size must be an integer >= 1"),
+        (lambda: BacktestConfig(True, (EW,)), "split_index must be an integer"),
+        (lambda: BacktestConfig(20, (EW,), annualization_factor=True),
+         "annualization_factor must be positive and finite"),
+        (lambda: BacktestConfig(20, (EW, MV), mv_ridge=False),
+         "mv_ridge must be nonnegative and finite"),
+        (lambda: equal_weights(True), "need at least one asset"),
+        (lambda: min_variance_weights(CovarianceMatrix(np.eye(2)), ridge=False),
+         "ridge must be nonnegative and finite"),
+    ], ids=["max_cuts", "lambda2_threshold", "min_leaf_size", "split_index",
+            "annualization_factor", "mv_ridge", "equal_weights-n", "min_variance-ridge"])
+    def test_bools_are_not_numbers(self, make, message):
+        with pytest.raises(InvalidInputError) as exc:
+            make()
+        assert str(exc.value) == message
+
     def test_real_fields_stored_as_floats(self):
         config = BacktestConfig(30, (EW, MV), annualization_factor=Fraction(252), mv_ridge=0)
         assert (config.annualization_factor, config.mv_ridge) == (252.0, 0.0)

@@ -305,6 +305,8 @@ class TestSplit:
         ([0, 1], [2], -float("inf")),
         pytest.param([0, 1], [2], 10 ** 400, id="huge-int-lambda2"),
         pytest.param([0, 1], [2], -10 ** 400, id="huge-negative-int-lambda2"),
+        pytest.param([False, True], [2], 0.5, id="bool-members"),
+        pytest.param([0, 1], [2], True, id="bool-lambda2"),
     ])
     def test_rejects_non_integer_members_and_non_real_lambda2(self, left, right, lambda2):
         tree = CutTree.root(["a", "b", "c"], CutObjective.NORMALIZED)
@@ -320,7 +322,7 @@ class TestSplit:
         assert type(grown.nodes[0].lambda2_at_split) is float
         assert tree_from_dict(tree_to_dict(grown)) == grown
 
-    @pytest.mark.parametrize("node_id", [0, 5])
+    @pytest.mark.parametrize("node_id", [0, 5, pytest.param(True, id="bool-leaf-id")])
     def test_rejects_a_node_that_is_not_a_leaf(self, node_id):
         tree = chain_tree([(0,), (1, 2)])
         with pytest.raises(InvalidInputError, match="not a leaf"):
