@@ -149,7 +149,8 @@ def min_variance_weights(sigma: CovarianceMatrix, ridge: float = 0.0) -> WeightV
     ridge = _real(ridge)
     if not 0.0 <= ridge < np.inf:
         raise InvalidInputError("ridge must be nonnegative and finite")
-    a = sigma.sigma + ridge * np.eye(sigma.n_assets)
+    with np.errstate(over="ignore"):  # an overflowed entry fails the condition gate below
+        a = sigma.sigma + ridge * np.eye(sigma.n_assets)
     try:
         cond = float(np.linalg.cond(a))
     except np.linalg.LinAlgError as exc:

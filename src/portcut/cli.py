@@ -31,6 +31,7 @@ from .errors import DegenerateAssetError, InvalidInputError, PortfolioCutError
 from .ingest import IngestReport, MissingPolicy, PriceCsvSpec, ingest_prices_with_report
 from .market_graph import PriceMatrix, ReturnsMatrix, timestamp_sort_key
 from .serialization import (
+    _number_texts,
     canonical_json,
     report_to_dict,
     tree_from_dict,
@@ -327,10 +328,16 @@ def cmd_backtest(args) -> int:
                            config)
     manifest = _manifest(args, matrix, report, n_assets=in_returns.n_assets,
                          split_index=config.split_index, strategies=list(tokens))
+    # Each wealth curve is formatted once, for the report and the CSV alike.
+    ok = [res for res in result.results if res.ok]
+    curves = [_number_texts(res.wealth_curve) for res in ok]
+    payload = report_to_dict(result, manifest)
+    for res, curve in zip(ok, curves):
+        payload["strategies"][res.label]["wealth_curve"] = curve
     # Render every output before writing any, so a rendering error leaves no file.
-    outputs = [(canonical_json(report_to_dict(result, manifest)), args.output)]
+    outputs = [(canonical_json(payload), args.output)]
     if args.wealth_csv:
-        outputs.append((wealth_to_csv(result), args.wealth_csv))
+        outputs.append((wealth_to_csv(result, curves), args.wealth_csv))
     if args.svg:
         outputs.append((wealth_to_svg(result), args.svg))
     _write_outputs(*outputs)

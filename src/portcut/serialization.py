@@ -59,10 +59,7 @@ def _render(value, pad: str) -> str:
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, float):
-        if not math.isfinite(value):
-            raise NumericalFailureError("cannot emit JSON: Out of range float values are not "
-                                        f"JSON compliant: {value!r}", diagnostics={})
-        return float.__repr__(value)
+        return _float_text(value)
     if not isinstance(value, (dict, list, tuple)):
         raise InvalidInputError(f"cannot emit JSON: a value of type {type(value).__name__}")
     inner, brackets = pad + "  ", "{}" if isinstance(value, dict) else "[]"
@@ -73,6 +70,9 @@ def _render(value, pad: str) -> str:
         if bad:
             raise InvalidInputError(f"cannot emit JSON: key {bad[0]!r} is not a str")
         body = (f"{encode_basestring(k)}: {_render(v, inner)}" for k, v in sorted(value.items()))
+    elif isinstance(value, _Numbers):
+        # A finite float's text holds no "n"; "nan", "inf" and "-inf" do, and fail as floats.
+        body = value if "n" not in "".join(value) else map(_float_text, map(float, value))
     elif (kinds := set(map(type, value))) == {float} and math.isfinite(sum(value)):
         body = map(float.__repr__, value)  # a finite sum has finite terms
     elif kinds == {str}:
@@ -80,6 +80,23 @@ def _render(value, pad: str) -> str:
     else:
         body = (_render(v, inner) for v in value)
     return brackets[0] + inner + ("," + inner).join(body) + pad + brackets[1]
+
+
+def _float_text(value: float) -> str:
+    """``value`` as JSON text; NaN and infinities raise `NumericalFailureError`."""
+    if not math.isfinite(value):
+        raise NumericalFailureError("cannot emit JSON: Out of range float values are not "
+                                    f"JSON compliant: {value!r}", diagnostics={})
+    return float.__repr__(value)
+
+
+class _Numbers(tuple):
+    """``float.__repr__`` texts, which `_render` writes as a JSON array of numbers."""
+
+
+def _number_texts(values: np.ndarray) -> _Numbers:
+    """The texts of ``values``, formatted once for the report and the wealth CSV alike."""
+    return _Numbers(map(float.__repr__, values.tolist()))
 
 
 def tree_to_dict(tree: CutTree) -> dict:
@@ -114,7 +131,7 @@ def tree_from_dict(payload: dict) -> CutTree:
     """
     if not isinstance(payload, dict) or payload.get("kind") != "cut_tree":
         raise InvalidInputError("not a cut_tree document")
-    if payload.get("schema_version") != SCHEMA_VERSION:
+    if not _same(payload.get("schema_version"), SCHEMA_VERSION):
         raise InvalidInputError(
             f"unsupported schema_version {payload.get('schema_version')!r}"
         )
@@ -133,11 +150,22 @@ def tree_from_dict(payload: dict) -> CutTree:
         raise InvalidInputError(f"malformed cut_tree document: {exc!r}") from exc
     expected = tree_to_dict(tree)
     document = dict(payload, nodes=nodes)
-    mismatched = [key for key in expected if document.get(key) != expected[key]]
+    mismatched = [key for key in expected if not _same(document.get(key), expected[key])]
     if mismatched:
         raise InvalidInputError(
             f"cut_tree {', '.join(mismatched)} disagree with the replayed splits")
     return tree
+
+
+def _same(value, expected) -> bool:
+    """``value == expected``, but a bool equals only a bool, also inside lists and dicts."""
+    if isinstance(expected, dict):
+        return (isinstance(value, dict) and value.keys() == expected.keys()
+                and all(_same(value[key], item) for key, item in expected.items()))
+    if isinstance(expected, list):
+        return (isinstance(value, list) and len(value) == len(expected)
+                and all(map(_same, value, expected)))
+    return isinstance(value, bool) is isinstance(expected, bool) and value == expected
 
 
 def weights_to_dict(asset_ids: Sequence[str], weights: WeightVector,
@@ -196,8 +224,11 @@ def report_to_dict(report: BacktestReport, manifest: dict | None = None) -> dict
     }
 
 
-def wealth_to_csv(report: BacktestReport) -> str:
-    """One row per out-sample date, one column per successful strategy."""
+def wealth_to_csv(report: BacktestReport, curves: Sequence[Sequence[str]] | None = None) -> str:
+    """One row per out-sample date, one column per successful strategy.
+
+    ``curves``, if given, holds the `_number_texts` of each successful wealth curve, in order.
+    """
     ok = [res for res in report.results if res.ok]
     if not ok:
         raise InvalidInputError("no successful strategies to emit")
@@ -205,9 +236,10 @@ def wealth_to_csv(report: BacktestReport) -> str:
     if _csv_text(zip(dates)) != "\n".join([*dates, ""]):
         # Some date needs quoting: quote each cell as csv does when another follows it.
         dates = [_csv_text([(stamp, "")])[:-2] for stamp in dates]
-    columns = (map(float.__repr__, res.wealth_curve.tolist()) for res in ok)
+    if curves is None:
+        curves = [_number_texts(res.wealth_curve) for res in ok]
     return _csv_text([["date"] + [res.label for res in ok]]) + "\n".join(
-        [*map(",".join, zip(dates, *columns)), ""])
+        [*map(",".join, zip(dates, *curves)), ""])
 
 
 def _csv_text(rows) -> str:

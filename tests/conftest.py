@@ -230,6 +230,47 @@ def six_asset_tree_doc(defect: str | None = None) -> dict:
     return doc
 
 
+# A written 0 or 1 as a JSON bool, or the written bool as an int: equal under ==.
+BOOL_FIELD_DEFECTS = ("schema-version", "root-id", "k-performed", "leaf-ids", "node-id",
+                      "depth", "children", "root-members", "leaf-edge-budget",
+                      "edge-budget-trace", "is-leaf")
+
+
+def bool_field_tree_doc(defect: str | None = None, one_asset: bool = False) -> dict:
+    """The one-split tree on assets a, b, c, or the one-asset tree, with ``defect``.
+
+    The edge budget and root member cases always take the one-asset tree, whose budget is 1
+    and whose root holds member 0 only.
+    """
+    one_asset = one_asset or defect in ("root-members", "leaf-edge-budget", "edge-budget-trace")
+    tree = CutTree.root(("a",) if one_asset else tuple("abc"), CutObjective.NORMALIZED)
+    doc = tree_to_dict(tree if one_asset else tree.split(tree.root_id, [0], [1, 2], 0.5))
+    root, leaf = doc["nodes"][0], doc["nodes"][-1]
+    if defect == "schema-version":
+        doc["schema_version"] = True
+    elif defect == "root-id":
+        doc["root_id"] = False
+    elif defect == "k-performed":
+        doc["k_performed"] = bool(doc["k_performed"])
+    elif defect == "leaf-ids":
+        doc["leaf_ids"][0] = True
+    elif defect == "node-id":
+        doc["nodes"][1]["id"] = True
+    elif defect == "depth":
+        leaf["depth"] = bool(leaf["depth"])
+    elif defect == "children":
+        root["children"][0] = True
+    elif defect == "root-members":
+        root["members"][0] = False
+    elif defect == "leaf-edge-budget":
+        doc["leaf_edge_budget"] = True
+    elif defect == "edge-budget-trace":
+        doc["edge_budget_trace"][0] = True
+    elif defect == "is-leaf":
+        leaf["is_leaf"] = int(leaf["is_leaf"])
+    return doc
+
+
 def reference_cut_stats(graph: MarketGraph, side_of, objective: CutObjective):
     """``(n1, n2, v1, v2, cut, objective)`` by the scalar formula `spectral._scores` replaced.
 

@@ -1,6 +1,7 @@
 import csv
 import errno
 import json
+import math
 import os
 import shutil
 import stat
@@ -8,17 +9,23 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import portcut
+import portcut.backtest
 import portcut.cli
+import portcut.serialization
 
 from portcut import (
     AllocationScheme,
     BacktestConfig,
+    BacktestReport,
     CutObjective,
     CutPolicy,
     allocate,
@@ -31,16 +38,22 @@ from portcut import (
     sample_covariance,
     simple_returns,
     PriceCsvSpec,
+    StrategyResult,
+    WeightVector,
 )
 from portcut.cli import main
 from portcut.serialization import report_to_dict
 
 from conftest import (
+    BOOL_FIELD_DEFECTS,
     TREE_DOC_DEFECTS,
     WRITTEN_FIELD_DEFECTS,
+    bool_field_tree_doc,
     break_tree_doc,
     make_prices,
     overflowing_prices,
+    reference_canonical_json,
+    reference_wealth_to_csv,
     single_leaf_tree_doc,
     six_asset_tree_doc,
     write_prices_csv,
@@ -269,6 +282,13 @@ class TestAllocateCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert json.loads(err[0])["error"] == "InvalidInputError"
+
+    @pytest.mark.parametrize("defect", BOOL_FIELD_DEFECTS)
+    def test_tree_with_a_bool_for_an_int_exits_2(self, tmp_path, defect, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(bool_field_tree_doc(defect)))
+        assert main(["allocate", "--tree", str(bad), "--scheme", "as1"]) == 2
+        assert one_json_error(capsys.readouterr().err)["error"] == "InvalidInputError"
 
     @pytest.mark.parametrize("defect", WRITTEN_FIELD_DEFECTS)
     def test_tree_with_a_wrong_written_field_exits_2(self, tmp_path, defect, capsys):
@@ -586,6 +606,111 @@ class TestOutputDestinations:
     def test_two_outputs_to_one_device_allowed(self, market_csv, capsys):
         assert main(["backtest", market_csv, "--split-index", "20", "--strategies", "ew",
                      "-o", os.devnull, "--svg", os.devnull]) == 0
+
+
+# Values where repr switches between fixed and exponent form, the signed zero and the
+# smallest subnormal.
+_WEALTH_VALUES = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(
+    [1e16, 9999999999999998.0, 1e-05, 0.0001, -0.0, 5e-324, -1e16, -1e-05]))
+_DATES = st.text(st.one_of(st.characters(exclude_categories=["Cs"]),
+                           st.sampled_from([",", '"', "\n", "\r", " "])), max_size=5)
+
+
+@st.composite
+def drawn_reports(draw):
+    """A backtest report with at least one successful strategy and curves of drawn values."""
+    n = draw(st.integers(1, 8))
+    labels = draw(st.lists(st.sampled_from(portcut.backtest.STRATEGIES), min_size=1,
+                           max_size=6, unique=True))
+    oks = draw(st.lists(st.booleans(), min_size=len(labels), max_size=len(labels)).filter(any))
+    results = tuple(StrategyResult(
+        label, weights=WeightVector(np.array([0.25, 0.75]), "EW"),
+        wealth_curve=np.array(draw(st.lists(_WEALTH_VALUES, min_size=n, max_size=n))),
+        mean_return=draw(_WEALTH_VALUES), std_return=draw(_WEALTH_VALUES),
+        sharpe=draw(st.none() | _WEALTH_VALUES), metadata={"k_performed": 1},
+    ) if ok else StrategyResult(label, error="failed", error_kind="NumericalFailureError")
+        for label, ok in zip(labels, oks))
+    return BacktestReport(results, 20, 252.0, ("a", "b"),
+                          tuple(draw(st.lists(_DATES, min_size=n, max_size=n))))
+
+
+class TestWealthTextsFormattedOnce:
+    """`portcut backtest` formats each wealth curve once; the report and the wealth CSV
+    splice the same texts."""
+
+    @staticmethod
+    def run(market_csv, directory, report, *outputs):
+        """Exit code and manifest of a backtest whose run gives ``report``."""
+        manifests, make_manifest = [], portcut.cli._manifest
+
+        def manifest(*args, **kwargs):
+            manifests.append(make_manifest(*args, **kwargs))
+            return manifests[-1]
+
+        with mock.patch.object(portcut.cli, "_run_backtest", lambda *args: report), \
+                mock.patch.object(portcut.cli, "_manifest", manifest):
+            code = main(["backtest", market_csv, "--split-index", "20",
+                         "-o", str(directory / "r.json"), *outputs])
+        return code, manifests[0]
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(report=drawn_reports())
+    def test_outputs_match_the_references(self, market_csv, tmp_path, report):
+        code, manifest = self.run(market_csv, tmp_path, report,
+                                  "--wealth-csv", str(tmp_path / "w.csv"))
+        assert code == 0
+        assert (tmp_path / "r.json").read_text(encoding="utf-8") == reference_canonical_json(
+            report_to_dict(report, manifest))
+        with open(tmp_path / "w.csv", encoding="utf-8", newline="") as handle:
+            assert handle.read() == reference_wealth_to_csv(report)
+
+    @pytest.mark.parametrize("duplicated, split, strategies, formatted", [
+        (False, "20", "ew,mv,cutn-as1,cutn-as2,cutv-as1,cutv-as2", 6),
+        (True, "3", "ew,mv", 1),  # mv fails: only ew's curve is formatted
+    ])
+    def test_one_format_per_successful_curve(self, market_csv, tmp_path, monkeypatch,
+                                             duplicated, split, strategies, formatted):
+        csv_path = str(duplicated_assets_csv(tmp_path)) if duplicated else market_csv
+        args = ["backtest", csv_path, "--split-index", split, "--strategies", strategies,
+                "--min-leaf-size", "1"]
+        assert main(args + ["-o", str(tmp_path / "only.json")]) == 0
+        calls, number_texts = [], portcut.serialization._number_texts
+
+        def counted(values):
+            calls.append(len(values))
+            return number_texts(values)
+
+        monkeypatch.setattr(portcut.cli, "_number_texts", counted)
+        monkeypatch.setattr(portcut.serialization, "_number_texts", counted)
+        assert main(args + ["-o", str(tmp_path / "r.json"), "--wealth-csv",
+                            str(tmp_path / "w.csv"), "--svg", str(tmp_path / "w.svg")]) == 0
+        assert len(calls) == formatted
+        report = (tmp_path / "r.json").read_bytes()
+        assert [entry["status"] for entry in json.loads(report)["strategies"].values()].count(
+            "ok") == formatted
+        assert report == (tmp_path / "only.json").read_bytes()
+
+    @pytest.mark.parametrize("curves, shown", [
+        ({"ew": [1.0, math.inf, math.nan]}, "inf"),
+        ({"ew": [1.0, 2.0, 3.0], "mv": [1.0, 2.0, -math.inf]}, "-inf"),
+        ({"mv": [1.0, -math.inf, 2.0], "ew": [math.nan, 1.0, 2.0]}, "nan"),  # ew comes first
+    ])
+    def test_non_finite_curve_fails_and_writes_nothing(self, market_csv, tmp_path, capsys,
+                                                       curves, shown):
+        report = BacktestReport(tuple(
+            StrategyResult(label, weights=WeightVector(np.array([0.5, 0.5]), "EW"),
+                           wealth_curve=np.array(curve), mean_return=0.0, std_return=1.0)
+            for label, curve in curves.items()), 20, 252.0, ("a", "b"), ("d1", "d2", "d3"))
+        code, _ = self.run(market_csv, tmp_path, report, "--wealth-csv", str(tmp_path / "w.csv"))
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert one_json_error(captured.err) == {
+            "error": "NumericalFailureError",
+            "message": f"cannot emit JSON: Out of range float values are not JSON compliant: "
+                       f"{shown}"}
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["prices.csv"]
 
 
 class TestDeterminism:

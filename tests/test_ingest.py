@@ -1,3 +1,4 @@
+import csv
 import itertools
 import operator
 
@@ -797,6 +798,24 @@ def exact_reads(monkeypatch):
 
     monkeypatch.setattr(ingest, "_prices", spied)
     return reads
+
+
+@pytest.mark.parametrize("excess, block_read", [(0, True), (1, False)],
+                         ids=["at-limit", "past-limit"])
+def test_line_at_the_field_size_limit_takes_the_block_reader(tmp_path, exact_reads, excess,
+                                                            block_read):
+    # Each price line, newline included, is csv's field size limit long, or one more; every
+    # field in it is shorter, so csv reads it either way and only the reader taken differs.
+    limit = csv.field_size_limit()
+    lines = [f"d{k}".ljust(limit + excess - 5, "0") + f",{price}\n"
+             for k, price in ((1, "1.5"), (2, "1.6"))]
+    assert [len(line) for line in lines] == [limit + excess] * 2
+    path = tmp_path / "long.csv"
+    path.write_text("date,a\n" + "".join(lines))
+    for policy in MissingPolicy:
+        exact_reads.clear()
+        assert ingest_outcome(path, policy) == ingest_outcome(path, policy, reference_ingest)
+        assert bool(exact_reads) is block_read
 
 
 def random_decimals(rng, n):

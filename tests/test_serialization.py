@@ -32,8 +32,10 @@ from portcut.serialization import (
 )
 
 from conftest import (
+    BOOL_FIELD_DEFECTS,
     TREE_DOC_DEFECTS,
     WRITTEN_FIELD_DEFECTS,
+    bool_field_tree_doc,
     break_tree_doc,
     random_cut_tree,
     reference_canonical_json,
@@ -131,6 +133,13 @@ class TestTreeDocument:
         tree_from_dict(two_depth_doc)
         with pytest.raises(InvalidInputError):
             tree_from_dict(break_tree_doc(two_depth_doc, defect))
+
+    @pytest.mark.parametrize("defect", BOOL_FIELD_DEFECTS)
+    def test_rejects_a_bool_where_an_int_is_written(self, defect):
+        for one_asset in (False, True):
+            tree_from_dict(bool_field_tree_doc(one_asset=one_asset))
+        with pytest.raises(InvalidInputError):
+            tree_from_dict(bool_field_tree_doc(defect))
 
     @pytest.mark.parametrize("defect", WRITTEN_FIELD_DEFECTS)
     def test_rejects_a_wrong_field_the_replay_does_not_read(self, defect):
