@@ -12,6 +12,7 @@ import contextlib
 import ctypes
 import dataclasses
 import errno
+import functools
 import io
 import itertools
 import json
@@ -87,6 +88,7 @@ def _add_policy_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--min-leaf-size", type=int, default=2)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="portcut",
                      description="Spectral portfolio cuts over correlation market graphs")
@@ -274,7 +276,7 @@ def cmd_allocate(args) -> int:
             payload = json.load(handle)
     except OSError as exc:
         raise InvalidInputError(f"cannot read tree file: {exc}") from exc
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise InvalidInputError(f"tree file {args.tree} is not valid JSON: {exc}") from exc
     tree = tree_from_dict(payload)
     clusters = allocate(tree, AllocationScheme(args.scheme))
@@ -344,13 +346,16 @@ def cmd_backtest(args) -> int:
     return EXIT_OK
 
 
-def _openblas_thread_controls() -> list:
+# Resolved once: every BLAS portcut calls is numpy's or scipy's, and both are
+# mapped before this module finishes importing (spectral imports scipy.linalg).
+@functools.cache
+def _openblas_thread_controls() -> tuple:
     """A (get, set) thread-count function pair for each OpenBLAS in this process."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as handle:
             paths = sorted({line.split()[-1] for line in handle if "openblas" in line})
     except OSError:
-        return []
+        return ()
     controls = []
     for lib in (ctypes.CDLL(path) for path in paths if path.startswith("/")):
         for prefix, suffix in itertools.product(("scipy_openblas", "openblas"), ("64_", "")):
@@ -361,7 +366,7 @@ def _openblas_thread_controls() -> list:
                 set_.argtypes, set_.restype = [ctypes.c_int], None
                 controls.append((get, set_))
                 break
-    return controls
+    return tuple(controls)
 
 
 @contextlib.contextmanager

@@ -7,6 +7,7 @@ import shutil
 import stat
 import subprocess
 import sys
+import textwrap
 import xml.etree.ElementTree as ET
 from pathlib import Path
 from unittest import mock
@@ -275,6 +276,14 @@ class TestAllocateCommand:
         assert main(["allocate", "--tree", str(bad), "--scheme", "as1"]) == 2
         assert "bad.json" in one_json_error(capsys.readouterr().err)["message"]
 
+    def test_tree_with_an_over_long_integer_exits_2(self, tmp_path, capsys):
+        # json.load raises a plain ValueError past the int digit limit (Python 3.11+);
+        # without the limit the document fails later, at its schema_version.
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"kind": "cut_tree", "schema_version": ' + "1" * 5000 + "}")
+        assert main(["allocate", "--tree", str(bad), "--scheme", "as1"]) == 2
+        assert one_json_error(capsys.readouterr().err)["error"] == "InvalidInputError"
+
     def test_out_of_range_members_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(single_leaf_tree_doc([0, 1, 7], ["a", "b", "c"])))
@@ -409,16 +418,17 @@ class TestBacktestCommand:
         assert all(entry["status"] == "ok" for entry in library.values())
         assert library["cutn-as1"]["metadata"]["k_performed"] == 3
 
-    def test_split_date_equivalent_to_index(self, market_csv, tmp_path):
+    @pytest.mark.parametrize("split", [2, 20, 38])  # 2 and 38 are the bounds
+    def test_split_date_equivalent_to_index(self, market_csv, tmp_path, split):
         by_index = tmp_path / "a.json"
         by_date = tmp_path / "b.json"
-        assert main(["backtest", market_csv, "--split-index", "20",
+        assert main(["backtest", market_csv, "--split-index", str(split),
                      "--strategies", "ew", "-o", str(by_index)]) == 0
-        assert main(["backtest", market_csv, "--split-date", "t00020",
+        assert main(["backtest", market_csv, "--split-date", f"t{split:05d}",
                      "--strategies", "ew", "-o", str(by_date)]) == 0
         a = json.loads(by_index.read_text())
         b = json.loads(by_date.read_text())
-        assert a["split_index"] == b["split_index"] == 20
+        assert a["split_index"] == b["split_index"] == split
         assert a["strategies"] == b["strategies"]
 
     def test_wealth_csv_columns(self, market_csv, tmp_path):
@@ -770,10 +780,15 @@ class TestBlasThreads:
             raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), args[0])
 
         monkeypatch.setattr(portcut.cli, "open", refuse, raising=False)
-        assert portcut.cli._openblas_thread_controls() == []
+        controls = portcut.cli._openblas_thread_controls
+        assert controls.__wrapped__() == ()
         ran = []
-        with portcut.cli._one_blas_thread():
-            ran.append(True)
+        controls.cache_clear()
+        try:
+            with portcut.cli._one_blas_thread():
+                ran.append(True)
+        finally:
+            controls.cache_clear()  # the next caller scans the readable maps again
         assert ran == [True]
 
     def test_library_call_keeps_thread_counts(self, controls):
@@ -804,6 +819,96 @@ class TestBlasThreads:
             outputs[threads] = {name: (out / name).read_bytes()
                                 for name in ("r.json", "w.csv", "w.svg", "t.json")}
         assert outputs["1"] == outputs["2"]
+
+
+class TestSetUpOncePerProcess:
+    """main builds its parser and finds the OpenBLAS controls once per process."""
+
+    SEQUENCE = (
+        ["backtest", "{csv}", "--split-index", "20", "-o", "r.json", "--wealth-csv", "w.csv",
+         "--svg", "w.svg"],
+        ["cut", "{csv}", "-o", "t.json"],
+        ["allocate", "--tree", "t.json", "--scheme", "as2", "-o", "a.json"],
+        ["backtest", "{csv}"],
+        ["backtest", "{csv}", "--split-index", "1"],
+        ["--version"],
+        ["backtest", "{csv}", "--split-index", "20", "-o", "r2.json"],
+    )
+
+    def run_sequence(self, market_csv, directory, monkeypatch, capsys):
+        directory.mkdir()
+        monkeypatch.chdir(directory)
+        calls = []
+        for argv in self.SEQUENCE:
+            try:
+                code = main([market_csv if arg == "{csv}" else arg for arg in argv])
+            except SystemExit as exc:
+                code = ("SystemExit", exc.code)
+            calls.append((code, *capsys.readouterr()))
+        return calls, {path.name: path.read_bytes() for path in directory.iterdir()}
+
+    def test_reused_parser_matches_a_fresh_one(self, market_csv, tmp_path, monkeypatch,
+                                               capsys):
+        with monkeypatch.context() as fresh_parser:
+            fresh_parser.setattr(portcut.cli, "build_parser",
+                                 portcut.cli.build_parser.__wrapped__)
+            fresh = self.run_sequence(market_csv, tmp_path / "fresh", fresh_parser, capsys)
+        reused = self.run_sequence(market_csv, tmp_path / "reused", monkeypatch, capsys)
+        assert [call[0] for call in reused[0]] == [0, 0, 0, 1, 2, ("SystemExit", 0), 0]
+        assert reused == fresh
+
+    def test_five_calls_build_one_parser_and_read_the_maps_once(self, market_csv, tmp_path,
+                                                                monkeypatch, capsys):
+        builds, opened = [], []
+        add_subparsers = portcut.cli._Parser.add_subparsers
+
+        def counted_add_subparsers(self, **kwargs):  # only the top-level parser calls it
+            builds.append(self)
+            return add_subparsers(self, **kwargs)
+
+        def recorded_open(file, *args, **kwargs):
+            opened.append(file)
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(portcut.cli._Parser, "add_subparsers", counted_add_subparsers)
+        monkeypatch.setattr(portcut.cli, "open", recorded_open, raising=False)
+        monkeypatch.chdir(tmp_path)
+        portcut.cli.build_parser.cache_clear()
+        portcut.cli._openblas_thread_controls.cache_clear()
+        codes = [main(argv) for argv in (
+            ["cut", market_csv, "-o", "t.json"],
+            ["allocate", "--tree", "t.json", "--scheme", "as1", "-o", "a.json"],
+            ["backtest", market_csv, "--split-index", "20", "-o", "r.json"],
+            ["backtest", market_csv, "--not-a-flag"],
+            ["backtest", market_csv, "--split-index", "1"],
+        )]
+        assert codes == [0, 0, 0, 1, 2]
+        assert len(builds) == 1
+        assert opened.count("/proc/self/maps") == 1
+
+    def test_controls_found_at_import_cover_every_later_openblas(self, market_csv, tmp_path):
+        script = textwrap.dedent("""
+            import ctypes, json, sys
+            import portcut.cli as cli
+
+            def addresses(controls):
+                return sorted(ctypes.cast(get, ctypes.c_void_p).value for get, _ in controls)
+
+            cached = addresses(cli._openblas_thread_controls())
+            for argv in (["cut", sys.argv[1], "-o", "t.json"],
+                         ["allocate", "--tree", "t.json", "--scheme", "as2"],
+                         ["backtest", sys.argv[1], "--split-index", "20", "-o", "r.json"]):
+                assert cli.main(argv) == 0
+            fresh = addresses(cli._openblas_thread_controls.__wrapped__())
+            print(json.dumps({"cached": cached, "fresh": fresh}))
+        """)
+        src = str(Path(portcut.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", script, market_csv], cwd=tmp_path,
+                             env=dict(os.environ, PYTHONPATH=pythonpath), check=True,
+                             capture_output=True, text=True)
+        found = json.loads(run.stdout.splitlines()[-1])
+        assert set(found["fresh"]) <= set(found["cached"])
 
 
 class TestExitCodes:
