@@ -353,11 +353,14 @@ def _openblas_thread_controls() -> tuple:
     """A (get, set) thread-count function pair for each OpenBLAS in this process."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as handle:
-            paths = sorted({line.split()[-1] for line in handle if "openblas" in line})
+            # A line's pathname, spaces and all, follows its fifth field.
+            paths = sorted({line.split(maxsplit=5)[-1].rstrip("\n")
+                            for line in handle if "openblas" in line})
     except OSError:
         return ()
     controls = []
-    for lib in (ctypes.CDLL(path) for path in paths if path.startswith("/")):
+    for lib in (ctypes.CDLL(path) for path in paths
+                if path.startswith("/") and not path.endswith(" (deleted)")):
         for prefix, suffix in itertools.product(("scipy_openblas", "openblas"), ("64_", "")):
             get, set_ = (getattr(lib, f"{prefix}_{op}_num_threads{suffix}", None)
                          for op in ("get", "set"))

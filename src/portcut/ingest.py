@@ -3,12 +3,12 @@
 Reads a header-first CSV with one date column and one column per asset into a rectangular
 PriceMatrix, 64 KiB of lines at a time. The date cell is split off each line once, and
 unquoted if exactly "..."; in an unquoted block the delimiter bytes of the rest give the
-blank cells, read as 0 and masked to NaN. One `np.loadtxt` call reads the block: int64
-where every price cell is a plain decimal, read exactly, else float; a NaN it gives is a
-missing cell (a blank or an unsigned `nan`). The per-cell reader, which names the first bad
-cell, reads a block loadtxt refuses or may read otherwise, or with a signed `nan`, `0`, a
-negative value, `inf` or a missing cell the policy does not drop. A blank date is an error;
-missing prices are rejected, or dropped by row or column.
+blank cells, read as 0 and masked to NaN. One numpy call reads the block: an int64
+`np.fromstring` where every price cell is a plain decimal, read exactly, else a float
+`np.loadtxt`; a NaN it gives is a missing cell (a blank or an unsigned `nan`). The per-cell
+reader, which names the first bad cell, reads a block numpy refuses or may read otherwise,
+or with a signed `nan`, `0`, a negative value, `inf` or a missing cell the policy does not
+drop. A blank date is an error; missing prices are rejected, or dropped by row or column.
 """
 
 from __future__ import annotations
@@ -120,9 +120,9 @@ _POW10 = np.array([10 ** q for q in range(19)]).astype(np.longdouble)
 
 
 def _prices(rows: List[str], delimiter: str, cells: int):
-    """The ``cells`` price cells of each row by one `np.loadtxt` call, NaN where blank; None
-    where loadtxt refuses them or may read them apart from csv. Plain decimals, 1-18 ASCII
-    digits with at most one dot, read as int64 m, and m / 10**q as float() reads them."""
+    """The ``cells`` price cells of each row by one numpy call, NaN where blank; None where
+    it refuses them or may read them apart from csv. Plain decimals, 1-18 ASCII digits with
+    at most one dot, read by `np.fromstring` as int64 m, and m / 10**q as float() reads them."""
     text = "\n".join(rows) + "\n"
     codec, dtype = ("utf-8", np.uint8) if delimiter.isascii() else ("utf-32-le", np.uint32)
     data = text.encode(codec)
@@ -141,9 +141,12 @@ def _prices(rows: List[str], delimiter: str, cells: int):
         at = np.flatnonzero(kind == 46)
         dotted = at - np.arange(len(at))  # the j-th dot is in the cell of the (at[j] - j)-th end
         # Every byte a digit, a dot or an end; no cell with two dots, a dot alone or 19 bytes.
-        exact = (_EXACT and delimiter.isascii() and len(odd) == len(ends) + len(at)
-                 and not (np.diff(at) == 1).any() and not (size[dotted] == 1).any()
-                 and not (size > 18).any())
+        exact = (_EXACT and delimiter.isascii() and not delimiter.isdigit()
+                 and len(odd) == len(ends) + len(at) and not (np.diff(at) == 1).any()
+                 and not (size[dotted] == 1).any() and not (size > 18).any())
+        # loadtxt's row-shape test, which fromstring lacks: each row's cells-th end is its newline.
+        if len(ends) != len(rows) * cells or (raw[ends[cells - 1::cells]] != 10).any():
+            return None
     if not exact:
         # float() reads no cell that holds `null`, or `na` but not as `nan`; a signed `nan`,
         # in quotes or not, is a bad price to the per-cell reader, not a missing one.
@@ -151,26 +154,31 @@ def _prices(rows: List[str], delimiter: str, cells: int):
         if "null" in low or low.count("na") != low.count("nan") or any(
                 sign + "nan" in low.replace('"', "") for sign in "-+"):
             return None
-    if exact or blank.any():
-        digits = np.insert(raw, ends[blank], 48).tobytes() if blank.any() else data
-        rows = (digits.translate(None, b".") if exact else digits).decode(codec).split("\n")[:-1]
-    try:
-        table = np.loadtxt(rows, dtype=np.int64 if exact else float, delimiter=delimiter,
-                           quotechar='"', comments=None, ndmin=2)
-    except (TypeError, ValueError):
-        return None
-    if table.shape != (len(rows), cells):
-        return None
-    values = table.ravel()
+    if blank.any():
+        data = np.insert(raw, ends[blank], 48).tobytes()
     if exact:
+        # With the dots deleted and the line ends made delimiters (never a digit, which it would
+        # read as part of a number), fromstring reads every cell; the last delimiter is cut.
+        newline = bytes.maketrans(b"\n", delimiter.encode())
+        values = np.fromstring(data.translate(newline, b".")[:-1], dtype=np.int64, sep=delimiter)
         q = np.zeros(len(ends), dtype=np.intp)
         q[dotted] = ends[dotted] - odd[at] - 1
         quotient = values.astype(np.longdouble) / _POW10[q]
         values = quotient.astype(float)
         for i in np.flatnonzero(quotient.view(np.uint64)[::2] & 0x7FF == 0x400).tolist():
             values[i] = float(text[ends[i] - size[i]:ends[i]])
+    else:
+        try:
+            table = np.loadtxt(data.decode(codec).split("\n")[:-1] if blank.any() else rows,
+                               dtype=float, delimiter=delimiter, quotechar='"', comments=None,
+                               ndmin=2)
+        except (TypeError, ValueError):
+            return None
+        if table.shape != (len(rows), cells):
+            return None
+        values = table.ravel()
     values[blank] = math.nan
-    return values.reshape(table.shape)
+    return values.reshape(len(rows), cells)
 
 
 def _loadtxt(block: List[Tuple[int, str]], spec: PriceCsvSpec, date_idx: int, width: int):

@@ -791,6 +791,34 @@ class TestBlasThreads:
             controls.cache_clear()  # the next caller scans the readable maps again
         assert ran == [True]
 
+    def test_openblas_under_a_path_with_a_space_is_found(self, tmp_path):
+        # Once its file is gone, the mapping's pathname ends in " (deleted)" and is skipped.
+        libs = sorted(Path(np.__file__).resolve().parents[1].glob("numpy.libs/*openblas*"))
+        if not libs:
+            pytest.skip("numpy's OpenBLAS is not in numpy.libs here")
+        copy = tmp_path / "a b" / "libopenblas_copy.so"
+        copy.parent.mkdir()
+        shutil.copyfile(libs[0], copy)
+        script = textwrap.dedent("""
+            import ctypes, json, os, sys
+            import portcut.cli as cli
+
+            scan = cli._openblas_thread_controls.__wrapped__
+            before = len(scan())
+            ctypes.CDLL(sys.argv[1])
+            loaded = len(scan())
+            os.unlink(sys.argv[1])
+            print(json.dumps([before, loaded, len(scan())]))
+        """)
+        src = str(Path(portcut.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", script, str(copy)], cwd=tmp_path,
+                             env=dict(os.environ, PYTHONPATH=pythonpath,
+                                      OPENBLAS_NUM_THREADS="1"),
+                             check=True, capture_output=True, text=True)
+        before, loaded, deleted = json.loads(run.stdout.splitlines()[-1])
+        assert (loaded, deleted) == (before + 1, before)
+
     def test_library_call_keeps_thread_counts(self, controls):
         prices, _ = block_factor_market([3, 5], 40, seed=3)
         run_backtest(prices, BacktestConfig(20, ("ew", "mv", "cutn-as1")))

@@ -1,6 +1,8 @@
 import csv
 import itertools
 import operator
+import platform
+import sys
 
 import numpy as np
 import pytest
@@ -470,16 +472,14 @@ def test_delimiters(tmp_path, cell_loop_calls, delimiter):
     assert len(cell_loop_calls) == (delimiter == '"')
 
 
-def test_clean_file_parsed_in_one_loadtxt_call(tmp_path, cell_loop_calls, monkeypatch):
-    calls = []
-    loadtxt = np.loadtxt
-    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(a) or loadtxt(*a, **k))
+def test_clean_file_parsed_in_one_call(tmp_path, exact_reader, cell_loop_calls, exact_reads):
     ingest_prices_with_report(PriceCsvSpec(path=write(tmp_path, WELL_FORMED)))
-    assert len(calls) == 1
+    assert exact_reads == [ingest._EXACT]
     assert cell_loop_calls == []
 
 
-def test_missing_cells_parsed_in_one_loadtxt_call_per_block(tmp_path, monkeypatch):
+def test_missing_cells_parsed_in_one_call_per_block(tmp_path, exact_reader, exact_reads,
+                                                    monkeypatch):
     prices, _ = block_factor_market((5, 4, 3), 300, seed=2)
     path = tmp_path / "prices.csv"
     write_prices_csv(path, prices)
@@ -489,9 +489,10 @@ def test_missing_cells_parsed_in_one_loadtxt_call_per_block(tmp_path, monkeypatc
         cells[1 + line_no % prices.n_assets] = cell
         lines[line_no] = ",".join(cells) + "\n"
     path.write_text("".join(lines))
-    calls, read = [], []
-    loadtxt, cell_loop = np.loadtxt, ingest._parse_cells
-    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(a) or loadtxt(*a, **k))
+    block_rows, read = [], []
+    block_prices, cell_loop = ingest._prices, ingest._parse_cells
+    monkeypatch.setattr(ingest, "_prices",
+                        lambda *a: block_rows.append(len(a[0])) or block_prices(*a))
 
     def counted(rows, *args):
         rows = list(rows)
@@ -501,8 +502,9 @@ def test_missing_cells_parsed_in_one_loadtxt_call_per_block(tmp_path, monkeypatc
     monkeypatch.setattr(ingest, "_parse_cells", counted)
     matrix, report = ingest_prices_with_report(
         PriceCsvSpec(path=str(path), missing_policy=MissingPolicy.DROP_ROWS))
-    # The file spans two 64 KiB blocks.
-    assert len(calls) == 2 and sum(len(rows) for rows, *_ in calls) == prices.n_rows
+    # The file spans two 64 KiB blocks; the first holds a `nan`, which only the float
+    # call reads.
+    assert exact_reads == [False, ingest._EXACT] and sum(block_rows) == prices.n_rows
     assert read == []
     dropped = [10, 150, 151]
     assert report.dropped_rows == tuple(prices.timestamps[i] for i in dropped)
@@ -520,15 +522,13 @@ def test_control_bytes_take_the_cell_loop(tmp_path, cell_loop_calls, cell):
 
 # The float call reads no `na` or `null` cell, so a block holding one is not given to it.
 @pytest.mark.parametrize("cell", [b"na", b"NA", b" na ", b"null", b"NULL", b"Null "])
-def test_missing_marker_skips_the_float_call(tmp_path, exact_reader, cell_loop_calls, monkeypatch,
+def test_missing_marker_skips_the_float_call(tmp_path, exact_reader, cell_loop_calls, parses,
                                              cell):
-    calls, loadtxt = [], np.loadtxt
-    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(a) or loadtxt(*a, **k))
     path = tmp_path / "prices.csv"
     path.write_bytes(with_cell(cell))
     for policy in MissingPolicy:
         assert ingest_outcome(path, policy) == ingest_outcome(path, policy, reference_ingest)
-    assert calls == [] and len(cell_loop_calls) == len(MissingPolicy)
+    assert parses == [] and len(cell_loop_calls) == len(MissingPolicy)
 
 
 # A NaN loadtxt reads is a missing cell: an unsigned `nan`, read with the block's other cells.
@@ -537,18 +537,16 @@ def test_missing_marker_skips_the_float_call(tmp_path, exact_reader, cell_loop_c
     (b"nan", False), (b"NaN", False), (b" nan ", False), (b"-nan", True), (b"+NaN", True),
     (b"-NaN", True), (b'"-"nan', True)])
 def test_only_an_unsigned_nan_is_read_as_missing_by_loadtxt(tmp_path, exact_reader,
-                                                             cell_loop_calls, monkeypatch,
+                                                             cell_loop_calls, parses,
                                                              cell, signed):
-    calls, loadtxt = [], np.loadtxt
-    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(a) or loadtxt(*a, **k))
     path = tmp_path / "prices.csv"
     path.write_bytes(with_cell(cell))
     for policy in MissingPolicy:
-        calls.clear()
+        parses.clear()
         cell_loop_calls.clear()
         assert ingest_outcome(path, policy) == ingest_outcome(path, policy, reference_ingest)
         if policy is not MissingPolicy.ERROR:
-            assert (len(calls), len(cell_loop_calls)) == ((0, 1) if signed else (1, 0))
+            assert (parses, len(cell_loop_calls)) == (([], 1) if signed else ([FLOAT], 0))
 
 
 # A blank cell is missing, but `0`, `-1` or `inf` beside it in the block is a bad price.
@@ -774,6 +772,14 @@ needs_exact = pytest.mark.skipif(not ingest._EXACT,
                                  reason="np.longdouble is not x87 extended precision here")
 
 
+# Where it is x87's format, the platform check must find it: a gate that reads False there
+# would silently send every block to the float call.
+@pytest.mark.skipif(sys.platform != "linux" or platform.machine() != "x86_64",
+                    reason="np.longdouble is x87 extended precision on x86-64 Linux")
+def test_exact_reader_is_on_for_x87():
+    assert ingest._EXACT
+
+
 @pytest.fixture(params=[True, False], ids=["exact", "float"])
 def exact_reader(request, monkeypatch):
     """Ingest with the exact reader on, where the platform has it, or forced off."""
@@ -782,18 +788,34 @@ def exact_reader(request, monkeypatch):
     monkeypatch.setattr(ingest, "_EXACT", request.param)
 
 
+# The one numpy call that reads a block: int64 fromstring where every price cell is a
+# plain decimal, float loadtxt elsewhere.
+EXACT, FLOAT = ("fromstring", np.int64), ("loadtxt", float)
+
+
 @pytest.fixture
-def exact_reads(monkeypatch):
-    """One entry per block `_prices` was given: True where its int64 loadtxt call read it,
-    False where the float call did, None where it declined."""
-    reads, dtypes, prices, loadtxt = [], [], ingest._prices, np.loadtxt
-    monkeypatch.setattr(np, "loadtxt",
-                        lambda *a, **k: dtypes.append(k["dtype"]) or loadtxt(*a, **k))
+def parses(monkeypatch):
+    """Each `np.fromstring` and `np.loadtxt` call, as its name and dtype."""
+    calls = []
+    for name in ("fromstring", "loadtxt"):
+        def spied(*args, _name=name, _parse=getattr(np, name), **kwargs):
+            calls.append((_name, kwargs.get("dtype")))
+            return _parse(*args, **kwargs)
+        monkeypatch.setattr(np, name, spied)
+    return calls
+
+
+@pytest.fixture
+def exact_reads(monkeypatch, parses):
+    """One entry per block `_prices` was given: True where one int64 fromstring call read
+    it, False where one float loadtxt call did, None where it declined."""
+    reads, prices = [], ingest._prices
 
     def spied(*args):
-        dtypes.clear()
+        parses.clear()
         result = prices(*args)
-        reads.append(None if result is None else dtypes == [np.int64])
+        assert result is None or parses in ([EXACT], [FLOAT])
+        reads.append(None if result is None else parses == [EXACT])
         return result
 
     monkeypatch.setattr(ingest, "_prices", spied)
@@ -944,3 +966,36 @@ def test_row_width_matches_cell_loop(tmp_path, exact_reader, exact_reads, data, 
         assert ingest_outcome(path, policy) == ingest_outcome(path, policy, reference_ingest)
     assert exact_reads == ([ingest._EXACT] * len(MissingPolicy) if read
                            else [None] * len(exact_reads))
+
+
+def plain_decimals(delimiter, widths, blank=False):
+    """A three-asset file of plain-decimal prices whose second and later rows hold
+    ``widths`` price cells; with ``blank``, the second row's second cell is blank."""
+    dot = "" if delimiter == "." else "."
+    rows = [["date", "aaa", "bbb", "ccc"], ["d01", f"100{dot}5", "50", f"7{dot}25"]]
+    for t, width in enumerate(widths, start=2):
+        rows.append([f"d{t:02d}"] + [f"{100 + t + k}{dot}{k}5" for k in range(width)])
+    if blank:
+        rows[2][2] = ""
+    return "".join(delimiter.join(row) + "\n" for row in rows).encode()
+
+
+# Rows of the wrong width whose cells add up to a full table: a row a cell short then one a
+# cell long, or a long row first, so that the newline falls mid-row. fromstring would read
+# either as a full table, so the row-shape check declines the block for the cell loop. Full
+# rows are read in one call: exactly, but for a `.` delimiter, which the scan does not tell
+# from a decimal point, or a digit, which fromstring would read as part of a number.
+@pytest.mark.parametrize("blank", [False, True], ids=["", "blank"])
+@pytest.mark.parametrize("widths", [(3, 3, 3), (2, 4, 3), (4, 2, 3), (3, 2, 4), (2, 3, 4)],
+                         ids=["full", "short-long", "long-short", "then-short-long",
+                              "short-3-long"])
+@pytest.mark.parametrize("delimiter", [",", ";", "|", "-", "+", "\t", " ", ".", "9"])
+def test_plain_decimal_row_widths_match_cell_loop(tmp_path, exact_reader, exact_reads,
+                                                   delimiter, widths, blank):
+    path = tmp_path / "prices.csv"
+    path.write_bytes(plain_decimals(delimiter, widths, blank))
+    for policy in MissingPolicy:
+        assert (ingest_outcome(path, policy, delimiter=delimiter)
+                == ingest_outcome(path, policy, reference_ingest, delimiter))
+    read = None if widths != (3, 3, 3) else ingest._EXACT and delimiter not in ".9"
+    assert exact_reads == [read] * len(MissingPolicy)
