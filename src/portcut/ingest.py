@@ -1,14 +1,15 @@
 """CSV price ingestion.
 
 Reads a header-first CSV with one date column and one column per asset into a rectangular
-PriceMatrix, 64 KiB of lines at a time. The date cell is split off each line once, and
-unquoted if exactly "..."; in an unquoted block the delimiter bytes of the rest give the
-blank cells, read as 0 and masked to NaN. One numpy call reads the block: an int64
-`np.fromstring` where every price cell is a plain decimal, read exactly, else a float
-`np.loadtxt`; a NaN it gives is a missing cell (a blank or an unsigned `nan`). The per-cell
-reader, which names the first bad cell, reads a block numpy refuses or may read otherwise,
-or with a signed `nan`, `0`, a negative value, `inf` or a missing cell the policy does not
-drop. A blank date is an error; missing prices are rejected, or dropped by row or column.
+PriceMatrix, 64 KiB of lines at a time, split at LF up to a bare CR or bytes that are not
+UTF-8 and then as csv splits them. The date cell is split off each line once, and unquoted
+if exactly "..."; in an unquoted block the delimiter bytes of the rest give the blank cells,
+read as 0 and masked to NaN. One numpy call reads the block: an int64 `np.fromstring` where
+every price cell is a plain decimal, read exactly, else a float `np.loadtxt`; a NaN it gives
+is a missing cell (a blank or an unsigned `nan`). The per-cell reader, which names the first
+bad cell, reads a block numpy refuses or may read otherwise, or with a signed `nan`, `0`, a
+negative value, `inf` or a missing cell the policy does not drop. A blank date is an error;
+missing prices are rejected, or dropped by row or column.
 """
 
 from __future__ import annotations
@@ -69,13 +70,24 @@ class IngestReport:
 
 
 def _lines(handle, path: Path):
-    """``(number, line)`` from 1; if some bytes are not UTF-8, that error in place of the rest."""
+    """``(number, line)`` from 1; if some bytes are not UTF-8, that error in place of the rest.
+    Split at LF to a bare CR or a decode error, then read again as csv splits, past those given."""
     number = 0
-    try:
-        for number, line in enumerate(handle, start=1):
-            yield number, line
-    except UnicodeDecodeError as exc:
-        yield number + 1, InvalidInputError(f"{path}: not UTF-8 text ({exc.reason})")
+    for again in (False, True):
+        try:
+            for number, line in enumerate(itertools.islice(handle, number, None), number + 1):
+                if "\r" in line and line.count("\r") > line.endswith(("\r\n", "\r")):
+                    number -= 1
+                    break
+                yield number, line
+            else:
+                return
+        except UnicodeDecodeError as exc:
+            if again:
+                yield number + 1, InvalidInputError(f"{path}: not UTF-8 text ({exc.reason})")
+                return
+        handle.seek(0)
+        handle.reconfigure(newline="")
 
 
 def _records(block: List[Tuple[int, str]], lines, path: Path, delimiter: str):
@@ -155,7 +167,10 @@ def _prices(rows: List[str], delimiter: str, cells: int):
                 sign + "nan" in low.replace('"', "") for sign in "-+"):
             return None
     if blank.any():
-        data = np.insert(raw, ends[blank], 48).tobytes()
+        # A 0 per blank cell: a join of the byte slices copies once, np.insert's C loop past 256.
+        cuts = (ends[blank] * raw.itemsize).tolist() if np.count_nonzero(blank) <= 256 else []
+        data = ("0".encode(codec).join(data[i:j] for i, j in zip([0] + cuts, cuts + [None]))
+                if cuts else np.insert(raw, ends[blank], 48).tobytes())
     if exact:
         # With the dots deleted and the line ends made delimiters (never a digit, which it would
         # read as part of a number), fromstring reads every cell; the last delimiter is cut.
@@ -263,7 +278,7 @@ def ingest_prices_with_report(spec: PriceCsvSpec) -> Tuple[PriceMatrix, IngestRe
     if not path.is_file():
         raise InvalidInputError(f"price file not found: {path}")
     # utf-8-sig drops the byte-order mark spreadsheet "CSV UTF-8" exports begin with.
-    with path.open(newline="", encoding="utf-8-sig") as handle:
+    with path.open(newline="\n", encoding="utf-8-sig") as handle:
         lines = _lines(handle, path)
         block = list(itertools.islice(lines, 1))
         if not block:

@@ -1,4 +1,5 @@
 import csv
+import io
 import itertools
 import operator
 import platform
@@ -472,6 +473,38 @@ def test_delimiters(tmp_path, cell_loop_calls, delimiter):
     assert len(cell_loop_calls) == (delimiter == '"')
 
 
+# A non-ASCII delimiter puts the block in UTF-32, whose blank cells, first, inner and last,
+# get their 0 at 4 bytes a code unit; one float call then reads it unless a policy rejects.
+def test_non_ascii_delimiter_with_blank_cells(tmp_path, exact_reader, cell_loop_calls, parses):
+    path = tmp_path / "prices.csv"
+    path.write_bytes("date§aaa§bbb§ccc§ddd\nd01§100.5§§7.25§1\nd02§§51§8§2\nd03§102§52§§3\n"
+                     "d04§103§53§9§4\nd05§104§54§10§5\n".encode())
+    for policy in MissingPolicy:
+        parses.clear()
+        cell_loop_calls.clear()
+        outcome = ingest_outcome(path, policy, delimiter="§")
+        assert outcome == ingest_outcome(path, policy, reference_ingest, "§")
+        rejected = policy is MissingPolicy.ERROR
+        assert (parses, len(cell_loop_calls)) == ([FLOAT], rejected)
+        assert isinstance(outcome[0], type) == rejected
+
+
+# A block's blank cells get their 0 by one join of the slices between them, or by np.insert
+# where there are more than 256: either way, in UTF-8 and UTF-32, one call reads them as NaN.
+@pytest.mark.parametrize("blanks", [1, 256, 257, 3000])
+@pytest.mark.parametrize("delimiter", [",", "§"])
+def test_blank_cells_read_as_nan_in_one_call(exact_reader, parses, delimiter, blanks):
+    rng = np.random.default_rng(blanks)
+    cells = [f"{value:.2f}" for value in rng.uniform(1, 500, 80 * 50)]
+    for i in rng.choice(len(cells), blanks, replace=False).tolist():
+        cells[i] = ""
+    rows = [delimiter.join(cells[i:i + 50]) for i in range(0, len(cells), 50)]
+    prices = ingest._prices(rows, delimiter, 50)
+    expected = np.array([float(cell) if cell else np.nan for cell in cells])
+    assert prices.shape == (80, 50) and prices.tobytes() == expected.tobytes()
+    assert parses == [EXACT if ingest._EXACT and delimiter.isascii() else FLOAT]
+
+
 def test_clean_file_parsed_in_one_call(tmp_path, exact_reader, cell_loop_calls, exact_reads):
     ingest_prices_with_report(PriceCsvSpec(path=write(tmp_path, WELL_FORMED)))
     assert exact_reads == [ingest._EXACT]
@@ -592,8 +625,8 @@ def price_files(draw):
     rows += [[draw(cell) for _ in range(n_assets)] for _ in range(draw(st.integers(1, 5)))]
     for t, row in enumerate(rows):
         row.insert(date_idx, draw(st.sampled_from([f"2020-01-{t:02d}", ""])) if t else "date")
-    ending = draw(st.sampled_from(["\n", "\r\n"]))
-    return "".join(",".join(row) + ending for row in rows)
+    endings = st.sampled_from(["\n", "\r\n", "\r"])
+    return "".join(",".join(row) + draw(endings) for row in rows)
 
 
 def ingest_outcome(path, policy, ingest_with_report=ingest_prices_with_report, delimiter=","):
@@ -717,6 +750,67 @@ def test_non_utf8_bytes_raise_as_the_cell_loop(tmp_path, exact_reader, lines_at)
     path.write_bytes(b"".join(lines))
     for policy in MissingPolicy:
         assert ingest_outcome(path, policy) == ingest_outcome(path, policy, reference_ingest)
+
+
+# A file whose lines end only in bare CRs is one LF-line, whose read meets the bad byte
+# before any line is given; the price error on line 2 still comes first, as csv reads it.
+@pytest.mark.parametrize("bad_line", [1000, 5000], ids=["later-chunk", "later-block"])
+def test_bare_cr_row_error_comes_before_a_later_decode_error(tmp_path, exact_reader, bad_line):
+    lines = [b"date,aaa,bbb\r", b"d000001,-3,2.5\r"]
+    lines += [b"d%06d,1.5,2.5\r" % t for t in range(2, 6000)]
+    lines[bad_line] = b"d%06d,\xe9,2.5\r" % bad_line
+    path = tmp_path / "prices.csv"
+    path.write_bytes(b"".join(lines))
+    assert len(b"".join(lines[:bad_line])) > 8192
+    for policy in MissingPolicy:
+        outcome = ingest_outcome(path, policy)
+        assert outcome == ingest_outcome(path, policy, reference_ingest)
+        assert outcome == (InvalidInputError,
+                           f"{path}:2: nonpositive price '-3' in column 'aaa'")
+
+
+class CountedSwitch(io.TextIOWrapper):
+    """A text handle that counts its switches of line splitting."""
+
+    switches = 0
+
+    def reconfigure(self, **kwargs):
+        self.switches += 1
+        super().reconfigure(**kwargs)
+
+
+def csv_lines(path):
+    """The lines of ``path`` as csv splits them, then "error" if some bytes are not UTF-8."""
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        try:
+            yield from handle
+        except UnicodeDecodeError:
+            yield "error"
+
+
+# LF and CRLF files are read once, at each LF; a bare CR or a decode error reads the file
+# again as csv splits it, from the line after the last one given.
+@pytest.mark.parametrize("data, switches", [
+    (b"date,a\nd1,1\nd2,2\n", 0),
+    (b"date,a\r\nd1,1\r\nd2,2\r\n", 0),
+    (b"date,a\r\nd1,1\nd2,2\r", 0),
+    (b"date,a\nd1,1\rd2,2\n", 1),
+    (b"date,a\r\r\nd1,1\n", 1),
+    (b"date,a\nd1,1\nd2,2\rd3", 1),
+    (b"date,a\nd1,1\nd2,\xff\n", 1),
+    (b"date,a\rd1,\xff\r", 1),
+], ids=["lf", "crlf", "cr-at-end", "bare-cr", "cr-before-crlf", "bare-cr-last-line",
+        "not-utf8", "bare-cr-not-utf8"])
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["", "bom"])
+def test_lines_switch_only_at_a_bare_cr_or_decode_error(tmp_path, data, switches, bom):
+    path = tmp_path / "prices.csv"
+    path.write_bytes(bom + data)
+    with CountedSwitch(open(path, "rb"), encoding="utf-8-sig", newline="\n") as handle:
+        numbered = list(ingest._lines(handle, path))
+    assert [n for n, _ in numbered] == list(range(1, len(numbered) + 1))
+    assert [line if isinstance(line, str) else "error"
+            for _, line in numbered] == list(csv_lines(path))
+    assert handle.switches == switches
 
 
 def first_cell_quoted(data):
