@@ -1,15 +1,15 @@
 """CSV price ingestion.
 
 Reads a header-first CSV with one date column and one column per asset into a rectangular
-PriceMatrix, 64 KiB of lines at a time, split at LF up to a bare CR or bytes that are not
-UTF-8 and then as csv splits them. The date cell is split off each line once, and unquoted
-if exactly "..."; in an unquoted block the delimiter bytes of the rest give the blank cells,
-read as 0 and masked to NaN. One numpy call reads the block: an int64 `np.fromstring` where
-every price cell is a plain decimal, read exactly, else a float `np.loadtxt`; a NaN it gives
-is a missing cell (a blank or an unsigned `nan`). The per-cell reader, which names the first
-bad cell, reads a block numpy refuses or may read otherwise, or with a signed `nan`, `0`, a
-negative value, `inf` or a missing cell the policy does not drop. A blank date is an error;
-missing prices are rejected, or dropped by row or column.
+PriceMatrix, 64 KiB of lines at a time, split at LF to a bare CR, a 64 Ki-character line or
+bytes not UTF-8, then as csv splits them. The date cell is split off each line once, and
+unquoted if exactly "..."; in an unquoted block the delimiter bytes of the rest give the
+blank cells, read as 0 and masked to NaN. One numpy call reads the block: an int64
+`np.fromstring` where every price cell is a plain decimal, read exactly, else a float
+`np.loadtxt`; a NaN it gives is a missing cell (a blank or an unsigned `nan`). The per-cell
+reader, which names the first bad cell, reads a block numpy refuses or may read otherwise,
+or with a signed `nan`, `0`, a negative value, `inf` or a missing cell the policy does not
+drop. A blank date is an error; missing prices are rejected, or dropped by row or column.
 """
 
 from __future__ import annotations
@@ -71,12 +71,15 @@ class IngestReport:
 
 def _lines(handle, path: Path):
     """``(number, line)`` from 1; if some bytes are not UTF-8, that error in place of the rest.
-    Split at LF to a bare CR or a decode error, then read again as csv splits, past those given."""
+    Split at LF, 64 Ki characters a read at most, to a bare CR, a line that fills a read or a
+    decode error; then read again as csv splits, past the lines given."""
     number = 0
     for again in (False, True):
         try:
-            for number, line in enumerate(itertools.islice(handle, number, None), number + 1):
-                if "\r" in line and line.count("\r") > line.endswith(("\r\n", "\r")):
+            read = handle if again else iter(lambda: handle.readline(1 << 16), "")
+            for number, line in enumerate(itertools.islice(read, number, None), number + 1):
+                if not again and (len(line) == 1 << 16 or "\r" in line
+                                  and line.count("\r") > line.endswith(("\r\n", "\r"))):
                     number -= 1
                     break
                 yield number, line
@@ -167,10 +170,7 @@ def _prices(rows: List[str], delimiter: str, cells: int):
                 sign + "nan" in low.replace('"', "") for sign in "-+"):
             return None
     if blank.any():
-        # A 0 per blank cell: a join of the byte slices copies once, np.insert's C loop past 256.
-        cuts = (ends[blank] * raw.itemsize).tolist() if np.count_nonzero(blank) <= 256 else []
-        data = ("0".encode(codec).join(data[i:j] for i, j in zip([0] + cuts, cuts + [None]))
-                if cuts else np.insert(raw, ends[blank], 48).tobytes())
+        data = np.insert(raw, ends[blank], 48).tobytes()
     if exact:
         # With the dots deleted and the line ends made delimiters (never a digit, which it would
         # read as part of a number), fromstring reads every cell; the last delimiter is cut.

@@ -489,9 +489,8 @@ def test_non_ascii_delimiter_with_blank_cells(tmp_path, exact_reader, cell_loop_
         assert isinstance(outcome[0], type) == rejected
 
 
-# A block's blank cells get their 0 by one join of the slices between them, or by np.insert
-# where there are more than 256: either way, in UTF-8 and UTF-32, one call reads them as NaN.
-@pytest.mark.parametrize("blanks", [1, 256, 257, 3000])
+# A block's blank cells, one or many, in UTF-8 and UTF-32, are read as NaN by one call.
+@pytest.mark.parametrize("blanks", [1, 256])
 @pytest.mark.parametrize("delimiter", [",", "§"])
 def test_blank_cells_read_as_nan_in_one_call(exact_reader, parses, delimiter, blanks):
     rng = np.random.default_rng(blanks)
@@ -752,8 +751,9 @@ def test_non_utf8_bytes_raise_as_the_cell_loop(tmp_path, exact_reader, lines_at)
         assert ingest_outcome(path, policy) == ingest_outcome(path, policy, reference_ingest)
 
 
-# A file whose lines end only in bare CRs is one LF-line, whose read meets the bad byte
-# before any line is given; the price error on line 2 still comes first, as csv reads it.
+# A file whose lines end only in bare CRs holds no LF, and its first read of 64 Ki characters
+# may meet the bad byte before any line is given; the price error on line 2 still comes
+# first, as csv reads it.
 @pytest.mark.parametrize("bad_line", [1000, 5000], ids=["later-chunk", "later-block"])
 def test_bare_cr_row_error_comes_before_a_later_decode_error(tmp_path, exact_reader, bad_line):
     lines = [b"date,aaa,bbb\r", b"d000001,-3,2.5\r"]
@@ -770,9 +770,17 @@ def test_bare_cr_row_error_comes_before_a_later_decode_error(tmp_path, exact_rea
 
 
 class CountedSwitch(io.TextIOWrapper):
-    """A text handle that counts its switches of line splitting."""
+    """A text handle that counts its switches of line splitting and keeps the length of the
+    longest line it read before the first."""
 
     switches = 0
+    longest = 0
+
+    def readline(self, size=-1):
+        line = super().readline(size)
+        if not self.switches:
+            self.longest = max(self.longest, len(line))
+        return line
 
     def reconfigure(self, **kwargs):
         self.switches += 1
@@ -788,8 +796,8 @@ def csv_lines(path):
             yield "error"
 
 
-# LF and CRLF files are read once, at each LF; a bare CR or a decode error reads the file
-# again as csv splits it, from the line after the last one given.
+# LF and CRLF files are read once, at each LF; a bare CR, a line of 64 Ki characters or more
+# or a decode error reads the file again as csv splits it, from the line after the last given.
 @pytest.mark.parametrize("data, switches", [
     (b"date,a\nd1,1\nd2,2\n", 0),
     (b"date,a\r\nd1,1\r\nd2,2\r\n", 0),
@@ -799,8 +807,10 @@ def csv_lines(path):
     (b"date,a\nd1,1\nd2,2\rd3", 1),
     (b"date,a\nd1,1\nd2,\xff\n", 1),
     (b"date,a\rd1,\xff\r", 1),
+    (b"date,a\nd1,1\nd2," + b"2" * (1 << 16) + b"\nd3,3\n", 1),
+    (b"date,a\nd1,1\nd2," + b"2" * 65000 + b"\nd3,3\n", 0),
 ], ids=["lf", "crlf", "cr-at-end", "bare-cr", "cr-before-crlf", "bare-cr-last-line",
-        "not-utf8", "bare-cr-not-utf8"])
+        "not-utf8", "bare-cr-not-utf8", "long-line", "line-under-64-ki"])
 @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["", "bom"])
 def test_lines_switch_only_at_a_bare_cr_or_decode_error(tmp_path, data, switches, bom):
     path = tmp_path / "prices.csv"
@@ -811,6 +821,17 @@ def test_lines_switch_only_at_a_bare_cr_or_decode_error(tmp_path, data, switches
     assert [line if isinstance(line, str) else "error"
             for _, line in numbered] == list(csv_lines(path))
     assert handle.switches == switches
+
+
+# A file of several MiB whose lines end only in bare CRs holds no LF: the LF read stops at
+# 64 Ki characters, where it finds a bare CR, and is not given the whole file as one line.
+def test_bare_cr_file_switches_within_one_bounded_read(tmp_path):
+    path = tmp_path / "prices.csv"
+    path.write_bytes(b"date,aaa,bbb\r" + b"".join(b"d%07d,1.5,2.5\r" % t for t in range(250_000)))
+    with CountedSwitch(open(path, "rb"), encoding="utf-8-sig", newline="\n") as handle:
+        numbered = list(ingest._lines(handle, path))
+    assert handle.switches == 1 and 0 < handle.longest <= 1 << 16
+    assert [line for _, line in numbered] == list(csv_lines(path))
 
 
 def first_cell_quoted(data):
